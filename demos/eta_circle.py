@@ -3,17 +3,15 @@
 The operator -i d/dx + a on the unit circle has eigenvalues n + a for all
 integers n. Its eta invariant, the regularized signed count of
 eigenvalues, equals 1 - 2a for any twist 0 < a < 1. This script computes
-eta from truncated spectra and shows three things:
+eta from truncated spectra and shows two things:
 
 * the computed value hits the closed form at desk-scale truncations,
-* the head/tail split time T is an implementation detail the result does
-  not depend on,
 * the error estimate is honest: the observed deviation stays below it.
 
 Run as: python3 demos/eta_circle.py
 """
 
-from cyleta import QuadratureConfig, circle_spectrum, eta_circle_oracle, eta_invariant
+from cyleta import circle_spectrum, eta_circle_oracle, eta_invariant
 
 
 def main():
@@ -27,19 +25,6 @@ def main():
         dev = abs(result.value - exact)
         print(f"{twist:>6} {result.value.real:>22.15f} {exact:>12.2f} "
               f"{dev:>10.2e} {result.est_error:>10.2e}")
-
-    print()
-    print("split-time independence at twist 0.25:")
-    spectrum = circle_spectrum(0.25, 0.0, 2000)
-    for split_T in (0.25, 1.0, 4.0):
-        config = QuadratureConfig(split_T=split_T)
-        result = eta_invariant(spectrum, config)
-        print(f"  T = {split_T:<5} head {result.quadrature_part.real:>20.15f} "
-              f" tail {result.tail_part.real:>20.15f} "
-              f" total {result.value.real:.15f}")
-    print()
-    print("The head integral and the closed-form tail trade mass as T")
-    print("moves; their sum does not.")
 
 
 if __name__ == "__main__":

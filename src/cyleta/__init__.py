@@ -10,14 +10,13 @@ dominated-convergence certificate, and the agreement of the two index
 assembly routes.
 """
 
-from ._quad import DEFAULT_CONFIG, QuadratureConfig
 from ._version import __version__
 from .assembly import IndexReport, aps_index, assemble_index, relative_index_check
 from .contribution import (ContributionReport, contribution,
                            contribution_integrand,
                            dirichlet_variant_contribution)
 from .errors import (CyletaError, DomainError, InstabilityError,
-                     InvalidSpectrumError, InvalidTraceError, QuadratureError,
+                     InvalidSpectrumError, InvalidTraceError,
                      VerificationError)
 from .eta import (EtaResult, eta_circle_oracle, eta_invariant, heat_trace,
                   resolved_floor)
@@ -38,14 +37,11 @@ from .vanishing import (CertificateFailure, VanishingReport,
 
 __all__ = [
     "__version__",
-    "QuadratureConfig",
-    "DEFAULT_CONFIG",
     "CyletaError",
     "InvalidSpectrumError",
     "InvalidTraceError",
     "DomainError",
     "VerificationError",
-    "QuadratureError",
     "InstabilityError",
     "SpectralDatum",
     "BoundarySpectrum",

@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._quad import DEFAULT_CONFIG, QuadratureConfig
 from .contribution import ContributionReport, contribution
 from .errors import DomainError
 from .eta import eta_invariant
@@ -88,7 +87,6 @@ def assemble_index(as_term: complex, report: ContributionReport,
 
 
 def aps_index(spectrum: BoundarySpectrum, as_term: complex,
-              config: QuadratureConfig = DEFAULT_CONFIG,
               g_is_identity: bool | None = None) -> IndexReport:
     """ind = as_term - eta/2, skipping the collar integral entirely.
 
@@ -96,7 +94,7 @@ def aps_index(spectrum: BoundarySpectrum, as_term: complex,
     spectrum: every stored trace equal to its multiplicity.
     """
     as_term = complex(as_term)
-    eta_res = eta_invariant(spectrum, config)
+    eta_res = eta_invariant(spectrum)
     eta_half = 0.5 * eta_res.value
     contribution_value = -eta_half
     index_value = as_term + contribution_value
@@ -115,8 +113,7 @@ def aps_index(spectrum: BoundarySpectrum, as_term: complex,
 
 def relative_index_check(spec1: BoundarySpectrum, as1: complex,
                          spec2: BoundarySpectrum, as2: complex,
-                         a_prime: float,
-                         config: QuadratureConfig = DEFAULT_CONFIG) -> complex:
+                         a_prime: float) -> complex:
     """(ind_1 - ind_2) - (as_1 - as_2), which is A_1(a') - A_2(a').
 
     Operators agreeing outside their compact sets share a boundary
@@ -126,8 +123,8 @@ def relative_index_check(spec1: BoundarySpectrum, as1: complex,
     """
     as1 = complex(as1)
     as2 = complex(as2)
-    r1 = contribution(spec1, a_prime, 1.0, config)
-    r2 = contribution(spec2, a_prime, 1.0, config)
+    r1 = contribution(spec1, a_prime)
+    r2 = contribution(spec2, a_prime)
     ind1 = as1 + r1.direct_value
     ind2 = as2 + r2.direct_value
     return (ind1 - ind2) - (as1 - as2)

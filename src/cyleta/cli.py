@@ -5,7 +5,7 @@ JSON document {"request": ..., "result": ..., "errors": [...], "version":
 ...} with sorted keys and fixed indentation, so identical requests produce
 byte-identical output. Exit status is 0 on success, 1 on input or
 computation errors (bad flags, unreadable or malformed spectrum files,
-domain violations, quadrature failures), and 2 when a verification command
+domain violations, unstable extrapolations), and 2 when a verification command
 finds a violation beyond tolerance; the evidence is embedded in the
 document either way.
 
@@ -22,10 +22,9 @@ import os
 import sys
 import tempfile
 
-from ._quad import DEFAULT_CONFIG, QuadratureConfig
 from ._version import __version__
 from .assembly import aps_index, assemble_index
-from .contribution import (_dirichlet_variant_detailed, contribution)
+from .contribution import _dirichlet_variant_detailed, contribution
 from .errors import CyletaError
 from .eta import eta_invariant
 from .identities import (BOUNDARY_GRID, DECOMPOSITION_GRID,
@@ -65,17 +64,6 @@ def _add_spectrum_flags(p: argparse.ArgumentParser, repeatable: bool = False) ->
                    help="largest circle mode index (required with --twist)")
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--split-T", type=float, default=None, dest="split_T",
-                   help="head/tail split time of the s-integrals")
-    p.add_argument("--abs-tol", type=float, default=None,
-                   help="absolute quadrature tolerance")
-    p.add_argument("--rel-tol", type=float, default=None,
-                   help="relative quadrature tolerance")
-    p.add_argument("--max-subdivisions", type=int, default=None,
-                   help="adaptive quadrature interval budget")
-
-
 def _add_output_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", default=None, metavar="PATH",
                    help="write the JSON document here instead of stdout")
@@ -89,13 +77,11 @@ def build_parser() -> _Parser:
 
     p_eta = sub.add_parser("eta", help="eta invariant of a spectrum")
     _add_spectrum_flags(p_eta)
-    _add_config_flags(p_eta)
     _add_output_flag(p_eta)
 
     p_con = sub.add_parser("contribution",
                            help="contribution from infinity A_g(a')")
     _add_spectrum_flags(p_con)
-    _add_config_flags(p_con)
     _add_output_flag(p_con)
     p_con.add_argument("--a-prime", action="append", type=float,
                        required=True, help="collar coordinate (repeatable)")
@@ -105,7 +91,6 @@ def build_parser() -> _Parser:
     p_dir = sub.add_parser("dirichlet-variant",
                            help="the Dirichlet-condition variant A_g^F(a')")
     _add_spectrum_flags(p_dir)
-    _add_config_flags(p_dir)
     _add_output_flag(p_dir)
     p_dir.add_argument("--a-prime", action="append", type=float,
                        required=True, help="collar coordinate (repeatable)")
@@ -135,7 +120,6 @@ def build_parser() -> _Parser:
                                 "contribution (with --a-prime) or as_term "
                                 "minus eta/2 (without)")
     _add_spectrum_flags(p_idx)
-    _add_config_flags(p_idx)
     _add_output_flag(p_idx)
     p_idx.add_argument("--as-term", default="0,0", metavar="RE,IM",
                        help="interior characteristic-form integral")
@@ -153,7 +137,6 @@ def build_parser() -> _Parser:
     p_rel.add_argument("--spectrum", action="append", default=None,
                        metavar="PATH", required=True,
                        help="spectrum JSON file (give exactly twice)")
-    _add_config_flags(p_rel)
     _add_output_flag(p_rel)
     p_rel.add_argument("--a-prime", action="append", type=float,
                        required=True, help="collar coordinate (exactly one)")
@@ -175,27 +158,6 @@ def _parse_complex(text: str) -> complex:
     except ValueError:
         pass
     raise _InputError(f"expected RE or RE,IM for a complex value, got {text!r}")
-
-
-def _config_from_args(args: argparse.Namespace) -> QuadratureConfig:
-    overrides = {}
-    if getattr(args, "split_T", None) is not None:
-        overrides["split_T"] = args.split_T
-    if getattr(args, "abs_tol", None) is not None:
-        overrides["abs_tol"] = args.abs_tol
-    if getattr(args, "rel_tol", None) is not None:
-        overrides["rel_tol"] = args.rel_tol
-    if getattr(args, "max_subdivisions", None) is not None:
-        overrides["max_subdivisions"] = args.max_subdivisions
-    if not overrides:
-        return DEFAULT_CONFIG
-    base = DEFAULT_CONFIG
-    return QuadratureConfig(
-        split_T=overrides.get("split_T", base.split_T),
-        abs_tol=overrides.get("abs_tol", base.abs_tol),
-        rel_tol=overrides.get("rel_tol", base.rel_tol),
-        max_subdivisions=overrides.get("max_subdivisions",
-                                       base.max_subdivisions))
 
 
 def _spectrum_from_args(args: argparse.Namespace) -> BoundarySpectrum:
@@ -227,8 +189,7 @@ def _complex_pair(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def _request_echo(args: argparse.Namespace,
-                  config: QuadratureConfig | None) -> dict:
+def _request_echo(args: argparse.Namespace) -> dict:
     echo: dict = {"command": args.command}
     for key in ("spectrum", "twist", "rotation_angle", "n_max", "f1",
                 "cutoff_rank", "g_identity", "output"):
@@ -245,13 +206,6 @@ def _request_echo(args: argparse.Namespace,
                                 for t in terms] if terms else None
         elif terms is not None:
             echo["as_term"] = _complex_pair(_parse_complex(terms))
-    if config is not None:
-        echo["config"] = {
-            "split_T": config.split_T,
-            "abs_tol": config.abs_tol,
-            "rel_tol": config.rel_tol,
-            "max_subdivisions": config.max_subdivisions,
-        }
     return echo
 
 
@@ -261,25 +215,23 @@ def _single_a_prime(args: argparse.Namespace) -> float:
     return args.a_prime[0]
 
 
-def _run_eta(args: argparse.Namespace, config: QuadratureConfig) -> tuple[dict, int]:
+def _run_eta(args: argparse.Namespace) -> tuple[dict, int]:
     spectrum = _spectrum_from_args(args)
-    return eta_invariant(spectrum, config).to_json_dict(), 0
+    return eta_invariant(spectrum).to_json_dict(), 0
 
 
-def _run_contribution(args: argparse.Namespace,
-                      config: QuadratureConfig) -> tuple[dict, int]:
+def _run_contribution(args: argparse.Namespace) -> tuple[dict, int]:
     spectrum = _spectrum_from_args(args)
-    reports = [contribution(spectrum, ap, args.f1, config).to_json_dict()
+    reports = [contribution(spectrum, ap, args.f1).to_json_dict()
                for ap in args.a_prime]
     return {"reports": reports}, 0
 
 
-def _run_dirichlet(args: argparse.Namespace,
-                   config: QuadratureConfig) -> tuple[dict, int]:
+def _run_dirichlet(args: argparse.Namespace) -> tuple[dict, int]:
     spectrum = _spectrum_from_args(args)
     values = []
     for ap in args.a_prime:
-        value, est = _dirichlet_variant_detailed(spectrum, ap, config)
+        value, est = _dirichlet_variant_detailed(spectrum, ap)
         values.append({"a_prime": ap, "value": _complex_pair(value),
                        "est_error": est})
     return {"values": values}, 0
@@ -316,14 +268,13 @@ def _run_verify_vanishing(args: argparse.Namespace) -> tuple[dict, int]:
     return result, 0 if passed else 2
 
 
-def _run_index(args: argparse.Namespace,
-               config: QuadratureConfig) -> tuple[dict, int]:
+def _run_index(args: argparse.Namespace) -> tuple[dict, int]:
     spectrum = _spectrum_from_args(args)
     as_term = _parse_complex(args.as_term)
     if args.a_prime:
         reports = []
         for ap in args.a_prime:
-            con = contribution(spectrum, ap, args.f1, config)
+            con = contribution(spectrum, ap, args.f1)
             report = assemble_index(as_term, con,
                                     g_is_identity=args.g_identity)
             entry = report.to_json_dict()
@@ -331,16 +282,15 @@ def _run_index(args: argparse.Namespace,
             entry["est_error"] = con.est_error
             reports.append(entry)
         return {"route": "contribution", "reports": reports}, 0
-    eta_res = eta_invariant(spectrum, config)
-    report = aps_index(spectrum, as_term, config,
+    eta_res = eta_invariant(spectrum)
+    report = aps_index(spectrum, as_term,
                        g_is_identity=args.g_identity or None)
     entry = report.to_json_dict()
     entry["est_error"] = 0.5 * eta_res.est_error
     return {"route": "aps", "reports": [entry]}, 0
 
 
-def _run_relative(args: argparse.Namespace,
-                  config: QuadratureConfig) -> tuple[dict, int]:
+def _run_relative(args: argparse.Namespace) -> tuple[dict, int]:
     paths = args.spectrum or []
     if len(paths) != 2:
         raise _InputError("relative takes exactly two --spectrum files")
@@ -352,8 +302,8 @@ def _run_relative(args: argparse.Namespace,
     as2 = _parse_complex(terms[1]) if len(terms) >= 2 else 0j
     spec1 = _load_spectrum_file(paths[0])
     spec2 = _load_spectrum_file(paths[1])
-    r1 = contribution(spec1, a_prime, 1.0, config)
-    r2 = contribution(spec2, a_prime, 1.0, config)
+    r1 = contribution(spec1, a_prime)
+    r2 = contribution(spec2, a_prime)
     ind1 = as1 + r1.direct_value
     ind2 = as2 + r2.direct_value
     value = (ind1 - ind2) - (as1 - as2)
@@ -366,30 +316,25 @@ def _run_relative(args: argparse.Namespace,
     return result, 0
 
 
-_NEEDS_CONFIG = {"eta", "contribution", "dirichlet-variant", "index",
-                 "relative"}
-
-
 def run(args: argparse.Namespace) -> tuple[dict, int]:
     """Dispatch a parsed request; returns (document, exit_status)."""
-    config = _config_from_args(args) if args.command in _NEEDS_CONFIG else None
-    doc = {"request": _request_echo(args, config), "errors": [],
+    doc = {"request": _request_echo(args), "errors": [],
            "version": __version__}
     try:
         if args.command == "eta":
-            result, status = _run_eta(args, config)
+            result, status = _run_eta(args)
         elif args.command == "contribution":
-            result, status = _run_contribution(args, config)
+            result, status = _run_contribution(args)
         elif args.command == "dirichlet-variant":
-            result, status = _run_dirichlet(args, config)
+            result, status = _run_dirichlet(args)
         elif args.command == "verify-identities":
             result, status = _run_verify_identities(args)
         elif args.command == "verify-vanishing":
             result, status = _run_verify_vanishing(args)
         elif args.command == "index":
-            result, status = _run_index(args, config)
+            result, status = _run_index(args)
         elif args.command == "relative":
-            result, status = _run_relative(args, config)
+            result, status = _run_relative(args)
         else:  # pragma: no cover - argparse enforces the choices
             raise _InputError(f"unknown command {args.command!r}")
     except _InputError:

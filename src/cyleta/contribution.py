@@ -15,11 +15,13 @@ vanishing piece (integrating to exactly zero mode by mode). Hence
 A_g(a') = -f1(a') eta_g / 2 for every a' > 0: the contribution does not
 depend on where the collar is cut.
 
-contribution() computes both sides independently: direct_value integrates
-the assembled integrand (quadrature head after s = u^2, plus exact
-erfc/erfcx tails per mode), while decomposed_value is assembled from the
-eta invariant and the vanishing term. The report carries both and an error
-budget that covers their difference.
+contribution() computes both sides separately: direct_value sums the
+closed-form per-mode integral of the whole bracket from the resolved floor
+of the eta invariant (erfc/erfcx expressions, or the s -> 0 limit
+sgn(lam)/2 when the floor is refused), while decomposed_value is assembled
+from the eta invariant and the vanishing term. The report carries both and
+an error budget that covers their difference. The adaptive-quadrature
+route of the same integrals lives in the test oracles.
 
 dirichlet_variant_contribution swaps the per-mode factor (a'/s - |lam|) in
 the vanishing piece for (sgn(lam) a'/s - |lam|), which is what imposing a
@@ -35,15 +37,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import erfc as _erfc_arr, erfcx as _erfcx_arr
 
-from ._quad import DEFAULT_CONFIG, QuadratureConfig, quad_complex
 from .errors import DomainError
-from .eta import eta_invariant, resolved_floor, _trace_from_arrays
+from .eta import _roundoff, _skipped_segment, eta_invariant, resolved_floor
 from .spectral import BoundarySpectrum, _as_arrays
-from .vanishing import vanishing_term_detailed
+from .vanishing import _check_a_prime, vanishing_term_detailed
 
 __all__ = [
     "ContributionReport",
@@ -51,15 +51,6 @@ __all__ = [
     "contribution",
     "dirichlet_variant_contribution",
 ]
-
-_SQRT_PI = math.sqrt(math.pi)
-
-
-def _check_a_prime(a_prime: float) -> float:
-    a_prime = float(a_prime)
-    if not (math.isfinite(a_prime) and a_prime > 0.0):
-        raise DomainError(f"a_prime must be a positive real, got {a_prime!r}")
-    return a_prime
 
 
 @dataclass(frozen=True)
@@ -97,31 +88,13 @@ class ContributionReport:
         }
 
 
-def _diagonal_sum(lams: np.ndarray, traces: np.ndarray, a_prime: float,
-                  s: float, *, signed_vanishing: bool) -> complex:
-    """sum_j a_j e^{-lam^2 s} (4 pi s)^{-1/2} [lam + (vanishing factor)].
-
-    signed_vanishing=True gives the spectral-condition bracket
-    sgn(lam) e^{-a'^2/s}(a'/s - |lam|); False gives the Dirichlet bracket
-    e^{-a'^2/s}(a'/s - lam), identical on lam > 0 and sign-flipped on the
-    first part for lam < 0.
-    """
-    expo = -(a_prime * a_prime) / s
-    damp = math.exp(expo) if expo > -745.0 else 0.0
-    if signed_vanishing:
-        bracket = lams + np.sign(lams) * damp * (a_prime / s - np.abs(lams))
-    else:
-        bracket = lams + damp * (a_prime / s - lams)
-    norm = 1.0 / math.sqrt(4.0 * math.pi * s)
-    return complex((traces * np.exp(-s * lams * lams) * bracket).sum() * norm)
-
-
 def contribution_integrand(spectrum: BoundarySpectrum, a_prime: float,
                            s: float) -> complex:
     """The spectral sum of diagonal kernel combinations at heat time s.
 
     Equals sum_j trace_g(j) * lambda_mode_kernel(lam_j, s, a', a'); the
-    collapsed bracket form used here is algebraically identical on the
+    collapsed bracket sum_j a_j e^{-lam^2 s} (4 pi s)^{-1/2} [lam + sgn(lam)
+    e^{-a'^2/s} (a'/s - |lam|)] used here is algebraically identical on the
     diagonal and is what makes large spectra affordable. The test suite
     checks the two forms against each other.
     """
@@ -130,29 +103,11 @@ def contribution_integrand(spectrum: BoundarySpectrum, a_prime: float,
     if not (math.isfinite(s) and s > 0.0):
         raise DomainError(f"s must be a positive real, got {s!r}")
     lams, traces = _as_arrays(spectrum)
-    return _diagonal_sum(lams, traces, a_prime, s, signed_vanishing=True)
-
-
-def _substituted_head(lams: np.ndarray, traces: np.ndarray, a_prime: float,
-                      config: QuadratureConfig, known_real: bool,
-                      lo_s: float, *, signed_vanishing: bool,
-                      ) -> tuple[complex, float]:
-    """int_{lo_s}^{T} integrand(s) ds after s = u^2.
-
-    The substituted integrand 2u * I(u^2) is smooth down to u = 0, where it
-    tends to (1/sqrt(pi)) sum_j a_j lam_j.
-    """
-    sqrt_T = math.sqrt(config.split_T)
-    lo_u = math.sqrt(lo_s) if lo_s > 0.0 else 0.0
-
-    def integrand(u: float) -> complex:
-        if u <= 0.0:
-            return complex((traces * lams).sum()) / _SQRT_PI
-        return 2.0 * u * _diagonal_sum(lams, traces, a_prime, u * u,
-                                       signed_vanishing=signed_vanishing)
-
-    return quad_complex(integrand, lo_u, sqrt_T, config,
-                        known_real=known_real)
+    expo = -(a_prime * a_prime) / s
+    damp = math.exp(expo) if expo > -745.0 else 0.0
+    bracket = lams + np.sign(lams) * damp * (a_prime / s - np.abs(lams))
+    norm = 1.0 / math.sqrt(4.0 * math.pi * s)
+    return complex((traces * np.exp(-s * lams * lams) * bracket).sum() * norm)
 
 
 def _spectral_tails(lams: np.ndarray, a_prime: float, T: float) -> np.ndarray:
@@ -195,52 +150,60 @@ def _dirichlet_tails(lams: np.ndarray, a_prime: float, T: float) -> np.ndarray:
     return np.where(lams > 0.0, pos, neg)
 
 
+def _integral(spectrum: BoundarySpectrum, a_prime: float,
+              dirichlet: bool) -> tuple[complex, float]:
+    """sum_j a_j int_{s_f}^inf (diagonal bracket of mode j) ds, with its
+    error budget.
+
+    s_f is the resolved floor of the eta invariant. When it is refused the
+    integrals start at 0, where each mode gives sgn(lam)/2 plus the
+    integral of its collar-dependent part (e^{-2 a' |lam|} on lam < 0 for
+    the Dirichlet bracket, else 0). The budget holds the roundoff, the eta
+    piece of the skipped segment [0, s_f] and a bound on the
+    collar-dependent part over that segment, which the cut removes too
+    although it has no truncation artifact: per mode at most
+    [erfc(a'/sqrt(s_f)) + e^{-a'^2/s_f}] / 2, the first from the a'/s
+    term and the second from the |lam| term of the bracket.
+    """
+    lams, traces = _as_arrays(spectrum)
+    floor = resolved_floor(spectrum)
+    if floor is None:
+        terms = 0.5 * traces * np.sign(lams)
+        if dirichlet:
+            terms = terms + traces * np.where(
+                lams < 0.0, np.exp(-2.0 * a_prime * np.abs(lams)), 0.0)
+        return complex(terms.sum()), _roundoff(terms)
+    tails = _dirichlet_tails if dirichlet else _spectral_tails
+    terms = traces * tails(lams, a_prime, floor)
+    collar_cut = 0.5 * (math.erfc(a_prime / math.sqrt(floor))
+                        + math.exp(-a_prime * a_prime / floor))
+    est = (_roundoff(terms) + 0.5 * _skipped_segment(lams, traces, floor)
+           + collar_cut * float(np.abs(traces).sum()))
+    return complex(terms.sum()), est
+
+
 def contribution(spectrum: BoundarySpectrum, a_prime: float,
-                 f1_at_aprime: float = 1.0,
-                 config: QuadratureConfig = DEFAULT_CONFIG,
-                 ) -> ContributionReport:
+                 f1_at_aprime: float = 1.0) -> ContributionReport:
     """Compute A_g(a') directly and via the eta/vanishing decomposition.
 
-    direct_value = -f1 int_0^inf (spectral sum) ds with a quadrature head
-    on [0, T] and exact per-mode tails on [T, inf). decomposed_value
-    = -f1 [eta/2 + V(a')]. Truncated spectra get the same resolved-floor
-    head cut as the eta invariant, with the skipped segment priced into
-    est_error.
+    direct_value = -f1 sum_j a_j (closed-form integral of mode j from the
+    resolved floor). decomposed_value = -f1 [eta/2 + V(a')].
     """
     a_prime = _check_a_prime(a_prime)
     f1 = float(f1_at_aprime)
     if not math.isfinite(f1):
         raise DomainError(f"f1_at_aprime must be finite, got {f1_at_aprime!r}")
 
-    lams, traces = _as_arrays(spectrum)
-    T = config.split_T
-    known_real = bool(np.all(traces.imag == 0.0))
+    integral, integral_err = _integral(spectrum, a_prime, dirichlet=False)
+    eta_res = eta_invariant(spectrum)
+    van = vanishing_term_detailed(spectrum, a_prime)
 
-    floor_cut = resolved_floor(spectrum, T)
-    lo_s = floor_cut if floor_cut is not None else 0.0
-    head, head_err = _substituted_head(lams, traces, a_prime, config,
-                                       known_real, lo_s,
-                                       signed_vanishing=True)
-
-    tail_terms = traces * _spectral_tails(lams, a_prime, T)
-    tail = complex(tail_terms.sum())
-    roundoff = 4e-16 * float(np.abs(tail_terms).sum())
-
-    skip = 0.0
-    if floor_cut is not None:
-        skip = abs(_trace_from_arrays(lams, traces, floor_cut)) \
-            * math.sqrt(floor_cut / math.pi)
-
-    eta_res = eta_invariant(spectrum, config)
-    van = vanishing_term_detailed(spectrum, a_prime, config)
-
-    direct = -f1 * (head + tail)
+    direct = -f1 * integral
     eta_reference = f1 * eta_res.value
     vanishing_residual = -f1 * van.value
     decomposed = -0.5 * eta_reference + vanishing_residual
 
-    est = abs(f1) * (head_err + roundoff + skip
-                     + 0.5 * eta_res.est_error + van.est_error)
+    est = abs(f1) * (integral_err + 0.5 * eta_res.est_error + van.est_error)
 
     return ContributionReport(
         a_prime=a_prime, f1_at_aprime=f1, direct_value=direct,
@@ -249,44 +212,23 @@ def contribution(spectrum: BoundarySpectrum, a_prime: float,
 
 
 def _dirichlet_variant_detailed(spectrum: BoundarySpectrum, a_prime: float,
-                                config: QuadratureConfig = DEFAULT_CONFIG,
                                 ) -> tuple[complex, float]:
-    """A_g^F(a') together with its quadrature error budget."""
+    """A_g^F(a') together with its error budget."""
     a_prime = _check_a_prime(a_prime)
-    lams, traces = _as_arrays(spectrum)
-    T = config.split_T
-    known_real = bool(np.all(traces.imag == 0.0))
-
-    floor_cut = resolved_floor(spectrum, T)
-    lo_s = floor_cut if floor_cut is not None else 0.0
-    head, head_err = _substituted_head(lams, traces, a_prime, config,
-                                       known_real, lo_s,
-                                       signed_vanishing=False)
-
-    tail_terms = traces * _dirichlet_tails(lams, a_prime, T)
-    tail = complex(tail_terms.sum())
-    roundoff = 4e-16 * float(np.abs(tail_terms).sum())
-
-    skip = 0.0
-    if floor_cut is not None:
-        skip = abs(_trace_from_arrays(lams, traces, floor_cut)) \
-            * math.sqrt(floor_cut / math.pi)
-
-    return -(head + tail), head_err + roundoff + skip
+    integral, est = _integral(spectrum, a_prime, dirichlet=True)
+    return -integral, est
 
 
 def dirichlet_variant_contribution(spectrum: BoundarySpectrum,
-                                   a_prime: float,
-                                   config: QuadratureConfig = DEFAULT_CONFIG,
-                                   ) -> complex:
+                                   a_prime: float) -> complex:
     """A_g^F(a'): the contribution computed with the Dirichlet kernel.
 
-    Same split pipeline as contribution(), with the Dirichlet bracket in
-    the head and the matching closed-form tails. No collar-independence
+    Same closed-form pipeline as the direct value of contribution(), with
+    the Dirichlet bracket's per-mode integrals. No collar-independence
     holds here: each lam < 0 mode leaves an extra -e^{-2 a' |lam|} behind,
     so the value is -eta/2 - sum_{lam_j < 0} a_j e^{-2 a' |lam_j|}: exactly
     -eta/2 when every mode is positive, and shifted by the negative modes
     whether or not the spectrum is symmetric.
     """
-    value, _ = _dirichlet_variant_detailed(spectrum, a_prime, config)
+    value, _ = _dirichlet_variant_detailed(spectrum, a_prime)
     return value

@@ -19,19 +19,6 @@ class DomainError(CyletaError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class QuadratureError(CyletaError, RuntimeError):
-    """Adaptive quadrature failed to converge within its subdivision budget.
-
-    Carries the partial estimate and the integrator's own error guess so a
-    caller can still inspect how far the computation got.
-    """
-
-    def __init__(self, message: str, partial: complex = 0.0, est_error: float = float("inf")):
-        super().__init__(message)
-        self.partial = partial
-        self.est_error = est_error
-
-
 class VerificationError(CyletaError, RuntimeError):
     """A verified identity failed beyond its tolerance.
 

@@ -1,23 +1,25 @@
 """The g-weighted eta invariant of a boundary spectrum.
 
-eta = (1/sqrt(pi)) int_0^inf Tr(g e^{-s D^2} D) s^{-1/2} ds, computed as a
-split integral: an adaptive-quadrature head on [0, T] (after s = u^2, which
-removes the endpoint singularity) plus an exact per-mode erfc tail on
-[T, inf), from the identity
+eta = (1/sqrt(pi)) int_0^inf Tr(g e^{-s D^2} D) s^{-1/2} ds. For a finite
+list of modes every piece of that integral has a closed form, from the
+per-mode identity
 
-    (1/sqrt(pi)) int_T^inf lam e^{-lam^2 s} s^{-1/2} ds = sgn(lam) erfc(|lam| sqrt(T)).
+    (1/sqrt(pi)) int_s^inf lam e^{-lam^2 r} r^{-1/2} dr = sgn(lam) erfc(|lam| sqrt(s)),
+
+so eta = sum_j a_j sgn(lam_j) erfc(|lam_j| sqrt(s)) integrated from a lower
+heat time s, and sum_j a_j sgn(lam_j) from s = 0.
 
 Truncated spectra need one extra piece of care. The infinite trace is
 exponentially small as s -> 0 (modes cancel), but a finite truncation stops
-cancelling once s is small against 1/Lambda^2, and the head integral then
+cancelling once s is small against 1/Lambda^2, and integrating from 0 then
 picks up a pure truncation artifact (for a 4001-mode circle it shifts eta
-by 0.5). The head is therefore cut at the resolved floor s = 40/Lambda^2
-whenever (a) the floor sits well inside [0, T] and (b) a cancellation
-detector confirms the trace is already negligible there relative to its
-absolute-value envelope sum_j |a_j lam_j| e^{-lam_j^2 s}. The skipped
-segment's resolved magnitude goes into est_error, and the omitted-mode
-scale is reported separately as truncation_error via the spectral tail
-bound at the numerical floor of the u-grid.
+by 0.5). The integral therefore starts at the resolved floor
+s_f = 40/Lambda^2 whenever (a) the floor is at most 1/4 and (b) a
+cancellation detector confirms the trace is already negligible there
+relative to its absolute-value envelope sum_j |a_j lam_j| e^{-lam_j^2 s}.
+The skipped segment's resolved magnitude goes into est_error, and the
+omitted-mode scale is reported separately as truncation_error via the
+spectral tail bound at 40/Lambda^2.
 """
 
 from __future__ import annotations
@@ -28,12 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc as _erfc_arr
 
-from ._quad import DEFAULT_CONFIG, QuadratureConfig, quad_complex
 from .errors import DomainError
 from .spectral import BoundarySpectrum, _as_arrays, tail_bound
 
 __all__ = [
-    "QuadratureConfig",
     "EtaResult",
     "heat_trace",
     "eta_invariant",
@@ -42,9 +42,17 @@ __all__ = [
 
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
+# The resolved floor is s_f = _FLOOR_SCALE / Lambda^2, and it is only used
+# when it lies at or below _FLOOR_MAX.
+_FLOOR_SCALE = 40.0
+_FLOOR_MAX = 0.25
+
 # Cancellation detector threshold: the truncated trace counts as resolved at
 # the floor when it is this small against its absolute-value envelope.
 _RESOLVED_RATIO = 1e-6
+
+# Relative roundoff priced into est_error per unit of sum_j |term_j|.
+_ROUNDOFF = 4e-16
 
 
 def heat_trace(spectrum: BoundarySpectrum, s: float) -> complex:
@@ -59,16 +67,19 @@ def _trace_from_arrays(lams: np.ndarray, traces: np.ndarray, s: float) -> comple
     return complex((traces * (lams * np.exp(-s * lams * lams))).sum())
 
 
-def resolved_floor(spectrum: BoundarySpectrum, split_T: float) -> float | None:
+def _floor_candidate(spectrum: BoundarySpectrum) -> float:
+    return _FLOOR_SCALE / (spectrum.truncated_at * spectrum.truncated_at)
+
+
+def resolved_floor(spectrum: BoundarySpectrum) -> float | None:
     """The truncation-artifact cut point 40/Lambda^2, or None.
 
-    Returns the floor only when it lies below split_T/4 AND the truncated
-    trace is certified as resolved there (cancellation detector); otherwise
-    the head integral starts at 0 as for any small hand-made spectrum.
+    Returns the floor only when it is at most 1/4 AND the truncated trace
+    is certified as resolved there (cancellation detector); otherwise the
+    heat-time integrals start at 0 as for any small hand-made spectrum.
     """
-    lam_cut = spectrum.truncated_at
-    floor = 40.0 / (lam_cut * lam_cut)
-    if floor > split_T / 4.0:
+    floor = _floor_candidate(spectrum)
+    if floor > _FLOOR_MAX:
         return None
     lams, traces = _as_arrays(spectrum)
     envelope = float((np.abs(traces) * np.abs(lams)
@@ -78,73 +89,55 @@ def resolved_floor(spectrum: BoundarySpectrum, split_T: float) -> float | None:
     return None
 
 
+def _skipped_segment(lams: np.ndarray, traces: np.ndarray,
+                    floor: float | None) -> float:
+    """Price of the eta integrand on [0, floor]: |trace(floor)| sqrt(floor),
+    times 2/sqrt(pi); 0 when nothing is skipped."""
+    if floor is None:
+        return 0.0
+    return _TWO_OVER_SQRT_PI * abs(_trace_from_arrays(lams, traces, floor)) \
+        * math.sqrt(floor)
+
+
+def _roundoff(terms: np.ndarray) -> float:
+    """Roundoff envelope of summing the given per-mode terms."""
+    return _ROUNDOFF * float(np.abs(terms).sum())
+
+
 @dataclass(frozen=True)
 class EtaResult:
-    """Split-integral eta value. value == quadrature_part + tail_part holds
-    exactly (value is constructed as that sum). est_error covers the
-    numerical work on the listed modes; truncation_error is the separate
-    spectral-tail scale for modes beyond the cutoff."""
+    """Closed-form eta value. est_error covers roundoff and the skipped
+    segment below the resolved floor on the listed modes; truncation_error
+    is the separate spectral-tail scale for modes beyond the cutoff."""
 
     value: complex
-    quadrature_part: complex
-    tail_part: complex
     est_error: float
     truncation_error: float
 
     def to_json_dict(self) -> dict:
         return {
             "value": [self.value.real, self.value.imag],
-            "quadrature_part": [self.quadrature_part.real, self.quadrature_part.imag],
-            "tail_part": [self.tail_part.real, self.tail_part.imag],
             "est_error": self.est_error,
             "truncation_error": self.truncation_error,
         }
 
 
-def eta_invariant(spectrum: BoundarySpectrum,
-                  config: QuadratureConfig = DEFAULT_CONFIG) -> EtaResult:
-    """Compute eta by quadrature head plus analytic erfc tail.
+def eta_invariant(spectrum: BoundarySpectrum) -> EtaResult:
+    """eta = sum_j a_j sgn(lam_j) erfc(|lam_j| sqrt(s_f)), with s_f the
+    resolved floor, or sum_j a_j sgn(lam_j) when the floor is refused.
 
-    Head: (1/sqrt(pi)) int_0^T trace(s) s^{-1/2} ds, integrated as
-    (2/sqrt(pi)) trace(u^2) du. Tail: sum_j a_j sgn(lam_j) erfc(|lam_j| sqrt T).
-    Complex traces are integrated component-wise; all-real traces skip the
-    imaginary quadrature entirely, so identity-like group elements stay
-    exactly real.
+    All-real traces give an exactly real value, so identity-like group
+    elements stay exactly real.
     """
     lams, traces = _as_arrays(spectrum)
-    T = config.split_T
-    sqrt_T = math.sqrt(T)
-    known_real = bool(np.all(traces.imag == 0.0))
-
-    floor_cut = resolved_floor(spectrum, T)
-    lo = math.sqrt(floor_cut) if floor_cut is not None else 0.0
-
-    min_u = math.inf
-
-    def integrand(u: float) -> complex:
-        nonlocal min_u
-        if 0.0 < u < min_u:
-            min_u = u
-        return _TWO_OVER_SQRT_PI * _trace_from_arrays(lams, traces, u * u)
-
-    head, head_err = quad_complex(integrand, lo, sqrt_T, config,
-                                  known_real=known_real)
-
-    tail_terms = traces * np.sign(lams) * _erfc_arr(np.abs(lams) * sqrt_T)
-    tail = complex(tail_terms.sum())
-    roundoff = 4e-16 * float(np.abs(tail_terms).sum())
-
-    est = head_err + roundoff
-    if floor_cut is not None:
-        skipped = abs(_trace_from_arrays(lams, traces, floor_cut))
-        est += _TWO_OVER_SQRT_PI * skipped * math.sqrt(floor_cut)
-
-    floor_s = min_u * min_u if math.isfinite(min_u) else T
-    trunc = tail_bound(spectrum, floor_s, 0.0).bound
-
-    value = head + tail
-    return EtaResult(value=value, quadrature_part=head, tail_part=tail,
-                     est_error=est, truncation_error=trunc)
+    floor = resolved_floor(spectrum)
+    terms = traces * np.sign(lams)
+    if floor is not None:
+        terms = terms * _erfc_arr(np.abs(lams) * math.sqrt(floor))
+    est = _roundoff(terms) + _skipped_segment(lams, traces, floor)
+    trunc = tail_bound(spectrum, _floor_candidate(spectrum), 0.0).bound
+    return EtaResult(value=complex(terms.sum()), est_error=est,
+                     truncation_error=trunc)
 
 
 def eta_circle_oracle(twist: float) -> float:

@@ -342,8 +342,9 @@ def tail_bound(spectrum: BoundarySpectrum, s_min: float,
 
 # ---------------------------------------------------------------------------
 # JSON ingestion. Format: {"data": [{"lambda": r, "multiplicity": n,
-# "trace": [re, im]}, ...], "weyl": {"c1": r, "c2": r, "c3": r, "c4": r}},
-# with "weyl" optional (fitted from the data when absent).
+# "trace": [re, im]}, ...], "weyl": {"c1": r, "c2": r, "c3": r, "c4": r},
+# "truncated_at": r}, with "weyl" optional (fitted from the data when absent)
+# and "truncated_at" optional (the largest |lambda| when absent).
 
 def spectrum_from_json_dict(doc: dict) -> BoundarySpectrum:
     if not isinstance(doc, dict) or "data" not in doc:
@@ -411,6 +412,7 @@ def spectrum_to_json_dict(spectrum: BoundarySpectrum) -> dict:
             "c3": spectrum.trace_bound_c3,
             "c4": spectrum.trace_bound_c4,
         },
+        "truncated_at": spectrum.truncated_at,
     }
 
 

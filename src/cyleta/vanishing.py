@@ -34,10 +34,8 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
-from scipy.integrate import quad as _scipy_quad
 from scipy.special import erfcx as _erfcx_arr
 
-from ._quad import DEFAULT_CONFIG, QuadratureConfig
 from .errors import DomainError, InstabilityError
 from .spectral import BoundarySpectrum, _as_arrays
 
@@ -60,6 +58,9 @@ _DOMINATOR_TOL = 1e-10
 # Terms of the regularized sum whose analytic envelope falls below this
 # fraction of the spectrum scale are skipped in the quadrature route.
 _NEGLIGIBLE = 1e-30
+
+# e^{-x} is an exact 0 in double precision for every x above this.
+_UNDERFLOW = 746.0
 
 
 def _check_a_prime(a_prime: float) -> float:
@@ -151,27 +152,29 @@ class VanishingEvaluation(NamedTuple):
 
 
 def vanishing_term_detailed(spectrum: BoundarySpectrum, a_prime: float,
-                            config: QuadratureConfig = DEFAULT_CONFIG,
                             ) -> VanishingEvaluation:
     """Evaluate V(a') and keep the extrapolation evidence.
 
     The regularized sums are taken on the internal dyadic sequence
     t = 2^{-k}; they collapse superexponentially (each term carries
-    e^{-a'^2/t}), so a handful of levels reaches the floor. The instability
-    guard aborts if a partial ever exceeds 1e6 times the spectrum's total
-    trace mass, which a well-posed evaluation can never do.
+    e^{-a'^2/t}). The sequence runs until a'^2/t exceeds _UNDERFLOW, where
+    every term underflows to an exact 0, so the "two exact zeros" rule ends
+    it at any collar. The instability guard aborts if a partial ever
+    exceeds 1e6 times the spectrum's total trace mass, which a well-posed
+    evaluation can never do.
     """
     a_prime = _check_a_prime(a_prime)
     if not spectrum.gap > 0:
         raise DomainError("spectrum gap must be positive")
-    del config  # the closed-form route has no quadrature to configure
     lams, traces = _as_arrays(spectrum)
     scale = float(np.abs(traces).sum())
     guard = 1e6 * scale
+    # first k with a'^2 2^k > _UNDERFLOW, one more level for the second zero
+    last = max(2, math.ceil(math.log2(_UNDERFLOW / (a_prime * a_prime))) + 1)
 
     partials: list[complex] = []
     zeros_in_a_row = 0
-    for k in range(0, 12):
+    for k in range(0, last + 1):
         p = _closed_form_partial(lams, traces, a_prime, 2.0 ** (-k))
         partials.append(p)
         if abs(p) > guard:
@@ -187,10 +190,9 @@ def vanishing_term_detailed(spectrum: BoundarySpectrum, a_prime: float,
                                partials=tuple(partials))
 
 
-def vanishing_term(spectrum: BoundarySpectrum, a_prime: float,
-                   config: QuadratureConfig = DEFAULT_CONFIG) -> complex:
+def vanishing_term(spectrum: BoundarySpectrum, a_prime: float) -> complex:
     """V(a') for the given spectrum; analytically this is exactly zero."""
-    return vanishing_term_detailed(spectrum, a_prime, config).value
+    return vanishing_term_detailed(spectrum, a_prime).value
 
 
 def _mode_envelope(lam: float, a_prime: float, t: float) -> float:
@@ -226,12 +228,15 @@ def per_mode_difference(lam: float, a_prime: float, t: float) -> float:
         expo = -lam2 * s - a2 / s
         return math.exp(expo) / math.sqrt(s) if expo > -745.0 else 0.0
 
+    # Imported here, as in dominator(), so that importing the package and
+    # the closed-form routes never load scipy.integrate.
+    from scipy.integrate import quad
+
     upper_first = a2 / (lam2 * t)
-    first, _ = _scipy_quad(k, 0.0, upper_first, epsabs=1e-12, epsrel=1e-11,
-                           limit=300)
+    first, _ = quad(k, 0.0, upper_first, epsabs=1e-12, epsrel=1e-11,
+                    limit=300)
     x_cut = max(40.0 / lam2, 2.0 * t)
-    second, _ = _scipy_quad(k, t, x_cut, epsabs=1e-12, epsrel=1e-11,
-                            limit=300)
+    second, _ = quad(k, t, x_cut, epsabs=1e-12, epsrel=1e-11, limit=300)
     return first - second
 
 
@@ -274,6 +279,8 @@ def dominator(t: float, abs_lambda: float, a_prime: float) -> float:
         if not (math.isfinite(val) and val > 0.0):
             raise DomainError(f"{name} must be a positive real, got {val!r}")
 
+    from scipy.integrate import quad
+
     a2 = a_prime * a_prime
     lam2 = abs_lambda * abs_lambda
 
@@ -285,7 +292,7 @@ def dominator(t: float, abs_lambda: float, a_prime: float) -> float:
             return 0.0
         return math.exp(expo) / s * (1.0 - a_prime / (abs_lambda * s)) ** 2
 
-    inner, _ = _scipy_quad(f1_integrand, 0.0, t, epsabs=_DOMINATOR_TOL,
+    inner, _ = quad(f1_integrand, 0.0, t, epsabs=_DOMINATOR_TOL,
                            limit=300)
     f1 = math.sqrt(a_prime / abs_lambda * math.exp(-a_prime * abs_lambda)) \
         * math.sqrt(max(inner, 0.0))
@@ -310,7 +317,7 @@ def dominator(t: float, abs_lambda: float, a_prime: float) -> float:
         expo = -a2 / s
         return math.exp(expo) / math.sqrt(s) if expo > -745.0 else 0.0
 
-    f3_head, _ = _scipy_quad(f3_integrand, 0.0, 1.0, epsabs=_DOMINATOR_TOL,
+    f3_head, _ = quad(f3_integrand, 0.0, 1.0, epsabs=_DOMINATOR_TOL,
                              limit=300)
     f3 = f3_head + 2.0 * math.exp(-lam2 / 2.0) / lam2
 

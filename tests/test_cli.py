@@ -33,6 +33,7 @@ def test_eta_of_circle(capsys):
     assert doc["errors"] == []
     assert doc["version"] == "0.1.0"
     assert doc["request"]["command"] == "eta"
+    assert "config" not in doc["request"]
     assert doc["result"]["value"] == pytest.approx([0.5, 0.0], abs=1e-8)
 
 
@@ -183,6 +184,25 @@ def test_input_errors_exit_one(capsys, argv):
     assert doc["errors"]
 
 
+@pytest.mark.parametrize("flags", [
+    ("--split-T", "1"),
+    ("--split-T", "0"),
+    ("--abs-tol", "0"),
+    ("--rel-tol", "-1e-10"),
+    ("--max-subdivisions", "4"),
+    ("--max-subdivisions", "9.5"),
+], ids=["split-T", "split-T-zero", "abs-tol", "rel-tol", "max-subdivisions",
+        "max-subdivisions-fraction"])
+def test_quadrature_flags_are_refused(capsys, flags):
+    # eta and the contribution are closed forms; there is no quadrature
+    # left to configure
+    status, doc = _run(capsys, "eta", "--twist", "0.25", "--n-max", "10",
+                       *flags)
+    assert status == 1
+    assert doc["result"] is None
+    assert "unrecognized arguments" in doc["errors"][0]
+
+
 def test_bad_t_sequence_exits_one(capsys):
     status, doc = _run(capsys, "verify-vanishing", "--twist", "0.25",
                        "--n-max", "50", "--a-prime", "0.5",
@@ -201,6 +221,16 @@ def test_relative_needs_two_files(capsys, tmp_path):
 
 # ---------------------------------------------------------------------------
 # module entry point
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # Only the quadrature verifiers of the vanishing module need
+    # scipy.integrate, and they import it when called.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import cyleta.cli, sys; assert 'scipy.integrate' not in sys.modules"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_module_invocation():

@@ -118,6 +118,14 @@ def test_direct_value_ignores_collar_width():
     assert dev <= 2.0 * (narrow.est_error + wide.est_error)
 
 
+def test_decomposed_value_at_a_narrow_collar():
+    # V(0.05) is exactly 0, so the decomposition reproduces -eta/2
+    spec = circle_spectrum(0.25, 0.0, 20000)
+    report = contribution(spec, 0.05)
+    eta = eta_invariant(spec).value
+    assert abs(report.decomposed_value + 0.5 * eta) <= 1e-12
+
+
 def test_f1_weight_scales_everything():
     base = contribution(MIXED, 0.5)
     doubled = contribution(MIXED, 0.5, f1_at_aprime=2.0)

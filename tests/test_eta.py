@@ -6,8 +6,6 @@ import pytest
 
 from cyleta import (
     DomainError,
-    QuadratureConfig,
-    QuadratureError,
     circle_spectrum,
     direct_sum,
     eta_circle_oracle,
@@ -15,18 +13,12 @@ from cyleta import (
     from_records,
     heat_trace,
     resolved_floor,
+    tail_bound,
 )
 
 
 def _single(lam=2.0, trace=1.0):
     return from_records([(lam, 1, trace, 0.0)])
-
-
-def _config(**kwargs):
-    base = dict(split_T=1.0, abs_tol=1e-12, rel_tol=1e-10,
-                max_subdivisions=200)
-    base.update(kwargs)
-    return QuadratureConfig(**base)
 
 
 # ---------------------------------------------------------------------------
@@ -53,30 +45,15 @@ def test_heat_trace_needs_positive_time(s):
 
 
 # ---------------------------------------------------------------------------
-# quadrature configuration
-
-
-@pytest.mark.parametrize("kwargs", [
-    dict(split_T=0.0),
-    dict(abs_tol=0.0),
-    dict(rel_tol=-1e-10),
-    dict(max_subdivisions=4),
-    dict(max_subdivisions=9.5),
-])
-def test_config_validation(kwargs):
-    with pytest.raises(DomainError):
-        _config(**kwargs)
-
-
-# ---------------------------------------------------------------------------
 # the invariant itself
 
 
 def test_eta_single_positive_mode_is_one():
     res = eta_invariant(_single(2.0))
-    assert res.value == pytest.approx(1.0, abs=1e-10)
+    # no resolved floor on one mode, so the value is the s -> 0 limit
+    # sum_j a_j sgn(lam_j), exactly
+    assert res.value == 1.0
     assert res.est_error < 1e-10
-    assert res.value == res.quadrature_part + res.tail_part
 
 
 def test_eta_symmetric_spectrum_cancels_exactly():
@@ -88,16 +65,6 @@ def test_eta_circle_against_oracle():
     res = eta_invariant(circle_spectrum(0.25, 0.0, 2000))
     assert res.value.real == pytest.approx(0.5, abs=1e-8)
     assert res.value.imag == 0.0
-
-
-def test_eta_independent_of_split_point():
-    spectrum = circle_spectrum(0.25, 0.0, 200)
-    results = [eta_invariant(spectrum, _config(split_T=T))
-               for T in (0.25, 1.0, 4.0)]
-    for i in range(len(results)):
-        for j in range(i + 1, len(results)):
-            allowance = 10.0 * (results[i].est_error + results[j].est_error)
-            assert abs(results[i].value - results[j].value) <= allowance
 
 
 def test_eta_additive_under_direct_sum():
@@ -117,8 +84,8 @@ def test_eta_flips_sign_with_the_spectrum():
                         (2.5, 1, 0.5, 0.0)])
     neg = from_records([(-0.5, 1, 1.0, 0.0), (1.5, 1, 1.0, 0.0),
                         (-2.5, 1, 0.5, 0.0)])
-    # the integrand negates pointwise, so the two runs see identical
-    # numbers and the results agree to the last bit
+    # every per-mode term negates, so the two sums see identical numbers
+    # and the results agree to the last bit
     assert eta_invariant(neg).value == -eta_invariant(pos).value
 
 
@@ -131,18 +98,14 @@ def test_eta_complex_traces_round_trip_json():
     res = eta_invariant(circle_spectrum(0.25, 0.7, 100))
     doc = res.to_json_dict()
     assert doc["value"] == [res.value.real, res.value.imag]
-    assert set(doc) >= {"value", "quadrature_part", "tail_part",
-                        "est_error", "truncation_error"}
+    assert set(doc) == {"value", "est_error", "truncation_error"}
     assert res.truncation_error >= 0.0
 
 
-def test_eta_reports_non_convergence():
-    # widely spread scales and a tiny interval budget starve the integrator
-    spread = from_records([(2.0**j / 100.0, 1, 1.0, 0.0)
-                           for j in range(1, 13)])
-    with pytest.raises(QuadratureError) as err:
-        eta_invariant(spread, _config(split_T=10000.0, max_subdivisions=8))
-    assert err.value.est_error > 0
+def test_eta_truncation_error_is_the_tail_bound_at_the_floor():
+    s = circle_spectrum(0.25, 0.0, 2000)
+    floor = 40.0 / s.truncated_at**2
+    assert eta_invariant(s).truncation_error == tail_bound(s, floor).bound
 
 
 # ---------------------------------------------------------------------------
@@ -151,15 +114,15 @@ def test_eta_reports_non_convergence():
 
 def test_resolved_floor_active_for_dense_spectra():
     s = circle_spectrum(0.25, 0.0, 2000)
-    floor = resolved_floor(s, 1.0)
+    floor = resolved_floor(s)
     assert floor == pytest.approx(40.0 / s.truncated_at**2, rel=1e-12)
 
 
 def test_resolved_floor_inactive_for_sparse_spectra():
-    assert resolved_floor(_single(2.0), 1.0) is None
+    assert resolved_floor(_single(2.0)) is None
     # candidate cut is early enough, but the trace is not yet settled there
     two_scale = from_records([(0.1, 1, 1.0, 0.0), (50.0, 1, 1.0, 0.0)])
-    assert resolved_floor(two_scale, 1.0) is None
+    assert resolved_floor(two_scale) is None
 
 
 # ---------------------------------------------------------------------------

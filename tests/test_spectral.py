@@ -14,6 +14,7 @@ from cyleta import (
     circle_spectrum,
     direct_sum,
     dump_spectrum,
+    eta_invariant,
     from_records,
     load_spectrum,
     spectrum_from_json_dict,
@@ -239,8 +240,14 @@ def test_json_round_trip_preserves_data_and_metadata():
     assert (back.weyl_c1, back.weyl_c2) == (s.weyl_c1, s.weyl_c2)
     assert (back.trace_bound_c3, back.trace_bound_c4) == \
         (s.trace_bound_c3, s.trace_bound_c4)
-    # the cutoff is not serialized; reading defaults to the largest |lambda|
-    assert back.truncated_at == max(abs(d.lam) for d in s.data)
+    assert back.truncated_at == s.truncated_at
+
+
+def test_json_without_cutoff_defaults_to_largest_eigenvalue():
+    doc = spectrum_to_json_dict(circle_spectrum(0.25, 0.7, 3))
+    del doc["truncated_at"]
+    back = spectrum_from_json_dict(doc)
+    assert back.truncated_at == max(abs(d.lam) for d in back.data)
 
 
 def test_json_weyl_fitted_when_absent():
@@ -288,6 +295,18 @@ def test_dump_and_load_files(tmp_path):
     # the file is plain JSON, inspectable by other tools
     doc = json.loads(path.read_text())
     assert {"data", "weyl"} <= set(doc)
+
+
+def test_dump_and_load_keep_the_eta_result(tmp_path):
+    # the cutoff fixes the resolved floor and the truncation bound, so a
+    # reloaded spectrum must give the same eta to the last bit
+    s = circle_spectrum(0.25, 0.0, 2000)
+    path = tmp_path / "circle.json"
+    dump_spectrum(s, path)
+    before, after = eta_invariant(s), eta_invariant(load_spectrum(path))
+    assert after.value == before.value
+    assert after.est_error == before.est_error
+    assert after.truncation_error == before.truncation_error
 
 
 def test_load_rejects_invalid_json(tmp_path):

@@ -74,6 +74,15 @@ def test_vanishing_term_detailed_evidence():
     assert abs(res.value) <= res.est_error + 1e-15
 
 
+@pytest.mark.parametrize("a_prime", [0.02, 0.05, 0.08, 0.1])
+def test_vanishing_term_is_exactly_zero_at_small_collars(a_prime):
+    # The dyadic sequence runs until e^{-a'^2/t} underflows, so the last
+    # partials are exact zeros however narrow the collar.
+    res = vanishing_term_detailed(circle_spectrum(0.25, 0.0, 2000), a_prime)
+    assert res.value == 0j
+    assert res.partials[-2:] == (0j, 0j)
+
+
 def test_vanishing_term_rejects_bad_a_prime():
     with pytest.raises(DomainError):
         vanishing_term(_single(), 0.0)
