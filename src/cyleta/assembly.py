@@ -44,6 +44,8 @@ class IndexReport:
     """Assembled index value with its two constituents.
 
     index_value == as_term + contribution holds exactly by construction.
+    est_error bounds the numerical error of index_value: the
+    contribution's est_error, or half of eta's on the aps route.
     integrality_residual is None unless the computation was flagged as
     using the identity group element, in which case it is the distance of
     index_value to the nearest Gaussian integer.
@@ -53,6 +55,7 @@ class IndexReport:
     contribution: complex
     index_value: complex
     eta_half: complex
+    est_error: float
     integrality_residual: float | None
 
     def to_json_dict(self) -> dict:
@@ -61,6 +64,7 @@ class IndexReport:
             "contribution": [self.contribution.real, self.contribution.imag],
             "index_value": [self.index_value.real, self.index_value.imag],
             "eta_half": [self.eta_half.real, self.eta_half.imag],
+            "est_error": self.est_error,
             "integrality_residual": self.integrality_residual,
         }
 
@@ -83,6 +87,7 @@ def assemble_index(as_term: complex, report: ContributionReport,
         contribution=report.direct_value,
         index_value=index_value,
         eta_half=0.5 * report.eta_reference,
+        est_error=report.est_error,
         integrality_residual=residual)
 
 
@@ -99,8 +104,7 @@ def aps_index(spectrum: BoundarySpectrum, as_term: complex,
     contribution_value = -eta_half
     index_value = as_term + contribution_value
     if g_is_identity is None:
-        g_is_identity = all(d.trace_g == complex(d.multiplicity)
-                            for d in spectrum.data)
+        g_is_identity = bool((spectrum.traces == spectrum.multiplicity).all())
     residual = _gaussian_integer_distance(index_value) if g_is_identity \
         else None
     return IndexReport(
@@ -108,6 +112,7 @@ def aps_index(spectrum: BoundarySpectrum, as_term: complex,
         contribution=contribution_value,
         index_value=index_value,
         eta_half=eta_half,
+        est_error=0.5 * eta_res.est_error,
         integrality_residual=residual)
 
 

@@ -279,15 +279,11 @@ def _run_index(args: argparse.Namespace) -> tuple[dict, int]:
                                     g_is_identity=args.g_identity)
             entry = report.to_json_dict()
             entry["a_prime"] = ap
-            entry["est_error"] = con.est_error
             reports.append(entry)
         return {"route": "contribution", "reports": reports}, 0
-    eta_res = eta_invariant(spectrum)
     report = aps_index(spectrum, as_term,
                        g_is_identity=args.g_identity or None)
-    entry = report.to_json_dict()
-    entry["est_error"] = 0.5 * eta_res.est_error
-    return {"route": "aps", "reports": [entry]}, 0
+    return {"route": "aps", "reports": [report.to_json_dict()]}, 0
 
 
 def _run_relative(args: argparse.Namespace) -> tuple[dict, int]:

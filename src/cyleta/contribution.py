@@ -42,7 +42,7 @@ from scipy.special import erfc as _erfc_arr, erfcx as _erfcx_arr
 
 from .errors import DomainError
 from .eta import _roundoff, _skipped_segment, eta_invariant, resolved_floor
-from .spectral import BoundarySpectrum, _as_arrays
+from .spectral import BoundarySpectrum
 from .vanishing import _check_a_prime, vanishing_term_detailed
 
 __all__ = [
@@ -102,7 +102,7 @@ def contribution_integrand(spectrum: BoundarySpectrum, a_prime: float,
     s = float(s)
     if not (math.isfinite(s) and s > 0.0):
         raise DomainError(f"s must be a positive real, got {s!r}")
-    lams, traces = _as_arrays(spectrum)
+    lams, traces = spectrum.lams, spectrum.traces
     expo = -(a_prime * a_prime) / s
     damp = math.exp(expo) if expo > -745.0 else 0.0
     bracket = lams + np.sign(lams) * damp * (a_prime / s - np.abs(lams))
@@ -165,7 +165,7 @@ def _integral(spectrum: BoundarySpectrum, a_prime: float,
     [erfc(a'/sqrt(s_f)) + e^{-a'^2/s_f}] / 2, the first from the a'/s
     term and the second from the |lam| term of the bracket.
     """
-    lams, traces = _as_arrays(spectrum)
+    lams, traces = spectrum.lams, spectrum.traces
     floor = resolved_floor(spectrum)
     if floor is None:
         terms = 0.5 * traces * np.sign(lams)
@@ -177,7 +177,7 @@ def _integral(spectrum: BoundarySpectrum, a_prime: float,
     terms = traces * tails(lams, a_prime, floor)
     collar_cut = 0.5 * (math.erfc(a_prime / math.sqrt(floor))
                         + math.exp(-a_prime * a_prime / floor))
-    est = (_roundoff(terms) + 0.5 * _skipped_segment(lams, traces, floor)
+    est = (_roundoff(terms) + 0.5 * _skipped_segment(spectrum, floor)
            + collar_cut * float(np.abs(traces).sum()))
     return complex(terms.sum()), est
 

@@ -31,7 +31,7 @@ import numpy as np
 from scipy.special import erfc as _erfc_arr
 
 from .errors import DomainError
-from .spectral import BoundarySpectrum, _as_arrays, tail_bound
+from .spectral import BoundarySpectrum, tail_bound
 
 __all__ = [
     "EtaResult",
@@ -59,12 +59,8 @@ def heat_trace(spectrum: BoundarySpectrum, s: float) -> complex:
     """Tr(g e^{-s D^2} D) = sum_j a_j lam_j e^{-s lam_j^2}."""
     if not s > 0:
         raise DomainError(f"heat time must be positive, got {s!r}")
-    lams, traces = _as_arrays(spectrum)
-    return _trace_from_arrays(lams, traces, s)
-
-
-def _trace_from_arrays(lams: np.ndarray, traces: np.ndarray, s: float) -> complex:
-    return complex((traces * (lams * np.exp(-s * lams * lams))).sum())
+    lams = spectrum.lams
+    return complex((spectrum.traces * (lams * np.exp(-s * lams * lams))).sum())
 
 
 def _floor_candidate(spectrum: BoundarySpectrum) -> float:
@@ -81,22 +77,20 @@ def resolved_floor(spectrum: BoundarySpectrum) -> float | None:
     floor = _floor_candidate(spectrum)
     if floor > _FLOOR_MAX:
         return None
-    lams, traces = _as_arrays(spectrum)
-    envelope = float((np.abs(traces) * np.abs(lams)
+    lams = spectrum.lams
+    envelope = float((np.abs(spectrum.traces) * np.abs(lams)
                       * np.exp(-floor * lams * lams)).sum())
-    if abs(_trace_from_arrays(lams, traces, floor)) <= _RESOLVED_RATIO * envelope:
+    if abs(heat_trace(spectrum, floor)) <= _RESOLVED_RATIO * envelope:
         return floor
     return None
 
 
-def _skipped_segment(lams: np.ndarray, traces: np.ndarray,
-                    floor: float | None) -> float:
+def _skipped_segment(spectrum: BoundarySpectrum, floor: float | None) -> float:
     """Price of the eta integrand on [0, floor]: |trace(floor)| sqrt(floor),
     times 2/sqrt(pi); 0 when nothing is skipped."""
     if floor is None:
         return 0.0
-    return _TWO_OVER_SQRT_PI * abs(_trace_from_arrays(lams, traces, floor)) \
-        * math.sqrt(floor)
+    return _TWO_OVER_SQRT_PI * abs(heat_trace(spectrum, floor)) * math.sqrt(floor)
 
 
 def _roundoff(terms: np.ndarray) -> float:
@@ -129,12 +123,12 @@ def eta_invariant(spectrum: BoundarySpectrum) -> EtaResult:
     All-real traces give an exactly real value, so identity-like group
     elements stay exactly real.
     """
-    lams, traces = _as_arrays(spectrum)
+    lams, traces = spectrum.lams, spectrum.traces
     floor = resolved_floor(spectrum)
     terms = traces * np.sign(lams)
     if floor is not None:
         terms = terms * _erfc_arr(np.abs(lams) * math.sqrt(floor))
-    est = _roundoff(terms) + _skipped_segment(lams, traces, floor)
+    est = _roundoff(terms) + _skipped_segment(spectrum, floor)
     trunc = tail_bound(spectrum, _floor_candidate(spectrum), 0.0).bound
     return EtaResult(value=complex(terms.sum()), est_error=est,
                      truncation_error=trunc)

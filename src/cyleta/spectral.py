@@ -1,34 +1,39 @@
 """Spectral data of the boundary operator.
 
 Everything downstream (heat traces, eta invariants, contribution integrals)
-consumes a finite list of eigenvalue records: the eigenvalue itself, the
-dimension of its eigenspace, and the trace of the group element g restricted
-to that eigenspace. This module defines the records, the container with its
-growth metadata, constructors (an explicit twisted-circle model, raw record
-lists, JSON files), a direct sum, and the truncation-tail estimator that
-turns the growth metadata into a quantitative bound on everything the
-omitted modes could contribute.
+consumes a finite list of modes: the eigenvalue, the dimension of its
+eigenspace, and the trace of the group element g restricted to that
+eigenspace. BoundarySpectrum stores them as three read-only numpy arrays,
+lams (float64), multiplicity (int64) and traces (complex128), plus growth
+metadata and the truncation cutoff. This module defines the container,
+constructors (an explicit twisted-circle model, raw record lists, JSON
+files), a direct sum, and the truncation-tail estimator that turns the
+growth metadata into a quantitative bound on everything the omitted modes
+could contribute. Constructors build and check whole arrays; the record
+type SpectralDatum only serves the on-demand ``data`` view.
 
 Conventions baked into the container:
 
 * eigenvalues are nonzero (data describes an invertible operator; there is
   no spectral-shift fallback),
-* records are sorted by |lambda| non-decreasing, ties broken negative
-  first, so serialized output is deterministic,
+* modes are sorted by |lambda| non-decreasing, ties broken negative first,
+  so serialized output is deterministic,
 * growth metadata (c1, c2, c3, c4) asserts |lambda_j| >= c1 * j**c2 and
   |trace_j| <= c3 * j**c4 for the 1-based rank j; it is used only for tail
-  bounds, never to synthesize eigenvalues.
+  bounds, never to synthesize eigenvalues,
+* the arrays are private copies that cannot be written, and equality and
+  hashing are those of the object; validation errors name the first
+  offending record or rank.
 """
 
 from __future__ import annotations
 
-import cmath
-import functools
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 import numpy as np
 from scipy import special
@@ -60,6 +65,38 @@ _COALESCE_TOL = 1e-12
 # boundary dimensions 1 through 4.
 _C2_CANDIDATES = (1.0, 0.5, 1.0 / 3.0, 0.25)
 
+# Multiplicities are stored as int64.
+_INT64 = range(-2**63, 2**63)
+
+
+def _raise_first(checks, label=None) -> None:
+    """Raise error(i) for the lowest index i that a (mask, error) pair
+    flags, the earlier pair on a tie; label(i) prefixes the message."""
+    flagged = [(int(bad.argmax()), k) for k, (bad, _) in enumerate(checks)
+               if bad.any()]
+    if flagged:
+        i, k = min(flagged)
+        exc = checks[k][1](i)
+        raise type(exc)(f"{label(i)}: {exc}") if label else exc
+
+
+def _record_checks(lams, multiplicity, traces) -> list:
+    """The checks every single mode must pass, for _raise_first."""
+    size = np.abs(traces)
+    return [
+        (~np.isfinite(lams), lambda i: InvalidSpectrumError(
+            f"eigenvalue must be finite, got {float(lams[i])!r}")),
+        (lams == 0.0, lambda i: InvalidSpectrumError(
+            "zero eigenvalue: the data must describe an invertible operator")),
+        (multiplicity < 1, lambda i: InvalidSpectrumError(
+            f"multiplicity must be a positive integer, got {int(multiplicity[i])!r}")),
+        (~np.isfinite(traces), lambda i: InvalidTraceError(
+            f"trace must be finite, got {complex(traces[i])!r}")),
+        (size > multiplicity * (1.0 + _SLACK) + _SLACK, lambda i: InvalidTraceError(
+            f"|trace| = {float(size[i]):.17g} exceeds multiplicity "
+            f"{int(multiplicity[i])}; no unitary restriction produces that")),
+    ]
+
 
 @dataclass(frozen=True)
 class SpectralDatum:
@@ -76,38 +113,28 @@ class SpectralDatum:
     def __post_init__(self):
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "trace_g", complex(self.trace_g))
-        if not math.isfinite(self.lam):
-            raise InvalidSpectrumError(f"eigenvalue must be finite, got {self.lam!r}")
-        if self.lam == 0.0:
-            raise InvalidSpectrumError(
-                "zero eigenvalue: the data must describe an invertible operator")
-        if not isinstance(self.multiplicity, int) or self.multiplicity < 1:
+        if not isinstance(self.multiplicity, int):
             raise InvalidSpectrumError(
                 f"multiplicity must be a positive integer, got {self.multiplicity!r}")
-        if not (math.isfinite(self.trace_g.real) and math.isfinite(self.trace_g.imag)):
-            raise InvalidTraceError(f"trace must be finite, got {self.trace_g!r}")
-        if abs(self.trace_g) > self.multiplicity * (1.0 + _SLACK) + _SLACK:
-            raise InvalidTraceError(
-                f"|trace| = {abs(self.trace_g):.17g} exceeds multiplicity "
-                f"{self.multiplicity}; no unitary restriction produces that")
+        _raise_first(_record_checks(np.array([self.lam]),
+                                    np.array([self.multiplicity]),
+                                    np.array([self.trace_g])))
 
 
-def _sort_key(d: SpectralDatum):
-    # |lambda| ascending, negative eigenvalue first on ties
-    return (abs(d.lam), 0 if d.lam < 0 else 1)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundarySpectrum:
-    """Sorted eigenvalue records plus growth metadata and the truncation cutoff.
+    """Sorted modes as read-only copies of the given arrays, plus growth
+    metadata and the truncation cutoff.
 
     truncated_at is the largest Lambda for which the list is complete: every
     eigenvalue with |lambda| <= Lambda appears, none below it is omitted.
-    Individual records may exceed it (a complete list can contain part of
-    the next band).
+    Individual modes may exceed it (a complete list can contain part of the
+    next band).
     """
 
-    data: tuple[SpectralDatum, ...]
+    lams: np.ndarray
+    multiplicity: np.ndarray
+    traces: np.ndarray
     weyl_c1: float
     weyl_c2: float
     trace_bound_c3: float
@@ -115,42 +142,61 @@ class BoundarySpectrum:
     truncated_at: float
 
     def __post_init__(self):
-        object.__setattr__(self, "data", tuple(self.data))
-        if not self.data:
+        if np.asarray(self.multiplicity).dtype.kind not in "iu":
+            raise InvalidSpectrumError("multiplicity must hold integers")
+        for name, dtype in (("lams", np.float64), ("multiplicity", np.int64),
+                            ("traces", np.complex128)):
+            array = np.array(getattr(self, name), dtype=dtype)
+            array.flags.writeable = False  # and its view cannot undo that
+            object.__setattr__(self, name, array.view())
+        lams, mult, traces = self.lams, self.multiplicity, self.traces
+        if lams.ndim != 1 or lams.shape != mult.shape or lams.shape != traces.shape:
+            raise InvalidSpectrumError("lams, multiplicity and traces must be "
+                                       "one-dimensional and of one length")
+        if not lams.size:
             raise InvalidSpectrumError("spectrum must contain at least one record")
-        for prev, cur in zip(self.data, self.data[1:]):
-            if _sort_key(prev) > _sort_key(cur):
-                raise InvalidSpectrumError(
-                    "records must be sorted by |lambda| non-decreasing, "
-                    "negative eigenvalue first on ties")
-        if not (self.weyl_c1 > 0 and self.weyl_c2 > 0):
+        _raise_first(_record_checks(lams, mult, traces), lambda i: f"rank {i + 1}")
+        c1, c2 = self.weyl_c1, self.weyl_c2
+        c3, c4 = self.trace_bound_c3, self.trace_bound_c4
+        if not (c1 > 0 and c2 > 0):
             raise InvalidSpectrumError("growth constants c1, c2 must be positive")
-        if not (self.trace_bound_c3 > 0 and self.trace_bound_c4 >= 0):
+        if not (c3 > 0 and c4 >= 0):
             raise InvalidSpectrumError("trace bound constants need c3 > 0, c4 >= 0")
         if not (self.truncated_at > 0):
             raise InvalidSpectrumError("truncation cutoff must be positive")
-        for j, d in enumerate(self.data, start=1):
-            if abs(d.lam) < self.weyl_c1 * j**self.weyl_c2 * (1.0 - _SLACK):
-                raise InvalidSpectrumError(
-                    f"growth bound violated at rank {j}: |{d.lam!r}| < "
-                    f"{self.weyl_c1!r} * {j}**{self.weyl_c2!r}")
-            if abs(d.trace_g) > self.trace_bound_c3 * j**self.trace_bound_c4 \
-                    * (1.0 + _SLACK) + _SLACK:
-                raise InvalidSpectrumError(
-                    f"trace bound violated at rank {j}: |{d.trace_g!r}| > "
-                    f"{self.trace_bound_c3!r} * {j}**{self.trace_bound_c4!r}")
+        abs_l, rank = np.abs(lams), np.arange(1.0, lams.size + 1.0)
+        _raise_first([  # by rank; the pair i is ranks i + 1 and i + 2
+            ((abs_l[1:] < abs_l[:-1]) | ((abs_l[1:] == abs_l[:-1])
+                                        & (lams[:-1] > lams[1:])),
+             lambda i: InvalidSpectrumError(
+                 "records must be sorted by |lambda| non-decreasing, negative "
+                 f"eigenvalue first on ties; ranks {i + 1} and {i + 2} are not")),
+            (abs_l < c1 * rank**c2 * (1.0 - _SLACK), lambda i: InvalidSpectrumError(
+                f"growth bound violated at rank {i + 1}: |{float(lams[i])!r}| < "
+                f"{c1!r} * {i + 1}**{c2!r}")),
+            (np.abs(traces) > c3 * rank**c4 * (1.0 + _SLACK) + _SLACK,
+             lambda i: InvalidSpectrumError(
+                 f"trace bound violated at rank {i + 1}: "
+                 f"|{complex(traces[i])!r}| > {c3!r} * {i + 1}**{c4!r}")),
+        ])
+
+    @property
+    def data(self) -> tuple[SpectralDatum, ...]:
+        """The modes as records, built on demand for callers that want them."""
+        return tuple(map(SpectralDatum, self.lams.tolist(),
+                         self.multiplicity.tolist(), self.traces.tolist()))
 
     @property
     def gap(self) -> float:
         """Spectral gap b: the smallest |eigenvalue|."""
-        return abs(self.data[0].lam)
+        return abs(float(self.lams[0]))
 
     def rank_below(self, cutoff: float) -> int:
-        """Number of records with |lambda| <= cutoff."""
-        return sum(1 for d in self.data if abs(d.lam) <= cutoff)
+        """Number of modes with |lambda| <= cutoff."""
+        return int(np.abs(self.lams).searchsorted(cutoff, side="right"))
 
     def __len__(self) -> int:
-        return len(self.data)
+        return self.lams.size
 
 
 @dataclass(frozen=True)
@@ -163,16 +209,10 @@ class TruncationBound:
     bound: float
 
 
-@functools.lru_cache(maxsize=64)
-def _as_arrays(spectrum: BoundarySpectrum) -> tuple[np.ndarray, np.ndarray]:
-    """(eigenvalues, traces) as numpy arrays, in stored order.
-
-    Cached per spectrum instance; callers must treat the arrays as
-    read-only.
-    """
-    lams = np.array([d.lam for d in spectrum.data], dtype=float)
-    traces = np.array([d.trace_g for d in spectrum.data], dtype=complex)
-    return lams, traces
+def _sorted(lams, multiplicity, traces) -> tuple[np.ndarray, ...]:
+    """The arrays in stored order; the sort is stable."""
+    order = np.lexsort((lams > 0.0, np.abs(lams)))
+    return lams[order], multiplicity[order], traces[order]
 
 
 def circle_spectrum(twist: float, rotation_angle: float, n_max: int) -> BoundarySpectrum:
@@ -184,7 +224,7 @@ def circle_spectrum(twist: float, rotation_angle: float, n_max: int) -> Boundary
     envelope c2 = 1/2 (eigenvalues grow linearly in rank but rank counts
     both signs). c1 is the gap except when the gap exceeds 1/(1 + sqrt 2),
     where the rank-2 eigenvalue sits below gap * sqrt 2 and c1 must shrink
-    to keep the stored inequality true on every datum. The list is
+    to keep the stored inequality true on every mode. The list is
     complete below n_max + 1 - twist.
     """
     twist = float(twist)
@@ -194,32 +234,73 @@ def circle_spectrum(twist: float, rotation_angle: float, n_max: int) -> Boundary
             "produce a zero eigenvalue")
     if not isinstance(n_max, int) or n_max < 1:
         raise DomainError(f"n_max must be a positive integer, got {n_max!r}")
-    data = [
-        SpectralDatum(n + twist, 1, cmath.exp(-1j * n * rotation_angle))
-        for n in range(-n_max, n_max + 1)
-    ]
-    data.sort(key=_sort_key)
-    gap = min(twist, 1.0 - twist)
-    c1 = min(abs(d.lam) / math.sqrt(j) for j, d in enumerate(data, start=1))
-    return BoundarySpectrum(
-        data=tuple(data),
-        weyl_c1=c1,
-        weyl_c2=0.5,
-        trace_bound_c3=1.0,
-        trace_bound_c4=0.0,
-        truncated_at=n_max + 1 - twist,
-    )
+    n = np.arange(-n_max, n_max + 1)
+    lams, mult, traces = _sorted(n + twist, np.ones(n.size, dtype=np.int64),
+                                 np.exp(-1j * n * rotation_angle))
+    c1 = float((np.abs(lams) / np.sqrt(np.arange(1.0, n.size + 1.0))).min())
+    return BoundarySpectrum(lams, mult, traces, weyl_c1=c1, weyl_c2=0.5,
+                            trace_bound_c3=1.0, trace_bound_c4=0.0,
+                            truncated_at=n_max + 1 - twist)
 
 
-def _fit_weyl(data: Sequence[SpectralDatum]) -> tuple[float, float, float, float]:
-    """Largest c1 over the candidate exponents c2, plus a flat trace bound."""
+def _fitted(lams, multiplicity, traces, truncated_at) -> BoundarySpectrum:
+    """Sort the modes and fit growth metadata to them: the largest c1 over
+    the candidate exponents c2, plus a flat trace bound."""
+    lams, multiplicity, traces = _sorted(lams, multiplicity, traces)
+    abs_l, rank = np.abs(lams), np.arange(1.0, lams.size + 1.0)
     best_c1, best_c2 = -math.inf, _C2_CANDIDATES[0]
     for c2 in _C2_CANDIDATES:  # descending, so ties keep the larger exponent
-        c1 = min(abs(d.lam) / j**c2 for j, d in enumerate(data, start=1))
+        c1 = float((abs_l / rank**c2).min())
         if c1 > best_c1:
             best_c1, best_c2 = c1, c2
-    c3 = max(max(abs(d.trace_g) for d in data), 1e-12)
-    return best_c1, best_c2, c3, 0.0
+    c3 = max(float(np.abs(traces).max()), 1e-12)
+    return BoundarySpectrum(lams, multiplicity, traces, weyl_c1=best_c1,
+                            weyl_c2=best_c2, trace_bound_c3=c3,
+                            trace_bound_c4=0.0, truncated_at=truncated_at)
+
+
+def _only(values, kinds) -> bool:
+    """Whether every value is an instance of kinds, bools excluded."""
+    return all(issubclass(t, kinds) and not issubclass(t, bool)
+               for t in set(map(type, values)))
+
+
+def _read(items: list, columns, label) -> tuple[np.ndarray, ...]:
+    """The (lams, multiplicity, traces) arrays of items, in their order.
+
+    columns(items) returns the lambda, multiplicity, trace_re and trace_im
+    columns, or, when some item is malformed, a message that says why the
+    first one of a single-item list is. The first malformed item or invalid
+    mode is reported, named by label(index).
+    """
+    cols, why = columns(items), None
+    if isinstance(cols, str):  # bisect for the first malformed item
+        lo, hi = 0, len(items) - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if isinstance(columns(items[:mid + 1]), str) \
+                else (mid + 1, hi)
+        cols, why = columns(items[:lo]), columns(items[lo:lo + 1])
+    lams, mult = np.array(cols[0], dtype=np.float64), np.array(cols[1], dtype=np.int64)
+    traces = np.empty(lams.size, dtype=np.complex128)
+    traces.real, traces.imag = cols[2], cols[3]  # bit for bit complex(re, im)
+    _raise_first(_record_checks(lams, mult, traces), label)
+    if why is not None:
+        raise InvalidSpectrumError(f"{label(lams.size)}: {why}")
+    return lams, mult, traces
+
+
+def _row_columns(rows: list):
+    try:
+        lam, mult, re, im = zip(*rows, strict=True) if rows else [()] * 4
+    except (TypeError, ValueError):
+        return ("must be (lambda, multiplicity, trace_re, trace_im), "
+                f"got {rows[0]!r}")
+    if not _only(mult, int):
+        return f"multiplicity must be a positive integer, got {mult[0]!r}"
+    if not all(map(_INT64.__contains__, mult)):
+        return f"multiplicity must fit in 64 bits, got {mult[0]!r}"
+    return lam, mult, re, im
 
 
 def from_records(records: Iterable[tuple]) -> BoundarySpectrum:
@@ -232,48 +313,28 @@ def from_records(records: Iterable[tuple]) -> BoundarySpectrum:
     rows = list(records)
     if not rows:
         raise InvalidSpectrumError("records must be non-empty")
-    data = []
-    for i, row in enumerate(rows):
-        try:
-            lam, mult, tre, tim = row
-        except (TypeError, ValueError):
-            raise InvalidSpectrumError(
-                f"record {i} must be (lambda, multiplicity, trace_re, trace_im), "
-                f"got {row!r}") from None
-        data.append(SpectralDatum(lam, mult, complex(tre, tim)))
-    data.sort(key=_sort_key)
-    c1, c2, c3, c4 = _fit_weyl(data)
-    return BoundarySpectrum(
-        data=tuple(data),
-        weyl_c1=c1, weyl_c2=c2, trace_bound_c3=c3, trace_bound_c4=c4,
-        truncated_at=max(abs(d.lam) for d in data),
-    )
+    lams, mult, traces = _read(rows, _row_columns, lambda i: f"record {i}")
+    return _fitted(lams, mult, traces, float(np.abs(lams).max()))
 
 
 def direct_sum(a: BoundarySpectrum, b: BoundarySpectrum) -> BoundarySpectrum:
-    """Merge two spectra; eigenvalues within 1e-12 of each other coalesce by
-    adding multiplicities and traces.
+    """Merge two spectra; eigenvalues within 1e-12 of their neighbour in
+    signed order coalesce into the smallest of them, adding multiplicities
+    and traces.
 
     The merged list is re-ranked, so the growth metadata is refitted to the
     merged data rather than inherited. The result is only complete below the
     smaller of the two cutoffs.
     """
-    merged: list[SpectralDatum] = []
-    for d in sorted(list(a.data) + list(b.data), key=lambda d: d.lam):
-        if merged and abs(merged[-1].lam - d.lam) <= _COALESCE_TOL:
-            prev = merged[-1]
-            merged[-1] = SpectralDatum(
-                prev.lam, prev.multiplicity + d.multiplicity,
-                prev.trace_g + d.trace_g)
-        else:
-            merged.append(d)
-    merged.sort(key=_sort_key)
-    c1, c2, c3, c4 = _fit_weyl(merged)
-    return BoundarySpectrum(
-        data=tuple(merged),
-        weyl_c1=c1, weyl_c2=c2, trace_bound_c3=c3, trace_bound_c4=c4,
-        truncated_at=min(a.truncated_at, b.truncated_at),
-    )
+    lams = np.concatenate([a.lams, b.lams])
+    order = np.argsort(lams, kind="stable")
+    lams = lams[order]
+    starts = np.flatnonzero(np.diff(lams, prepend=-np.inf) > _COALESCE_TOL)
+    mult, traces = (np.add.reduceat(np.concatenate(pair)[order], starts)
+                    for pair in ((a.multiplicity, b.multiplicity),
+                                 (a.traces, b.traces)))
+    return _fitted(lams[starts], mult, traces,
+                   min(a.truncated_at, b.truncated_at))
 
 
 def _monomial_tail(coeff: float, p: float, q: float, beta: float,
@@ -346,66 +407,55 @@ def tail_bound(spectrum: BoundarySpectrum, s_min: float,
 # "truncated_at": r}, with "weyl" optional (fitted from the data when absent)
 # and "truncated_at" optional (the largest |lambda| when absent).
 
+def _json_columns(raw: list):
+    if not _only(raw, dict):
+        return "record must be an object"
+    try:
+        lam, mult, trace = ([rec[key] for rec in raw]
+                            for key in ("lambda", "multiplicity", "trace"))
+    except KeyError as missing:
+        return f"missing key {missing}"
+    if not _only(lam, (int, float)):
+        return "lambda must be a number"
+    if not _only(mult, int):
+        return "multiplicity must be an integer"
+    if not all(map(_INT64.__contains__, mult)):
+        return "multiplicity must fit in 64 bits"
+    if not (_only(trace, list) and set(map(len, trace)) <= {2}
+            and _only(chain.from_iterable(trace), (int, float))):
+        return "trace must be [re, im]"
+    return (lam, mult, *np.array(trace, dtype=np.float64).reshape(-1, 2).T)
+
+
 def spectrum_from_json_dict(doc: dict) -> BoundarySpectrum:
     if not isinstance(doc, dict) or "data" not in doc:
         raise InvalidSpectrumError('spectrum JSON must be an object with a "data" array')
     raw = doc["data"]
     if not isinstance(raw, list) or not raw:
         raise InvalidSpectrumError('"data" must be a non-empty array')
-    data = []
-    for i, rec in enumerate(raw):
-        label = f"data[{i}]"
-        if not isinstance(rec, dict):
-            raise InvalidSpectrumError(f"{label}: record must be an object")
-        try:
-            lam = rec["lambda"]
-            mult = rec["multiplicity"]
-            trace = rec["trace"]
-        except KeyError as missing:
-            raise InvalidSpectrumError(f"{label}: missing key {missing}") from None
-        if not isinstance(lam, (int, float)) or isinstance(lam, bool):
-            raise InvalidSpectrumError(f"{label}: lambda must be a number")
-        if not isinstance(mult, int) or isinstance(mult, bool):
-            raise InvalidSpectrumError(f"{label}: multiplicity must be an integer")
-        if (not isinstance(trace, list) or len(trace) != 2
-                or not all(isinstance(t, (int, float)) and not isinstance(t, bool)
-                           for t in trace)):
-            raise InvalidSpectrumError(f"{label}: trace must be [re, im]")
-        try:
-            data.append(SpectralDatum(float(lam), mult, complex(trace[0], trace[1])))
-        except InvalidSpectrumError as exc:
-            raise type(exc)(f"{label}: {exc}") from None
-    data.sort(key=_sort_key)
+    lams, mult, traces = _read(raw, _json_columns, lambda i: f"data[{i}]")
+    cutoff = doc.get("truncated_at")
+    cutoff = float(np.abs(lams).max() if cutoff is None else cutoff)
     weyl = doc.get("weyl")
     if weyl is None:
-        c1, c2, c3, c4 = _fit_weyl(data)
-    else:
-        try:
-            c1, c2 = float(weyl["c1"]), float(weyl["c2"])
-            c3, c4 = float(weyl["c3"]), float(weyl["c4"])
-        except (KeyError, TypeError, ValueError):
-            raise InvalidSpectrumError(
-                '"weyl" must be an object with numeric c1, c2, c3, c4') from None
-    cutoff = doc.get("truncated_at")
-    if cutoff is None:
-        cutoff = max(abs(d.lam) for d in data)
-    return BoundarySpectrum(
-        data=tuple(data),
-        weyl_c1=c1, weyl_c2=c2, trace_bound_c3=c3, trace_bound_c4=c4,
-        truncated_at=float(cutoff),
-    )
+        return _fitted(lams, mult, traces, cutoff)
+    try:
+        c1, c2 = float(weyl["c1"]), float(weyl["c2"])
+        c3, c4 = float(weyl["c3"]), float(weyl["c4"])
+    except (KeyError, TypeError, ValueError):
+        raise InvalidSpectrumError(
+            '"weyl" must be an object with numeric c1, c2, c3, c4') from None
+    return BoundarySpectrum(*_sorted(lams, mult, traces), weyl_c1=c1,
+                            weyl_c2=c2, trace_bound_c3=c3, trace_bound_c4=c4,
+                            truncated_at=cutoff)
 
 
 def spectrum_to_json_dict(spectrum: BoundarySpectrum) -> dict:
+    columns = (spectrum.lams.tolist(), spectrum.multiplicity.tolist(),
+               spectrum.traces.real.tolist(), spectrum.traces.imag.tolist())
     return {
-        "data": [
-            {
-                "lambda": d.lam,
-                "multiplicity": d.multiplicity,
-                "trace": [d.trace_g.real, d.trace_g.imag],
-            }
-            for d in spectrum.data
-        ],
+        "data": [{"lambda": lam, "multiplicity": mult, "trace": [re, im]}
+                 for lam, mult, re, im in zip(*columns)],
         "weyl": {
             "c1": spectrum.weyl_c1,
             "c2": spectrum.weyl_c2,

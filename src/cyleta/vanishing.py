@@ -37,7 +37,7 @@ import numpy as np
 from scipy.special import erfcx as _erfcx_arr
 
 from .errors import DomainError, InstabilityError
-from .spectral import BoundarySpectrum, _as_arrays
+from .spectral import BoundarySpectrum
 
 __all__ = [
     "VanishingTermConfig",
@@ -166,7 +166,7 @@ def vanishing_term_detailed(spectrum: BoundarySpectrum, a_prime: float,
     a_prime = _check_a_prime(a_prime)
     if not spectrum.gap > 0:
         raise DomainError("spectrum gap must be positive")
-    lams, traces = _as_arrays(spectrum)
+    lams, traces = spectrum.lams, spectrum.traces
     scale = float(np.abs(traces).sum())
     guard = 1e6 * scale
     # first k with a'^2 2^k > _UNDERFLOW, one more level for the second zero
@@ -388,7 +388,7 @@ def verify_vanishing(spectrum: BoundarySpectrum,
     """
     if not isinstance(cfg, VanishingTermConfig):
         raise DomainError("cfg must be a VanishingTermConfig")
-    lams, traces = _as_arrays(spectrum)
+    lams, traces = spectrum.lams, spectrum.traces
     a_prime = cfg.a_prime
     scale = float(np.abs(traces).sum())
 

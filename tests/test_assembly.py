@@ -120,7 +120,7 @@ def test_index_report_serialization():
     report = contribution(_single(), 0.7)
     with_flag = assemble_index(1.0, report, g_is_identity=True).to_json_dict()
     assert set(with_flag) == {"as_term", "contribution", "index_value",
-                              "eta_half", "integrality_residual"}
+                              "eta_half", "est_error", "integrality_residual"}
     assert with_flag["index_value"] == pytest.approx([0.5, 0.0], abs=1e-12)
     assert isinstance(with_flag["integrality_residual"], float)
 

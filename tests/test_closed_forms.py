@@ -8,14 +8,13 @@ random finite spectra with mixed signs, multiplicities and complex traces,
 and twisted circles large enough for the resolved floor to be used.
 """
 
-import dataclasses
 import math
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from cyleta import (
-    SpectralDatum,
+    BoundarySpectrum,
     circle_spectrum,
     contribution,
     eta_invariant,
@@ -65,21 +64,18 @@ def circles(draw):
 collars = st.floats(0.05, 5.0)
 
 
-def _arrays(spectrum):
-    lams = np.array([d.lam for d in spectrum.data])
-    traces = np.array([d.trace_g for d in spectrum.data])
-    return lams, traces
-
-
 def _negated(spectrum):
     # Distinct |lam| keep the stored order valid after the sign flip.
-    return dataclasses.replace(spectrum, data=tuple(
-        SpectralDatum(-d.lam, d.multiplicity, d.trace_g)
-        for d in spectrum.data))
+    return BoundarySpectrum(
+        -spectrum.lams, spectrum.multiplicity, spectrum.traces,
+        weyl_c1=spectrum.weyl_c1, weyl_c2=spectrum.weyl_c2,
+        trace_bound_c3=spectrum.trace_bound_c3,
+        trace_bound_c4=spectrum.trace_bound_c4,
+        truncated_at=spectrum.truncated_at)
 
 
 def _check_against_oracle(spectrum, a_prime):
-    lams, traces = _arrays(spectrum)
+    lams, traces = spectrum.lams, spectrum.traces
     s_lo = resolved_floor(spectrum) or 0.0
 
     eta = eta_invariant(spectrum)
@@ -104,7 +100,7 @@ def _check_dirichlet_shift(spectrum, a_prime):
     # A^F - A = -sum_{lam < 0} a e^{-2 a' |lam|}. On a spectrum whose floor
     # is used at a narrow collar, each side also carries the priced cut of
     # its collar-dependent part, so their budgets join the tolerance.
-    lams, traces = _arrays(spectrum)
+    lams, traces = spectrum.lams, spectrum.traces
     neg = lams < 0.0
     shift = -complex((traces[neg] * np.exp(-2.0 * a_prime * np.abs(lams[neg])))
                      .sum())

@@ -66,12 +66,24 @@ def _single(lam=2.0, trace=1.0):
     return from_records([(lam, 1, trace, 0.0)])
 
 
+def _built(lams, traces, multiplicity=None, c1=0.5, c2=0.5):
+    """A spectrum from arrays, with a flat unit trace bound."""
+    if multiplicity is None:
+        multiplicity = [1] * len(lams)
+    return BoundarySpectrum(lams, multiplicity, traces, weyl_c1=c1,
+                            weyl_c2=c2, trace_bound_c3=1.0,
+                            trace_bound_c4=0.0,
+                            truncated_at=max(abs(x) for x in lams))
+
+
 def test_spectrum_requires_sorted_records():
-    data = (SpectralDatum(2.0, 1, 1.0), SpectralDatum(1.0, 1, 1.0))
-    with pytest.raises(InvalidSpectrumError):
-        BoundarySpectrum(data=data, weyl_c1=0.5, weyl_c2=0.5,
-                         trace_bound_c3=1.0, trace_bound_c4=0.0,
-                         truncated_at=2.0)
+    with pytest.raises(InvalidSpectrumError, match="sorted"):
+        _built([2.0, 1.0], [1.0, 1.0])
+
+
+def test_unsorted_pair_in_the_middle_is_named():
+    with pytest.raises(InvalidSpectrumError, match="ranks 3 and 4 are not"):
+        _built([0.5, 1.0, 3.0, 2.0, 4.0, 3.5], [1.0] * 6)
 
 
 def test_spectrum_tie_breaks_negative_first():
@@ -81,19 +93,48 @@ def test_spectrum_tie_breaks_negative_first():
 
 def test_spectrum_enforces_growth_bound():
     # |lambda_1| = 0.5 sits below c1 * 1**c2 = 1
-    data = (SpectralDatum(0.5, 1, 1.0),)
     with pytest.raises(InvalidSpectrumError, match="growth bound"):
-        BoundarySpectrum(data=data, weyl_c1=1.0, weyl_c2=1.0,
-                         trace_bound_c3=1.0, trace_bound_c4=0.0,
-                         truncated_at=1.0)
+        _built([0.5], [1.0], c1=1.0, c2=1.0)
 
 
 def test_spectrum_enforces_trace_bound():
-    data = (SpectralDatum(1.0, 3, 2.5),)
     with pytest.raises(InvalidSpectrumError, match="trace bound"):
-        BoundarySpectrum(data=data, weyl_c1=0.5, weyl_c2=0.5,
-                         trace_bound_c3=1.0, trace_bound_c4=0.0,
-                         truncated_at=1.0)
+        _built([1.0], [2.5], multiplicity=[3])
+
+
+def test_growth_bound_names_the_first_violating_rank():
+    # 2.5 < 3 at rank 3 and 3 < 4 at rank 4; rank 3 comes first
+    with pytest.raises(InvalidSpectrumError,
+                       match=r"growth bound violated at rank 3: \|2\.5\|"):
+        _built([1.0, 2.0, 2.5, 3.0], [1.0] * 4, c1=1.0, c2=1.0)
+
+
+def test_trace_bound_names_the_first_violating_rank():
+    with pytest.raises(InvalidSpectrumError,
+                       match=r"trace bound violated at rank 3: \|\(2\+0j\)\|"):
+        _built([1.0, 2.0, 3.0, 4.0], [1.0, 1.0, 2.0, 2.0],
+               multiplicity=[1, 1, 2, 2])
+
+
+def test_earliest_rank_wins_across_the_two_bounds():
+    # the trace bound fails at rank 2, the growth bound only at rank 3
+    with pytest.raises(InvalidSpectrumError,
+                       match="trace bound violated at rank 2"):
+        _built([1.0, 2.0, 2.5], [1.0, 2.0, 1.0], multiplicity=[1, 2, 1],
+               c1=1.0, c2=1.0)
+
+
+def test_invalid_mode_is_named_by_rank():
+    with pytest.raises(InvalidSpectrumError,
+                       match="rank 3: eigenvalue must be finite, got inf"):
+        _built([1.0, 2.0, math.inf], [1.0] * 3)
+    with pytest.raises(InvalidTraceError, match="rank 2: trace must be finite"):
+        _built([1.0, 2.0], [1.0, complex(0.0, math.nan)])
+
+
+def test_multiplicity_must_be_an_integer_array():
+    with pytest.raises(InvalidSpectrumError, match="integers"):
+        _built([1.0], [1.0], multiplicity=[1.5])
 
 
 def test_spectrum_gap_and_rank():
@@ -118,6 +159,24 @@ def test_from_records_rejects_malformed_rows():
         from_records([])
     with pytest.raises(InvalidSpectrumError, match="record 1"):
         from_records([(1.0, 1, 1.0, 0.0), (2.0, 1)])
+    with pytest.raises(InvalidSpectrumError,
+                       match="record 2: multiplicity must be a positive "
+                             "integer, got 1.5"):
+        from_records([(1.0, 1, 1.0, 0.0), (2.0, 1, 1.0, 0.0),
+                      (3.0, 1.5, 1.0, 0.0)])
+    with pytest.raises(InvalidSpectrumError,
+                       match="record 1: multiplicity must fit in 64 bits"):
+        from_records([(1.0, 1, 1.0, 0.0), (2.0, -2**64, 1.0, 0.0)])
+
+
+def test_from_records_names_the_first_bad_record():
+    # record 1 holds a zero eigenvalue, record 3 cannot be read at all
+    with pytest.raises(InvalidSpectrumError, match="record 1: zero eigenvalue"):
+        from_records([(1.0, 1, 1.0, 0.0), (0.0, 1, 1.0, 0.0),
+                      (2.0, 1, 1.0, 0.0), (3.0, 1)])
+    with pytest.raises(InvalidTraceError, match="record 2: .* exceeds"):
+        from_records([(1.0, 1, 1.0, 0.0), (2.0, 1, 1.0, 0.0),
+                      (3.0, 1, 0.0, 1.5)])
 
 
 def test_fit_prefers_steepest_consistent_growth():
@@ -270,6 +329,8 @@ def test_json_weyl_fitted_when_absent():
     ({"data": [{"lambda": 1.0, "multiplicity": 1, "trace": [1]}]}, "trace"),
     ({"data": [{"lambda": 1.0, "multiplicity": 1, "trace": [1, 0]}],
       "weyl": {"c1": 0.5}}, "weyl"),
+    ({"data": [{"lambda": 1.0, "multiplicity": 2**70, "trace": [1, 0]}]},
+     "64 bits"),
 ])
 def test_json_rejects_malformed_documents(doc, fragment):
     with pytest.raises(InvalidSpectrumError, match=None) as err:
@@ -283,6 +344,45 @@ def test_json_labels_invalid_record_values():
         spectrum_from_json_dict(doc)
     doc = {"data": [{"lambda": 1.0, "multiplicity": 1, "trace": [2.0, 0.0]}]}
     with pytest.raises(InvalidTraceError, match=r"data\[0\]"):
+        spectrum_from_json_dict(doc)
+
+
+def _records(n):
+    return [{"lambda": float(k + 1), "multiplicity": 1, "trace": [1.0, 0.0]}
+            for k in range(n)]
+
+
+def test_json_names_a_zero_eigenvalue_at_its_record():
+    doc = {"data": _records(8)}
+    doc["data"][3]["lambda"] = 0.0
+    doc["data"][6]["lambda"] = 0.0
+    with pytest.raises(InvalidSpectrumError,
+                       match=r"^data\[3\]: zero eigenvalue"):
+        spectrum_from_json_dict(doc)
+
+
+def test_json_names_an_overlarge_trace_at_its_record():
+    doc = {"data": _records(8)}
+    doc["data"][5]["trace"] = [0.0, 1.5]
+    doc["data"][7]["trace"] = [3.0, 0.0]
+    with pytest.raises(InvalidTraceError,
+                       match=r"^data\[5\]: \|trace\| = 1\.5 exceeds "
+                             r"multiplicity 1"):
+        spectrum_from_json_dict(doc)
+
+
+def test_json_reports_whichever_bad_record_comes_first():
+    # an invalid value before a malformed record, and the other way round
+    doc = {"data": _records(6)}
+    doc["data"][1]["lambda"] = math.nan
+    del doc["data"][4]["trace"]
+    with pytest.raises(InvalidSpectrumError,
+                       match=r"^data\[1\]: eigenvalue must be finite"):
+        spectrum_from_json_dict(doc)
+    doc["data"][1]["lambda"] = 2.0
+    doc["data"][5]["multiplicity"] = 0
+    with pytest.raises(InvalidSpectrumError,
+                       match=r"^data\[4\]: missing key 'trace'"):
         spectrum_from_json_dict(doc)
 
 
