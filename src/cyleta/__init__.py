@@ -15,9 +15,8 @@ from .assembly import IndexReport, aps_index, assemble_index, relative_index_che
 from .contribution import (ContributionReport, contribution,
                            contribution_integrand,
                            dirichlet_variant_contribution)
-from .errors import (CyletaError, DomainError, InstabilityError,
-                     InvalidSpectrumError, InvalidTraceError,
-                     VerificationError)
+from .errors import (CyletaError, DomainError, InvalidSpectrumError,
+                     InvalidTraceError, VerificationError)
 from .eta import (EtaResult, eta_circle_oracle, eta_invariant, heat_trace,
                   resolved_floor)
 from .identities import (BOUNDARY_GRID, DECOMPOSITION_GRID, DeviationReport,
@@ -32,8 +31,7 @@ from .spectral import (BoundarySpectrum, SpectralDatum, TruncationBound,
                        spectrum_to_json_dict, tail_bound)
 from .vanishing import (CertificateFailure, VanishingReport,
                         VanishingTermConfig, dominator, per_mode_difference,
-                        vanishing_term, vanishing_term_detailed,
-                        verify_vanishing)
+                        vanishing_term_detailed, verify_vanishing)
 
 __all__ = [
     "__version__",
@@ -42,7 +40,6 @@ __all__ = [
     "InvalidTraceError",
     "DomainError",
     "VerificationError",
-    "InstabilityError",
     "SpectralDatum",
     "BoundarySpectrum",
     "TruncationBound",
@@ -76,7 +73,6 @@ __all__ = [
     "VanishingTermConfig",
     "VanishingReport",
     "CertificateFailure",
-    "vanishing_term",
     "vanishing_term_detailed",
     "per_mode_difference",
     "dominator",

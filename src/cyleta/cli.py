@@ -5,9 +5,8 @@ JSON document {"request": ..., "result": ..., "errors": [...], "version":
 ...} with sorted keys and fixed indentation, so identical requests produce
 byte-identical output. Exit status is 0 on success, 1 on input or
 computation errors (bad flags, unreadable or malformed spectrum files,
-domain violations, unstable extrapolations), and 2 when a verification command
-finds a violation beyond tolerance; the evidence is embedded in the
-document either way.
+domain violations), and 2 when a verification command finds a violation
+beyond tolerance; the evidence is embedded in the document either way.
 
 The spectrum comes from --spectrum PATH (the JSON format of the spectral
 module) or from the --twist/--rotation-angle/--n-max circle family;

@@ -18,10 +18,13 @@ depend on where the collar is cut.
 contribution() computes both sides separately: direct_value sums the
 closed-form per-mode integral of the whole bracket from the resolved floor
 of the eta invariant (erfc/erfcx expressions, or the s -> 0 limit
-sgn(lam)/2 when the floor is refused), while decomposed_value is assembled
-from the eta invariant and the vanishing term. The report carries both and
-an error budget that covers their difference. The adaptive-quadrature
-route of the same integrals lives in the test oracles.
+sgn(lam)/2 when the floor is refused), while decomposed_value is -eta/2.
+The vanishing piece is not evaluated, since it is zero mode by mode; the
+report's vanishing_residual is an exact 0, kept for the JSON contract, and
+the vanishing module keeps the closed-form and quadrature routes that
+verify the zero. The report carries both values and an error budget that
+covers their difference. The adaptive-quadrature route of the same
+integrals lives in the test oracles.
 
 dirichlet_variant_contribution swaps the per-mode factor (a'/s - |lam|) in
 the vanishing piece for (sgn(lam) a'/s - |lam|), which is what imposing a
@@ -43,7 +46,7 @@ from scipy.special import erfc as _erfc_arr, erfcx as _erfcx_arr
 from .errors import DomainError
 from .eta import _roundoff, _skipped_segment, eta_invariant, resolved_floor
 from .spectral import BoundarySpectrum
-from .vanishing import _check_a_prime, vanishing_term_detailed
+from .vanishing import _check_a_prime
 
 __all__ = [
     "ContributionReport",
@@ -58,7 +61,8 @@ class ContributionReport:
     """Both evaluations of A_g(a') and the bookkeeping between them.
 
     decomposed_value == -(1/2) eta_reference + vanishing_residual holds
-    exactly: it is constructed as that sum of the stored fields.
+    exactly. vanishing_residual is an exact 0, because the vanishing
+    integral is zero mode by mode; it is kept for the JSON contract.
     eta_reference is the eta invariant scaled by f1_at_aprime, so with the
     default f1 = 1 it is the eta invariant itself. est_error bounds the
     numerical error of direct_value and dominates
@@ -187,7 +191,7 @@ def contribution(spectrum: BoundarySpectrum, a_prime: float,
     """Compute A_g(a') directly and via the eta/vanishing decomposition.
 
     direct_value = -f1 sum_j a_j (closed-form integral of mode j from the
-    resolved floor). decomposed_value = -f1 [eta/2 + V(a')].
+    resolved floor). decomposed_value = -f1 eta/2, because V(a') = 0.
     """
     a_prime = _check_a_prime(a_prime)
     f1 = float(f1_at_aprime)
@@ -196,18 +200,13 @@ def contribution(spectrum: BoundarySpectrum, a_prime: float,
 
     integral, integral_err = _integral(spectrum, a_prime, dirichlet=False)
     eta_res = eta_invariant(spectrum)
-    van = vanishing_term_detailed(spectrum, a_prime)
 
-    direct = -f1 * integral
     eta_reference = f1 * eta_res.value
-    vanishing_residual = -f1 * van.value
-    decomposed = -0.5 * eta_reference + vanishing_residual
-
-    est = abs(f1) * (integral_err + 0.5 * eta_res.est_error + van.est_error)
+    est = abs(f1) * (integral_err + 0.5 * eta_res.est_error)
 
     return ContributionReport(
-        a_prime=a_prime, f1_at_aprime=f1, direct_value=direct,
-        decomposed_value=decomposed, vanishing_residual=vanishing_residual,
+        a_prime=a_prime, f1_at_aprime=f1, direct_value=-f1 * integral,
+        decomposed_value=-0.5 * eta_reference, vanishing_residual=0j,
         eta_reference=eta_reference, est_error=est)
 
 

@@ -29,12 +29,3 @@ class VerificationError(CyletaError, RuntimeError):
     def __init__(self, message: str, evidence=None):
         super().__init__(message)
         self.evidence = evidence
-
-
-class InstabilityError(CyletaError, RuntimeError):
-    """A partial-sum sequence grew past its divergence guard instead of
-    settling, so no limit can honestly be reported."""
-
-    def __init__(self, message: str, partial_sums=()):
-        super().__init__(message)
-        self.partial_sums = tuple(partial_sums)

@@ -479,4 +479,4 @@ def load_spectrum(path: Union[str, Path]) -> BoundarySpectrum:
 def dump_spectrum(spectrum: BoundarySpectrum, path: Union[str, Path]) -> None:
     """Write a spectrum to a JSON file in the documented format."""
     doc = spectrum_to_json_dict(spectrum)
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")

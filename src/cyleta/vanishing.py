@@ -13,11 +13,13 @@ whose substitution s -> a'^2/(lam^2 s) folds the a'/s part of the original
 integrand onto the |lam| part. The regularized sum at level t is
 sum_j lam_j a_j d(t, lam_j), and V is its t -> 0 limit.
 
-Two independent evaluation routes are kept deliberately separate:
+Because V is exactly zero, the runtime never evaluates it: contribution()
+reports a vanishing residual of exactly 0. Two independent routes are kept
+here to verify that:
 
-* vanishing_term uses the closed form of each d(t, lam), namely
+* vanishing_term_detailed uses the closed form of each d(t, lam), namely
   -(sqrt(pi)/|lam|) erfcx(|lam| sqrt(t) + a'/sqrt(t)) e^{-lam^2 t - a'^2/t},
-  on an internal dyadic t-sequence with a guarded Aitken limit;
+  on a dyadic t-sequence that runs until every term underflows;
 * verify_vanishing and per_mode_difference evaluate the two integrals by
   adaptive quadrature, so they can certify the closed-form route.
 
@@ -31,18 +33,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import erfcx as _erfcx_arr
 
-from .errors import DomainError, InstabilityError
+from .errors import DomainError
 from .spectral import BoundarySpectrum
 
 __all__ = [
     "VanishingTermConfig",
     "VanishingReport",
-    "vanishing_term",
     "vanishing_term_detailed",
     "per_mode_difference",
     "dominator",
@@ -118,33 +119,8 @@ def _closed_form_partial(lams: np.ndarray, traces: np.ndarray,
     return complex(terms.sum())
 
 
-def _aitken_limit(partials: list[complex]) -> tuple[complex, float]:
-    """Guarded Aitken extrapolation of a convergent partial sequence.
-
-    Uses the last three entries. The Delta^2 correction is applied only when
-    its denominator is well-conditioned and the correction is smaller than
-    the last partial; superexponentially collapsing sequences (the usual
-    case here) fall back to the last partial, which is then already within
-    its own magnitude of the limit. The returned estimate is
-    |value| + min(1, rho)^2 |Delta_last| with rho the last ratio of
-    increments, which dominates the remaining geometric-or-faster tail.
-    """
-    p0, p1, p2 = partials[-3], partials[-2], partials[-1]
-    d1 = p1 - p0
-    d2 = p2 - p1
-    denom = d2 - d1
-    value = p2
-    if abs(denom) > 1e-3 * (abs(d1) + abs(d2)) and denom != 0:
-        correction = d2 * d2 / denom
-        if abs(correction) <= abs(p2):
-            value = p2 - correction
-    rho = abs(d2) / abs(d1) if abs(d1) > 0.0 else 0.0
-    est = abs(value) + min(1.0, rho) ** 2 * abs(d2)
-    return value, est
-
-
 class VanishingEvaluation(NamedTuple):
-    """vanishing_term with its internal error estimate and raw partials."""
+    """V(a') from the closed-form route, with its error bound and partials."""
 
     value: complex
     est_error: float
@@ -153,46 +129,37 @@ class VanishingEvaluation(NamedTuple):
 
 def vanishing_term_detailed(spectrum: BoundarySpectrum, a_prime: float,
                             ) -> VanishingEvaluation:
-    """Evaluate V(a') and keep the extrapolation evidence.
+    """Evaluate V(a') by the closed form and keep the partial sums.
 
-    The regularized sums are taken on the internal dyadic sequence
-    t = 2^{-k}; they collapse superexponentially (each term carries
-    e^{-a'^2/t}). The sequence runs until a'^2/t exceeds _UNDERFLOW, where
-    every term underflows to an exact 0, so the "two exact zeros" rule ends
-    it at any collar. The instability guard aborts if a partial ever
-    exceeds 1e6 times the spectrum's total trace mass, which a well-posed
-    evaluation can never do.
+    The regularized sums are taken on the dyadic sequence t = 2^{-k}; they
+    collapse superexponentially (each term carries e^{-a'^2/t}). The
+    sequence runs until a'^2/t exceeds _UNDERFLOW, where every term
+    underflows to an exact 0, and stops after two exact zeros in a row, so
+    the value is the last partial. Every partial at t obeys
+    |p| <= sqrt(pi) sum_j |a_j| e^{-a'^2/t}, since erfcx <= 1 on the
+    nonnegative axis; that bound at the last t is the error estimate.
     """
     a_prime = _check_a_prime(a_prime)
     if not spectrum.gap > 0:
         raise DomainError("spectrum gap must be positive")
     lams, traces = spectrum.lams, spectrum.traces
-    scale = float(np.abs(traces).sum())
-    guard = 1e6 * scale
     # first k with a'^2 2^k > _UNDERFLOW, one more level for the second zero
     last = max(2, math.ceil(math.log2(_UNDERFLOW / (a_prime * a_prime))) + 1)
 
     partials: list[complex] = []
     zeros_in_a_row = 0
     for k in range(0, last + 1):
-        p = _closed_form_partial(lams, traces, a_prime, 2.0 ** (-k))
+        t = 2.0 ** (-k)
+        p = _closed_form_partial(lams, traces, a_prime, t)
         partials.append(p)
-        if abs(p) > guard:
-            raise InstabilityError(
-                "regularized vanishing sums exceed 1e6 x trace mass",
-                partial_sums=tuple(partials))
         zeros_in_a_row = zeros_in_a_row + 1 if p == 0.0 else 0
         if zeros_in_a_row >= 2 and len(partials) >= 3:
             break
 
-    value, est = _aitken_limit(partials)
-    return VanishingEvaluation(value=value, est_error=est,
+    bound = _SQRT_PI * float(np.abs(traces).sum()) \
+        * math.exp(-a_prime * a_prime / t)
+    return VanishingEvaluation(value=partials[-1], est_error=bound,
                                partials=tuple(partials))
-
-
-def vanishing_term(spectrum: BoundarySpectrum, a_prime: float) -> complex:
-    """V(a') for the given spectrum; analytically this is exactly zero."""
-    return vanishing_term_detailed(spectrum, a_prime).value
 
 
 def _mode_envelope(lam: float, a_prime: float, t: float) -> float:
@@ -206,10 +173,11 @@ def _mode_envelope(lam: float, a_prime: float, t: float) -> float:
 def per_mode_difference(lam: float, a_prime: float, t: float) -> float:
     """d(t, lam) by adaptive quadrature of both integrals.
 
-    Independent of the closed form used by vanishing_term: integrates
-    k(s) = e^{-lam^2 s} e^{-a'^2/s} s^{-1/2} over (0, a'^2/(lam^2 t)) and
-    over (t, X) with X = max(40/lam^2, 2t), beyond which the remainder is
-    below sqrt(pi)/|lam| erfc(|lam| sqrt(X)) < 1e-18 and is dropped.
+    Independent of the closed form used by vanishing_term_detailed:
+    integrates k(s) = e^{-lam^2 s} e^{-a'^2/s} s^{-1/2} over
+    (0, a'^2/(lam^2 t)) and over (t, X) with X = max(40/lam^2, 2t), beyond
+    which the remainder is below sqrt(pi)/|lam| erfc(|lam| sqrt(X)) < 1e-18
+    and is dropped.
     """
     lam = float(lam)
     if lam == 0.0 or not math.isfinite(lam):
@@ -342,7 +310,7 @@ class CertificateFailure:
 class VanishingReport:
     """Regularized vanishing sums along a t-sequence, plus the certificate.
 
-    Iterates as (t, partial_sum) pairs. certified is False when the
+    rows holds the (t, partial_sum) pairs. certified is False when the
     dominated series' sampled tail term exceeds the Cauchy threshold at the
     configured cutoff rank; the offending records are kept rather than
     raised, so a failed certificate is visible evidence, not a crash.
@@ -351,15 +319,6 @@ class VanishingReport:
     rows: tuple[tuple[float, complex], ...]
     certificate_failures: tuple[CertificateFailure, ...]
     certified: bool
-
-    def __iter__(self) -> Iterator[tuple[float, complex]]:
-        return iter(self.rows)
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, i):
-        return self.rows[i]
 
     def to_json_dict(self) -> dict:
         return {
@@ -380,11 +339,11 @@ def verify_vanishing(spectrum: BoundarySpectrum,
 
     Every d is computed by per_mode_difference (the quadrature route), so
     the report is an independent check on the closed-form evaluation in
-    vanishing_term. Modes whose analytic envelope is negligible against the
-    spectrum scale are skipped; the envelope bound, not the closed-form
-    value, justifies the skip. The summability certificate evaluates the
-    dominated series' term at the cutoff rank for each t and records any
-    that exceed the Cauchy threshold.
+    vanishing_term_detailed. Modes whose analytic envelope is negligible
+    against the spectrum scale are skipped; the envelope bound, not the
+    closed-form value, justifies the skip. The summability certificate
+    evaluates the dominated series' term at the cutoff rank for each t and
+    records any that exceed the Cauchy threshold.
     """
     if not isinstance(cfg, VanishingTermConfig):
         raise DomainError("cfg must be a VanishingTermConfig")

@@ -1,24 +1,34 @@
 """Regularized vanishing sums, their certificate, and the dual evaluation
-routes (closed form against adaptive quadrature)."""
+routes (closed form against adaptive quadrature); and that no runtime
+computation evaluates the vanishing term."""
 
+import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.special import erfcx
 
 from cyleta import (
     CertificateFailure,
     DomainError,
-    InstabilityError,
     VanishingTermConfig,
+    aps_index,
+    assemble_index,
     circle_spectrum,
+    contribution,
     dominator,
+    dump_spectrum,
     from_records,
     per_mode_difference,
-    vanishing_term,
+    relative_index_check,
     vanishing_term_detailed,
     verify_vanishing,
 )
+from cyleta.cli import main
+
+from test_closed_forms import PROPERTY, finite_spectra
 
 
 def _single(lam=1.0):
@@ -55,16 +65,16 @@ def test_config_defaults():
 
 
 # ---------------------------------------------------------------------------
-# the extrapolated limit
+# the closed-form limit
 
 
 def test_vanishing_term_single_mode():
-    assert abs(vanishing_term(_single(1.0), 1.0)) <= 1e-8
+    assert abs(vanishing_term_detailed(_single(1.0), 1.0).value) <= 1e-8
 
 
 def test_vanishing_term_symmetric_cancels_exactly():
     sym = from_records([(1.0, 1, 1.0, 0.0), (-1.0, 1, 1.0, 0.0)])
-    assert vanishing_term(sym, 1.0) == 0j
+    assert vanishing_term_detailed(sym, 1.0).value == 0j
 
 
 def test_vanishing_term_detailed_evidence():
@@ -85,17 +95,49 @@ def test_vanishing_term_is_exactly_zero_at_small_collars(a_prime):
 
 def test_vanishing_term_rejects_bad_a_prime():
     with pytest.raises(DomainError):
-        vanishing_term(_single(), 0.0)
+        vanishing_term_detailed(_single(), 0.0)
 
 
-def test_instability_guard_carries_evidence(monkeypatch):
-    def exploding(lams, traces, a_prime, t):
-        return complex((1.0 / t) ** 3)
+@PROPERTY
+@given(spectrum=finite_spectra(), a_prime=st.floats(0.02, 50.0))
+def test_partials_are_bounded_and_end_in_exact_zeros(spectrum, a_prime):
+    # erfcx <= 1 on the nonnegative axis and every exponent is negative, so
+    # no partial can exceed sqrt(pi) times the trace mass.
+    res = vanishing_term_detailed(spectrum, a_prime)
+    bound = math.sqrt(math.pi) * float(np.abs(spectrum.traces).sum())
+    assert all(abs(p) <= bound for p in res.partials)
+    assert res.partials[-2:] == (0j, 0j)
+    assert res.value == 0j
+    assert res.est_error == 0.0
 
-    monkeypatch.setattr("cyleta.vanishing._closed_form_partial", exploding)
-    with pytest.raises(InstabilityError) as err:
-        vanishing_term_detailed(_single(1.0), 1.0)
-    assert len(err.value.partial_sums) >= 3
+
+def test_runtime_never_evaluates_the_vanishing_term(monkeypatch, capsys,
+                                                    tmp_path):
+    def evaluated(*args):
+        raise AssertionError("the vanishing term was evaluated")
+
+    monkeypatch.setattr("cyleta.vanishing._closed_form_partial", evaluated)
+    spectrum = circle_spectrum(0.25, 0.7, 200)
+    with pytest.raises(AssertionError):
+        vanishing_term_detailed(spectrum, 0.5)
+
+    report = contribution(spectrum, 0.5)
+    assert report.vanishing_residual == 0j
+    assert report.decomposed_value == -0.5 * report.eta_reference
+    assemble_index(0.25, report)
+    aps_index(spectrum, 0.25)
+    relative_index_check(spectrum, 0.0, spectrum, 0.0, 0.5)
+
+    path = tmp_path / "spec.json"
+    dump_spectrum(spectrum, path)
+    source = ("--twist", "0.25", "--rotation-angle", "0.7", "--n-max", "200")
+    for argv in (("contribution", *source, "--a-prime", "0.5"),
+                 ("index", *source, "--as-term", "0", "--a-prime", "0.5"),
+                 ("index", *source, "--as-term", "0"),
+                 ("relative", "--spectrum", str(path), "--spectrum",
+                  str(path), "--a-prime", "0.5")):
+        assert main(list(argv)) == 0
+        assert json.loads(capsys.readouterr().out)["errors"] == []
 
 
 # ---------------------------------------------------------------------------
@@ -147,19 +189,13 @@ def test_verify_vanishing_circle_rows():
                               VanishingTermConfig(a_prime=0.5))
     assert report.certified
     assert not report.certificate_failures
-    assert len(report) == 3
-    values = dict((t, v) for t, v in report)
+    assert len(report.rows) == 3
+    values = dict(report.rows)
     assert values[0.5].real == pytest.approx(-0.2860770840186639, abs=1e-9)
     assert values[0.1].real == pytest.approx(-0.0225740779020726, abs=1e-9)
     assert values[0.02].real == pytest.approx(-5.0867066e-07, abs=1e-9)
     # partial sums of an identity-element spectrum stay real
     assert all(v.imag == 0.0 for v in values.values())
-
-
-def test_verify_vanishing_is_indexable():
-    report = verify_vanishing(_single(1.0), VanishingTermConfig(a_prime=1.0))
-    assert report[0] == report.rows[0]
-    assert list(report) == list(report.rows)
 
 
 def test_verify_vanishing_certificate_failure_is_evidence():
