@@ -25,10 +25,11 @@ from .identities import (BOUNDARY_GRID, DECOMPOSITION_GRID, DeviationReport,
 from .kernels import (ModePoint, aps_mode_kernel, dirichlet_lambda_combination,
                       dirichlet_mode_kernel, erfc_eval, full_line_mode_kernel,
                       lambda_mode_kernel)
-from .spectral import (BoundarySpectrum, SpectralDatum, TruncationBound,
-                       circle_spectrum, direct_sum, dump_spectrum,
-                       from_records, load_spectrum, spectrum_from_json_dict,
-                       spectrum_to_json_dict, tail_bound)
+from .spectral import (BoundarySpectrum, FloorAnalysis, SpectralDatum,
+                       TruncationBound, circle_spectrum, direct_sum,
+                       dump_spectrum, from_records, load_spectrum,
+                       spectrum_from_json_dict, spectrum_to_json_dict,
+                       tail_bound)
 from .vanishing import (CertificateFailure, VanishingReport,
                         VanishingTermConfig, dominator, per_mode_difference,
                         vanishing_term_detailed, verify_vanishing)
@@ -42,6 +43,7 @@ __all__ = [
     "VerificationError",
     "SpectralDatum",
     "BoundarySpectrum",
+    "FloorAnalysis",
     "TruncationBound",
     "circle_spectrum",
     "from_records",

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._json import JsonFields
 from .contribution import ContributionReport, contribution
 from .errors import DomainError
 from .eta import eta_invariant
@@ -40,7 +41,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class IndexReport:
+class IndexReport(JsonFields):
     """Assembled index value with its two constituents.
 
     index_value == as_term + contribution holds exactly by construction.
@@ -57,16 +58,6 @@ class IndexReport:
     eta_half: complex
     est_error: float
     integrality_residual: float | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "as_term": [self.as_term.real, self.as_term.imag],
-            "contribution": [self.contribution.real, self.contribution.imag],
-            "index_value": [self.index_value.real, self.index_value.imag],
-            "eta_half": [self.eta_half.real, self.eta_half.imag],
-            "est_error": self.est_error,
-            "integrality_residual": self.integrality_residual,
-        }
 
 
 def _gaussian_integer_distance(z: complex) -> float:

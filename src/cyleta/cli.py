@@ -311,27 +311,18 @@ def _run_relative(args: argparse.Namespace) -> tuple[dict, int]:
     return result, 0
 
 
+_RUNNERS = {"eta": _run_eta, "contribution": _run_contribution,
+            "dirichlet-variant": _run_dirichlet, "index": _run_index,
+            "verify-identities": _run_verify_identities,
+            "verify-vanishing": _run_verify_vanishing, "relative": _run_relative}
+
+
 def run(args: argparse.Namespace) -> tuple[dict, int]:
     """Dispatch a parsed request; returns (document, exit_status)."""
     doc = {"request": _request_echo(args), "errors": [],
            "version": __version__}
     try:
-        if args.command == "eta":
-            result, status = _run_eta(args)
-        elif args.command == "contribution":
-            result, status = _run_contribution(args)
-        elif args.command == "dirichlet-variant":
-            result, status = _run_dirichlet(args)
-        elif args.command == "verify-identities":
-            result, status = _run_verify_identities(args)
-        elif args.command == "verify-vanishing":
-            result, status = _run_verify_vanishing(args)
-        elif args.command == "index":
-            result, status = _run_index(args)
-        elif args.command == "relative":
-            result, status = _run_relative(args)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise _InputError(f"unknown command {args.command!r}")
+        result, status = _RUNNERS[args.command](args)
     except _InputError:
         raise
     except CyletaError as exc:

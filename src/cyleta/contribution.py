@@ -18,13 +18,17 @@ depend on where the collar is cut.
 contribution() computes both sides separately: direct_value sums the
 closed-form per-mode integral of the whole bracket from the resolved floor
 of the eta invariant (erfc/erfcx expressions, or the s -> 0 limit
-sgn(lam)/2 when the floor is refused), while decomposed_value is -eta/2.
-The vanishing piece is not evaluated, since it is zero mode by mode; the
-report's vanishing_residual is an exact 0, kept for the JSON contract, and
-the vanishing module keeps the closed-form and quadrature routes that
-verify the zero. The report carries both values and an error budget that
-covers their difference. The adaptive-quadrature route of the same
-integrals lives in the test oracles.
+sgn(lam)/2 when the floor is refused), while decomposed_value is -eta/2;
+both read one erfc(|lam| sqrt(s_f)) array. The vanishing piece is zero
+mode by mode, so it is not evaluated: vanishing_residual is an exact 0,
+kept for the JSON contract, and the vanishing module verifies the zero.
+The quadrature route of the same integrals lives in the test oracles.
+
+The collar factors e^{-lam^2 s_f - a'^2/s_f} and e^{-2 a' |lam|} fall with
+|lam|, by which the modes are sorted, so each is evaluated only on the
+prefix where its exponent stays above -746 (one searchsorted). Past it the
+factor is an exact 0.0 and is stored as one, so every value is unchanged
+bit for bit; at a'^2/s_f > 746 the first prefix is empty.
 
 dirichlet_variant_contribution swaps the per-mode factor (a'/s - |lam|) in
 the vanishing piece for (sgn(lam) a'/s - |lam|), which is what imposing a
@@ -43,10 +47,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc as _erfc_arr, erfcx as _erfcx_arr
 
+from ._json import JsonFields
 from .errors import DomainError
-from .eta import _roundoff, _skipped_segment, eta_invariant, resolved_floor
+from .eta import _eta, _modes, _Modes, _roundoff
 from .spectral import BoundarySpectrum
-from .vanishing import _check_a_prime
+from .vanishing import _UNDERFLOW, _check_a_prime
 
 __all__ = [
     "ContributionReport",
@@ -57,7 +62,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ContributionReport:
+class ContributionReport(JsonFields):
     """Both evaluations of A_g(a') and the bookkeeping between them.
 
     decomposed_value == -(1/2) eta_reference + vanishing_residual holds
@@ -76,20 +81,6 @@ class ContributionReport:
     vanishing_residual: complex
     eta_reference: complex
     est_error: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "a_prime": self.a_prime,
-            "f1_at_aprime": self.f1_at_aprime,
-            "direct_value": [self.direct_value.real, self.direct_value.imag],
-            "decomposed_value": [self.decomposed_value.real,
-                                 self.decomposed_value.imag],
-            "vanishing_residual": [self.vanishing_residual.real,
-                                   self.vanishing_residual.imag],
-            "eta_reference": [self.eta_reference.real,
-                              self.eta_reference.imag],
-            "est_error": self.est_error,
-        }
 
 
 def contribution_integrand(spectrum: BoundarySpectrum, a_prime: float,
@@ -114,22 +105,40 @@ def contribution_integrand(spectrum: BoundarySpectrum, a_prime: float,
     return complex((traces * np.exp(-s * lams * lams) * bracket).sum() * norm)
 
 
-def _spectral_tails(lams: np.ndarray, a_prime: float, T: float) -> np.ndarray:
+def _on_prefix(head: np.ndarray, size: int) -> np.ndarray:
+    """head followed by exact zeros, size entries in all."""
+    return np.concatenate([head, np.zeros(size - head.size)])
+
+
+def _collar_damping(abs_l: np.ndarray, a_prime: float, T: float) -> np.ndarray:
+    """e^{-lam^2 T - a'^2/T} on the leading modes whose exponent stays
+    above -_UNDERFLOW; on every later mode it is an exact 0.0."""
+    offset = (a_prime * a_prime) / T
+    reach = math.sqrt(max(_UNDERFLOW - offset, 0.0) / T)
+    head = abs_l[:int(abs_l.searchsorted(reach, side="right"))]
+    return np.exp(-(head * head) * T - offset)
+
+
+def _dirichlet_damping(abs_l: np.ndarray, a_prime: float) -> np.ndarray:
+    """e^{-2 a' |lam|} on the leading modes where it is not an exact 0.0."""
+    reach = int(abs_l.searchsorted(_UNDERFLOW / (2.0 * a_prime), side="right"))
+    return np.exp(-2.0 * a_prime * abs_l[:reach])
+
+
+def _spectral_tails(modes: _Modes, a_prime: float, T: float) -> np.ndarray:
     """Per-mode int_T^inf of the spectral-condition diagonal, in closed form.
 
     For each mode: sgn(lam) [erfc(|lam| sqrt(T))
     - erfcx(|lam| sqrt(T) + a'/sqrt(T)) e^{-lam^2 T - a'^2/T}] / 2. The
     erfcx form keeps the evaluation exact and overflow-free for any lam.
     """
-    abs_l = np.abs(lams)
-    sqrt_T = math.sqrt(T)
-    z_plus = abs_l * sqrt_T + a_prime / sqrt_T
-    expo = -(lams * lams) * T - (a_prime * a_prime) / T
-    return np.sign(lams) * 0.5 * (_erfc_arr(abs_l * sqrt_T)
-                                  - _erfcx_arr(z_plus) * np.exp(expo))
+    abs_l, sqrt_T = modes.abs_l, math.sqrt(T)
+    expo = _collar_damping(abs_l, a_prime, T)
+    damped = _erfcx_arr(abs_l[:expo.size] * sqrt_T + a_prime / sqrt_T) * expo
+    return modes.sgn * 0.5 * (modes.erfc - _on_prefix(damped, abs_l.size))
 
 
-def _dirichlet_tails(lams: np.ndarray, a_prime: float, T: float) -> np.ndarray:
+def _dirichlet_tails(modes: _Modes, a_prime: float, T: float) -> np.ndarray:
     """Per-mode int_T^inf of the Dirichlet-condition diagonal, in closed form.
 
     lam > 0 modes match the spectral-condition tail. On lam < 0 the sign
@@ -138,23 +147,19 @@ def _dirichlet_tails(lams: np.ndarray, a_prime: float, T: float) -> np.ndarray:
     equivalent e^{-2 a' |lam|} (2 - erfc(...)) form is used so nothing
     overflows.
     """
-    abs_l = np.abs(lams)
-    sqrt_T = math.sqrt(T)
-    expo = np.exp(-(lams * lams) * T - (a_prime * a_prime) / T)
-    erfc_T = _erfc_arr(abs_l * sqrt_T)
-
-    pos = 0.5 * (erfc_T - _erfcx_arr(abs_l * sqrt_T + a_prime / sqrt_T) * expo)
-
-    v = abs_l * sqrt_T - a_prime / sqrt_T
-    safe_v = np.where(v >= 0.0, v, 0.0)
-    branch_pos_v = 0.5 * _erfcx_arr(safe_v) * expo
-    branch_neg_v = 0.5 * np.exp(-2.0 * a_prime * abs_l) * (2.0 - _erfc_arr(-v))
-    neg = -0.5 * erfc_T + np.where(v >= 0.0, branch_pos_v, branch_neg_v)
-
-    return np.where(lams > 0.0, pos, neg)
+    sqrt_T, expo = math.sqrt(T), _collar_damping(modes.abs_l, a_prime, T)
+    neg_damp = _dirichlet_damping(modes.abs_l, a_prime)
+    v = modes.abs_l[:max(expo.size, neg_damp.size)] * sqrt_T - a_prime / sqrt_T
+    safe_v = np.where(v[:expo.size] >= 0.0, v[:expo.size], 0.0)
+    branch_pos_v = _on_prefix(0.5 * _erfcx_arr(safe_v) * expo, v.size)
+    branch_neg_v = _on_prefix(
+        0.5 * neg_damp * (2.0 - _erfc_arr(-v[:neg_damp.size])), v.size)
+    neg = -0.5 * modes.erfc + _on_prefix(
+        np.where(v >= 0.0, branch_pos_v, branch_neg_v), modes.erfc.size)
+    return np.where(modes.sgn > 0.0, _spectral_tails(modes, a_prime, T), neg)
 
 
-def _integral(spectrum: BoundarySpectrum, a_prime: float,
+def _integral(spectrum: BoundarySpectrum, modes: _Modes, a_prime: float,
               dirichlet: bool) -> tuple[complex, float]:
     """sum_j a_j int_{s_f}^inf (diagonal bracket of mode j) ds, with its
     error budget.
@@ -169,20 +174,21 @@ def _integral(spectrum: BoundarySpectrum, a_prime: float,
     [erfc(a'/sqrt(s_f)) + e^{-a'^2/s_f}] / 2, the first from the a'/s
     term and the second from the |lam| term of the bracket.
     """
-    lams, traces = spectrum.lams, spectrum.traces
-    floor = resolved_floor(spectrum)
+    traces, analysis = spectrum.traces, spectrum.floor_analysis
+    floor = analysis.floor
     if floor is None:
-        terms = 0.5 * traces * np.sign(lams)
+        terms = 0.5 * traces * modes.sgn
         if dirichlet:
-            terms = terms + traces * np.where(
-                lams < 0.0, np.exp(-2.0 * a_prime * np.abs(lams)), 0.0)
+            damp = _dirichlet_damping(modes.abs_l, a_prime)
+            terms = terms + traces * _on_prefix(np.where(
+                modes.sgn[:damp.size] < 0.0, damp, 0.0), traces.size)
         return complex(terms.sum()), _roundoff(terms)
     tails = _dirichlet_tails if dirichlet else _spectral_tails
-    terms = traces * tails(lams, a_prime, floor)
+    terms = traces * tails(modes, a_prime, floor)
     collar_cut = 0.5 * (math.erfc(a_prime / math.sqrt(floor))
                         + math.exp(-a_prime * a_prime / floor))
-    est = (_roundoff(terms) + 0.5 * _skipped_segment(spectrum, floor)
-           + collar_cut * float(np.abs(traces).sum()))
+    est = (_roundoff(terms) + 0.5 * analysis.skipped_segment
+           + collar_cut * analysis.trace_mass)
     return complex(terms.sum()), est
 
 
@@ -192,14 +198,16 @@ def contribution(spectrum: BoundarySpectrum, a_prime: float,
 
     direct_value = -f1 sum_j a_j (closed-form integral of mode j from the
     resolved floor). decomposed_value = -f1 eta/2, because V(a') = 0.
+    Both sides share one evaluation of erfc(|lam_j| sqrt(s_f)).
     """
     a_prime = _check_a_prime(a_prime)
     f1 = float(f1_at_aprime)
     if not math.isfinite(f1):
         raise DomainError(f"f1_at_aprime must be finite, got {f1_at_aprime!r}")
 
-    integral, integral_err = _integral(spectrum, a_prime, dirichlet=False)
-    eta_res = eta_invariant(spectrum)
+    modes = _modes(spectrum)
+    integral, integral_err = _integral(spectrum, modes, a_prime, dirichlet=False)
+    eta_res = _eta(spectrum, modes)
 
     eta_reference = f1 * eta_res.value
     est = abs(f1) * (integral_err + 0.5 * eta_res.est_error)
@@ -214,7 +222,8 @@ def _dirichlet_variant_detailed(spectrum: BoundarySpectrum, a_prime: float,
                                 ) -> tuple[complex, float]:
     """A_g^F(a') together with its error budget."""
     a_prime = _check_a_prime(a_prime)
-    integral, est = _integral(spectrum, a_prime, dirichlet=True)
+    integral, est = _integral(spectrum, _modes(spectrum), a_prime,
+                              dirichlet=True)
     return -integral, est
 
 

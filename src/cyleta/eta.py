@@ -20,16 +20,21 @@ relative to its absolute-value envelope sum_j |a_j lam_j| e^{-lam_j^2 s}.
 The skipped segment's resolved magnitude goes into est_error, and the
 omitted-mode scale is reported separately as truncation_error via the
 spectral tail bound at 40/Lambda^2.
+
+The floor is analysed once per spectrum: one heat-trace pass decides it and
+prices the skipped segment, and that FloorAnalysis serves every query.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import erfc as _erfc_arr
 
+from ._json import JsonFields
 from .errors import DomainError
 from .spectral import BoundarySpectrum, tail_bound
 
@@ -39,17 +44,6 @@ __all__ = [
     "eta_invariant",
     "eta_circle_oracle",
 ]
-
-_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
-
-# The resolved floor is s_f = _FLOOR_SCALE / Lambda^2, and it is only used
-# when it lies at or below _FLOOR_MAX.
-_FLOOR_SCALE = 40.0
-_FLOOR_MAX = 0.25
-
-# Cancellation detector threshold: the truncated trace counts as resolved at
-# the floor when it is this small against its absolute-value envelope.
-_RESOLVED_RATIO = 1e-6
 
 # Relative roundoff priced into est_error per unit of sum_j |term_j|.
 _ROUNDOFF = 4e-16
@@ -63,10 +57,6 @@ def heat_trace(spectrum: BoundarySpectrum, s: float) -> complex:
     return complex((spectrum.traces * (lams * np.exp(-s * lams * lams))).sum())
 
 
-def _floor_candidate(spectrum: BoundarySpectrum) -> float:
-    return _FLOOR_SCALE / (spectrum.truncated_at * spectrum.truncated_at)
-
-
 def resolved_floor(spectrum: BoundarySpectrum) -> float | None:
     """The truncation-artifact cut point 40/Lambda^2, or None.
 
@@ -74,23 +64,23 @@ def resolved_floor(spectrum: BoundarySpectrum) -> float | None:
     is certified as resolved there (cancellation detector); otherwise the
     heat-time integrals start at 0 as for any small hand-made spectrum.
     """
-    floor = _floor_candidate(spectrum)
-    if floor > _FLOOR_MAX:
-        return None
-    lams = spectrum.lams
-    envelope = float((np.abs(spectrum.traces) * np.abs(lams)
-                      * np.exp(-floor * lams * lams)).sum())
-    if abs(heat_trace(spectrum, floor)) <= _RESOLVED_RATIO * envelope:
-        return floor
-    return None
+    return spectrum.floor_analysis.floor
 
 
-def _skipped_segment(spectrum: BoundarySpectrum, floor: float | None) -> float:
-    """Price of the eta integrand on [0, floor]: |trace(floor)| sqrt(floor),
-    times 2/sqrt(pi); 0 when nothing is skipped."""
-    if floor is None:
-        return 0.0
-    return _TWO_OVER_SQRT_PI * abs(heat_trace(spectrum, floor)) * math.sqrt(floor)
+class _Modes(NamedTuple):
+    """Per-call arrays for eta and the collar integrals; erfc is None
+    when the floor is refused."""
+
+    abs_l: np.ndarray
+    sgn: np.ndarray
+    erfc: np.ndarray | None
+
+
+def _modes(spectrum: BoundarySpectrum) -> _Modes:
+    lams, floor = spectrum.lams, spectrum.floor_analysis.floor
+    abs_l = np.abs(lams)
+    erfc = None if floor is None else _erfc_arr(abs_l * math.sqrt(floor))
+    return _Modes(abs_l, np.sign(lams), erfc)
 
 
 def _roundoff(terms: np.ndarray) -> float:
@@ -99,7 +89,7 @@ def _roundoff(terms: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class EtaResult:
+class EtaResult(JsonFields):
     """Closed-form eta value. est_error covers roundoff and the skipped
     segment below the resolved floor on the listed modes; truncation_error
     is the separate spectral-tail scale for modes beyond the cutoff."""
@@ -107,13 +97,6 @@ class EtaResult:
     value: complex
     est_error: float
     truncation_error: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "value": [self.value.real, self.value.imag],
-            "est_error": self.est_error,
-            "truncation_error": self.truncation_error,
-        }
 
 
 def eta_invariant(spectrum: BoundarySpectrum) -> EtaResult:
@@ -123,13 +106,17 @@ def eta_invariant(spectrum: BoundarySpectrum) -> EtaResult:
     All-real traces give an exactly real value, so identity-like group
     elements stay exactly real.
     """
-    lams, traces = spectrum.lams, spectrum.traces
-    floor = resolved_floor(spectrum)
-    terms = traces * np.sign(lams)
-    if floor is not None:
-        terms = terms * _erfc_arr(np.abs(lams) * math.sqrt(floor))
-    est = _roundoff(terms) + _skipped_segment(spectrum, floor)
-    trunc = tail_bound(spectrum, _floor_candidate(spectrum), 0.0).bound
+    return _eta(spectrum, _modes(spectrum))
+
+
+def _eta(spectrum: BoundarySpectrum, modes: _Modes) -> EtaResult:
+    """eta_invariant from the shared per-call arrays."""
+    analysis = spectrum.floor_analysis
+    terms = spectrum.traces * modes.sgn
+    if modes.erfc is not None:
+        terms = terms * modes.erfc
+    est = _roundoff(terms) + analysis.skipped_segment
+    trunc = tail_bound(spectrum, analysis.candidate, 0.0).bound
     return EtaResult(value=complex(terms.sum()), est_error=est,
                      truncation_error=trunc)
 

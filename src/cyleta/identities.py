@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._json import JsonFields
 from .errors import DomainError, VerificationError
 from .kernels import (
     ModePoint,
@@ -64,14 +65,10 @@ class KernelGrid:
 
 
 @dataclass(frozen=True)
-class DeviationReport:
+class DeviationReport(JsonFields):
     max_abs: float
     argmax: tuple[float, float, float, float]
     samples: int
-
-    def to_json_dict(self) -> dict:
-        return {"max_abs": self.max_abs, "argmax": list(self.argmax),
-                "samples": self.samples}
 
 
 DECOMPOSITION_GRID = KernelGrid(

@@ -23,7 +23,9 @@ Conventions baked into the container:
   bounds, never to synthesize eigenvalues,
 * the arrays are private copies that cannot be written, and equality and
   hashing are those of the object; validation errors name the first
-  offending record or rank.
+  offending record or rank,
+* the first read of ``floor_analysis`` keeps a FloorAnalysis of scalars in
+  the instance dict; fields, arrays, equality and hashing stay as they are.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Union
@@ -38,11 +41,13 @@ from typing import Iterable, Union
 import numpy as np
 from scipy import special
 
+from ._json import JsonFields
 from .errors import DomainError, InvalidSpectrumError, InvalidTraceError
 
 __all__ = [
     "SpectralDatum",
     "BoundarySpectrum",
+    "FloorAnalysis",
     "TruncationBound",
     "circle_spectrum",
     "from_records",
@@ -67,6 +72,12 @@ _C2_CANDIDATES = (1.0, 0.5, 1.0 / 3.0, 0.25)
 
 # Multiplicities are stored as int64.
 _INT64 = range(-2**63, 2**63)
+
+# The resolved floor s_f = _FLOOR_SCALE / Lambda^2 is used only at or below
+# _FLOOR_MAX, where |trace| <= _RESOLVED_RATIO * envelope must hold too.
+_FLOOR_SCALE = 40.0
+_FLOOR_MAX = 0.25
+_RESOLVED_RATIO = 1e-6
 
 
 def _raise_first(checks, label=None) -> None:
@@ -191,12 +202,52 @@ class BoundarySpectrum:
         """Spectral gap b: the smallest |eigenvalue|."""
         return abs(float(self.lams[0]))
 
+    @cached_property
+    def floor_analysis(self) -> FloorAnalysis:
+        """The resolved-floor decision, made on the first read and kept."""
+        return _analyse_floor(self)
+
     def rank_below(self, cutoff: float) -> int:
         """Number of modes with |lambda| <= cutoff."""
         return int(np.abs(self.lams).searchsorted(cutoff, side="right"))
 
     def __len__(self) -> int:
         return self.lams.size
+
+
+@dataclass(frozen=True)
+class FloorAnalysis(JsonFields):
+    """One heat-trace pass at the candidate floor 40/Lambda^2.
+
+    floor is the candidate if it is at most 1/4 and cancellation_ratio,
+    |sum_j a_j lam_j e^{-lam_j^2 s}| / sum_j |a_j lam_j| e^{-lam_j^2 s} at
+    the candidate, is at most 1e-6; else None. skipped_segment, the price
+    of eta's integrand on [0, floor], is (2/sqrt(pi)) |trace| sqrt(floor),
+    or 0 with no floor. trace_mass is sum_j |a_j|.
+    """
+
+    floor: float | None
+    candidate: float
+    cancellation_ratio: float
+    skipped_segment: float
+    trace_mass: float
+
+
+def _analyse_floor(spectrum: BoundarySpectrum) -> FloorAnalysis:
+    """The FloorAnalysis of a spectrum, from one exp pass."""
+    lams, size = spectrum.lams, np.abs(spectrum.traces)
+    candidate = _FLOOR_SCALE / (spectrum.truncated_at * spectrum.truncated_at)
+    damp = np.exp(-candidate * lams * lams)
+    trace = abs(complex((spectrum.traces * (lams * damp)).sum()))
+    envelope = float((size * np.abs(lams) * damp).sum())
+    floor = candidate if candidate <= _FLOOR_MAX \
+        and trace <= _RESOLVED_RATIO * envelope else None
+    return FloorAnalysis(
+        floor=floor, candidate=candidate,
+        cancellation_ratio=trace / envelope if envelope else 0.0,
+        skipped_segment=0.0 if floor is None
+        else 2.0 / math.sqrt(math.pi) * trace * math.sqrt(floor),
+        trace_mass=float(size.sum()))
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import erfcx as _erfcx_arr
 
+from ._json import JsonFields
 from .errors import DomainError
 from .spectral import BoundarySpectrum
 
@@ -293,17 +294,13 @@ def dominator(t: float, abs_lambda: float, a_prime: float) -> float:
 
 
 @dataclass(frozen=True)
-class CertificateFailure:
+class CertificateFailure(JsonFields):
     """One summability-certificate violation, kept as evidence."""
 
     t: float
     rank: int
     term: float
     threshold: float
-
-    def to_json_dict(self) -> dict:
-        return {"t": self.t, "rank": self.rank, "term": self.term,
-                "threshold": self.threshold}
 
 
 @dataclass(frozen=True)

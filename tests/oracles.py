@@ -25,6 +25,10 @@ Contents:
   variant for a whole list of modes, by adaptive quadrature of the
   spectral sums over every heat time from a given lower limit, with no
   erfc-type antiderivative anywhere.
+* ``spectral_tails`` and ``dirichlet_tails``: the per-mode closed forms
+  of the same collar integrals, every factor evaluated on every mode.
+  The runtime evaluates the collar factors only where they do not
+  underflow and must match these bit for bit.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import warnings
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.linalg import eigh_tridiagonal, solve_banded
+from scipy.special import erfc, erfcx
 
 
 def cn_solve(lam: float, s_final: float, y_eval: float, yp: float,
@@ -286,3 +291,40 @@ def collar_integral_by_quadrature(lams, traces, a_prime: float,
 
     lo, hi, points = _u_range(lams, s_lo)
     return _quad_complex(integrand, lo, hi, points)
+
+
+def spectral_tails(lams, a_prime: float, T: float) -> np.ndarray:
+    """Per-mode int_T^inf of the spectral-condition diagonal, in closed form.
+
+    For each mode: sgn(lam) [erfc(|lam| sqrt(T))
+    - erfcx(|lam| sqrt(T) + a'/sqrt(T)) e^{-lam^2 T - a'^2/T}] / 2.
+    """
+    abs_l = np.abs(lams)
+    sqrt_T = math.sqrt(T)
+    z_plus = abs_l * sqrt_T + a_prime / sqrt_T
+    expo = -(lams * lams) * T - (a_prime * a_prime) / T
+    return np.sign(lams) * 0.5 * (erfc(abs_l * sqrt_T)
+                                  - erfcx(z_plus) * np.exp(expo))
+
+
+def dirichlet_tails(lams, a_prime: float, T: float) -> np.ndarray:
+    """Per-mode int_T^inf of the Dirichlet-condition diagonal, in closed form.
+
+    lam > 0 modes match the spectral-condition tail. On lam < 0 the
+    primitive involves erfcx(|lam| sqrt(s) - a'/sqrt(s)); when that
+    argument is negative the e^{-2 a' |lam|} (2 - erfc(...)) form is used.
+    """
+    abs_l = np.abs(lams)
+    sqrt_T = math.sqrt(T)
+    expo = np.exp(-(lams * lams) * T - (a_prime * a_prime) / T)
+    erfc_T = erfc(abs_l * sqrt_T)
+
+    pos = 0.5 * (erfc_T - erfcx(abs_l * sqrt_T + a_prime / sqrt_T) * expo)
+
+    v = abs_l * sqrt_T - a_prime / sqrt_T
+    safe_v = np.where(v >= 0.0, v, 0.0)
+    branch_pos_v = 0.5 * erfcx(safe_v) * expo
+    branch_neg_v = 0.5 * np.exp(-2.0 * a_prime * abs_l) * (2.0 - erfc(-v))
+    neg = -0.5 * erfc_T + np.where(v >= 0.0, branch_pos_v, branch_neg_v)
+
+    return np.where(lams > 0.0, pos, neg)
