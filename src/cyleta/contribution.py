@@ -19,9 +19,10 @@ contribution() computes both sides separately: direct_value sums the
 closed-form per-mode integral of the whole bracket from the resolved floor
 of the eta invariant (erfc/erfcx expressions, or the s -> 0 limit
 sgn(lam)/2 when the floor is refused), while decomposed_value is -eta/2;
-both read one erfc(|lam| sqrt(s_f)) array. The vanishing piece is zero
-mode by mode, so it is not evaluated: vanishing_residual is an exact 0,
-kept for the JSON contract, and the vanishing module verifies the zero.
+both read the erfc(|lam| sqrt(s_f)) array that the spectrum keeps. The
+vanishing piece is zero mode by mode, so it is not evaluated:
+vanishing_residual is an exact 0, kept for the JSON contract, and the
+vanishing module verifies the zero.
 The quadrature route of the same integrals lives in the test oracles.
 
 The collar factors e^{-lam^2 s_f - a'^2/s_f} and e^{-2 a' |lam|} fall with
@@ -45,12 +46,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 import numpy as np
-from scipy.special import erfc as _erfc_arr, erfcx as _erfcx_arr
 
 from ._json import JsonFields
+from ._special import erfc as _erfc_arr, erfcx as _erfcx_arr
 from .errors import DomainError
-from .eta import _eta, _modes, _Modes, _roundoff
-from .spectral import BoundarySpectrum
+from .eta import _roundoff, eta_invariant
+from .spectral import BoundarySpectrum, _Modes
 from .vanishing import _UNDERFLOW, _check_a_prime
 
 __all__ = [
@@ -159,7 +160,7 @@ def _dirichlet_tails(modes: _Modes, a_prime: float, T: float) -> np.ndarray:
     return np.where(modes.sgn > 0.0, _spectral_tails(modes, a_prime, T), neg)
 
 
-def _integral(spectrum: BoundarySpectrum, modes: _Modes, a_prime: float,
+def _integral(spectrum: BoundarySpectrum, a_prime: float,
               dirichlet: bool) -> tuple[complex, float]:
     """sum_j a_j int_{s_f}^inf (diagonal bracket of mode j) ds, with its
     error budget.
@@ -174,7 +175,8 @@ def _integral(spectrum: BoundarySpectrum, modes: _Modes, a_prime: float,
     [erfc(a'/sqrt(s_f)) + e^{-a'^2/s_f}] / 2, the first from the a'/s
     term and the second from the |lam| term of the bracket.
     """
-    traces, analysis = spectrum.traces, spectrum.floor_analysis
+    traces, analysis, modes = (spectrum.traces, spectrum.floor_analysis,
+                               spectrum.modes)
     floor = analysis.floor
     if floor is None:
         terms = 0.5 * traces * modes.sgn
@@ -198,16 +200,15 @@ def contribution(spectrum: BoundarySpectrum, a_prime: float,
 
     direct_value = -f1 sum_j a_j (closed-form integral of mode j from the
     resolved floor). decomposed_value = -f1 eta/2, because V(a') = 0.
-    Both sides share one evaluation of erfc(|lam_j| sqrt(s_f)).
+    Both sides read the spectrum's one erfc(|lam_j| sqrt(s_f)) array.
     """
     a_prime = _check_a_prime(a_prime)
     f1 = float(f1_at_aprime)
     if not math.isfinite(f1):
         raise DomainError(f"f1_at_aprime must be finite, got {f1_at_aprime!r}")
 
-    modes = _modes(spectrum)
-    integral, integral_err = _integral(spectrum, modes, a_prime, dirichlet=False)
-    eta_res = _eta(spectrum, modes)
+    integral, integral_err = _integral(spectrum, a_prime, dirichlet=False)
+    eta_res = eta_invariant(spectrum)
 
     eta_reference = f1 * eta_res.value
     est = abs(f1) * (integral_err + 0.5 * eta_res.est_error)
@@ -222,8 +223,7 @@ def _dirichlet_variant_detailed(spectrum: BoundarySpectrum, a_prime: float,
                                 ) -> tuple[complex, float]:
     """A_g^F(a') together with its error budget."""
     a_prime = _check_a_prime(a_prime)
-    integral, est = _integral(spectrum, _modes(spectrum), a_prime,
-                              dirichlet=True)
+    integral, est = _integral(spectrum, a_prime, dirichlet=True)
     return -integral, est
 
 

@@ -22,17 +22,16 @@ omitted-mode scale is reported separately as truncation_error via the
 spectral tail bound at 40/Lambda^2.
 
 The floor is analysed once per spectrum: one heat-trace pass decides it and
-prices the skipped segment, and that FloorAnalysis serves every query.
+prices the skipped segment, and that FloorAnalysis serves every query. The
+erfc(|lam_j| sqrt(s_f)) array is made once per spectrum too, and kept with
+it as spectrum.modes.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
-from scipy.special import erfc as _erfc_arr
 
 from ._json import JsonFields
 from .errors import DomainError
@@ -67,22 +66,6 @@ def resolved_floor(spectrum: BoundarySpectrum) -> float | None:
     return spectrum.floor_analysis.floor
 
 
-class _Modes(NamedTuple):
-    """Per-call arrays for eta and the collar integrals; erfc is None
-    when the floor is refused."""
-
-    abs_l: np.ndarray
-    sgn: np.ndarray
-    erfc: np.ndarray | None
-
-
-def _modes(spectrum: BoundarySpectrum) -> _Modes:
-    lams, floor = spectrum.lams, spectrum.floor_analysis.floor
-    abs_l = np.abs(lams)
-    erfc = None if floor is None else _erfc_arr(abs_l * math.sqrt(floor))
-    return _Modes(abs_l, np.sign(lams), erfc)
-
-
 def _roundoff(terms: np.ndarray) -> float:
     """Roundoff envelope of summing the given per-mode terms."""
     return _ROUNDOFF * float(np.abs(terms).sum())
@@ -106,12 +89,7 @@ def eta_invariant(spectrum: BoundarySpectrum) -> EtaResult:
     All-real traces give an exactly real value, so identity-like group
     elements stay exactly real.
     """
-    return _eta(spectrum, _modes(spectrum))
-
-
-def _eta(spectrum: BoundarySpectrum, modes: _Modes) -> EtaResult:
-    """eta_invariant from the shared per-call arrays."""
-    analysis = spectrum.floor_analysis
+    analysis, modes = spectrum.floor_analysis, spectrum.modes
     terms = spectrum.traces * modes.sgn
     if modes.erfc is not None:
         terms = terms * modes.erfc

@@ -24,6 +24,7 @@ erfc(large), which individually overflow and underflow for
 function erfcx(x) = e^{x^2} erfc(x); the combined exponent collapses to
 -lambda^2 s - (y+y')^2/(4s), which never overflows. The scaled form is
 exact, so it is used unconditionally rather than behind a threshold.
+erfcx is cyleta's own Chebyshev series (cyleta._special), not scipy's.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import erfcx as _erfcx
-
+from ._special import erfcx as _erfcx
 from .errors import DomainError
 
 __all__ = [
@@ -49,11 +49,12 @@ __all__ = [
 def erfc_eval(x: float) -> float:
     """Complementary error function erfc(x) = (2/sqrt(pi)) int_x^inf e^{-xi^2} dxi.
 
-    Delegates to the platform's correctly rounded implementation, which
-    meets the 1e-14 relative-accuracy contract for |x| <= 26, satisfies
+    Delegates to math.erfc, the C library's scalar erfc, which meets the
+    1e-14 relative-accuracy contract for |x| <= 26, satisfies
     erfc(-x) = 2 - erfc(x), and underflows smoothly to 0 for large x
-    (erfc(30) is below 1e-300 in double precision). NaN is rejected rather
-    than propagated.
+    (erfc(30) is below 1e-300 in double precision). The array kernels of
+    eta and the collar integrals use cyleta._special.erfc instead. NaN is
+    rejected rather than propagated.
     """
     x = float(x)
     if math.isnan(x):

@@ -25,7 +25,9 @@ Conventions baked into the container:
   hashing are those of the object; validation errors name the first
   offending record or rank,
 * the first read of ``floor_analysis`` keeps a FloorAnalysis of scalars in
-  the instance dict; fields, arrays, equality and hashing stay as they are.
+  the instance dict, and the first read of ``modes`` keeps three read-only
+  float64 arrays there (24 bytes a mode); fields, arrays, equality and
+  hashing stay as they are.
 """
 
 from __future__ import annotations
@@ -36,12 +38,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 import numpy as np
-from scipy import special
 
 from ._json import JsonFields
+from ._special import erfc, gammaincc
 from .errors import DomainError, InvalidSpectrumError, InvalidTraceError
 
 __all__ = [
@@ -207,9 +209,15 @@ class BoundarySpectrum:
         """The resolved-floor decision, made on the first read and kept."""
         return _analyse_floor(self)
 
+    @cached_property
+    def modes(self) -> _Modes:
+        """The per-mode arrays of eta and the collar integrals, made on the
+        first read and kept, so that every query shares one erfc pass."""
+        return _mode_arrays(self)
+
     def rank_below(self, cutoff: float) -> int:
         """Number of modes with |lambda| <= cutoff."""
-        return int(np.abs(self.lams).searchsorted(cutoff, side="right"))
+        return int(self.modes.abs_l.searchsorted(cutoff, side="right"))
 
     def __len__(self) -> int:
         return self.lams.size
@@ -248,6 +256,27 @@ def _analyse_floor(spectrum: BoundarySpectrum) -> FloorAnalysis:
         skipped_segment=0.0 if floor is None
         else 2.0 / math.sqrt(math.pi) * trace * math.sqrt(floor),
         trace_mass=float(size.sum()))
+
+
+class _Modes(NamedTuple):
+    """|lam|, sgn lam and erfc(|lam| sqrt(s_f)) at the resolved floor s_f,
+    or None for erfc when the floor is refused; read-only arrays."""
+
+    abs_l: np.ndarray
+    sgn: np.ndarray
+    erfc: np.ndarray | None
+
+
+def _mode_arrays(spectrum: BoundarySpectrum) -> _Modes:
+    """The _Modes of a spectrum, from one erfc pass."""
+    lams, floor = spectrum.lams, spectrum.floor_analysis.floor
+    abs_l = np.abs(lams)
+    modes = _Modes(abs_l, np.sign(lams),
+                   None if floor is None else erfc(abs_l * math.sqrt(floor)))
+    for array in modes:
+        if array is not None:
+            array.flags.writeable = False
+    return modes
 
 
 @dataclass(frozen=True)
@@ -408,7 +437,7 @@ def _monomial_tail(coeff: float, p: float, q: float, beta: float,
     if log_integral_cap > 700.0:
         return math.inf
     y = beta * start**q
-    integral = math.exp(log_integral_cap) * float(special.gammaincc(shape, y))
+    integral = math.exp(log_integral_cap) * gammaincc(shape, y)
 
     x_at = start
     if p > 0.0:

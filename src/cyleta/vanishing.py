@@ -36,9 +36,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import erfcx as _erfcx_arr
 
 from ._json import JsonFields
+from ._special import erfcx as _erfcx_arr
 from .errors import DomainError
 from .spectral import BoundarySpectrum
 

@@ -28,7 +28,8 @@ Contents:
 * ``spectral_tails`` and ``dirichlet_tails``: the per-mode closed forms
   of the same collar integrals, every factor evaluated on every mode.
   The runtime evaluates the collar factors only where they do not
-  underflow and must match these bit for bit.
+  underflow. Given the runtime's own erfc and erfcx in place of scipy's,
+  it must match these bit for bit.
 """
 
 from __future__ import annotations
@@ -293,11 +294,13 @@ def collar_integral_by_quadrature(lams, traces, a_prime: float,
     return _quad_complex(integrand, lo, hi, points)
 
 
-def spectral_tails(lams, a_prime: float, T: float) -> np.ndarray:
+def spectral_tails(lams, a_prime: float, T: float, erfc=erfc,
+                   erfcx=erfcx) -> np.ndarray:
     """Per-mode int_T^inf of the spectral-condition diagonal, in closed form.
 
     For each mode: sgn(lam) [erfc(|lam| sqrt(T))
-    - erfcx(|lam| sqrt(T) + a'/sqrt(T)) e^{-lam^2 T - a'^2/T}] / 2.
+    - erfcx(|lam| sqrt(T) + a'/sqrt(T)) e^{-lam^2 T - a'^2/T}] / 2, with
+    the given erfc and erfcx, scipy's by default.
     """
     abs_l = np.abs(lams)
     sqrt_T = math.sqrt(T)
@@ -307,12 +310,14 @@ def spectral_tails(lams, a_prime: float, T: float) -> np.ndarray:
                                   - erfcx(z_plus) * np.exp(expo))
 
 
-def dirichlet_tails(lams, a_prime: float, T: float) -> np.ndarray:
+def dirichlet_tails(lams, a_prime: float, T: float, erfc=erfc,
+                    erfcx=erfcx) -> np.ndarray:
     """Per-mode int_T^inf of the Dirichlet-condition diagonal, in closed form.
 
     lam > 0 modes match the spectral-condition tail. On lam < 0 the
     primitive involves erfcx(|lam| sqrt(s) - a'/sqrt(s)); when that
     argument is negative the e^{-2 a' |lam|} (2 - erfc(...)) form is used.
+    erfc and erfcx are scipy's unless others are given.
     """
     abs_l = np.abs(lams)
     sqrt_T = math.sqrt(T)

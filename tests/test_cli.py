@@ -223,12 +223,47 @@ def test_relative_needs_two_files(capsys, tmp_path):
 # module entry point
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
-    # Only the quadrature verifiers of the vanishing module need
-    # scipy.integrate, and they import it when called.
+# Runs in a fresh interpreter: every subcommand but verify-vanishing, which
+# must leave scipy unloaded, then verify-vanishing, whose quadrature loads
+# scipy.integrate when it is called.
+_SCIPY_PROBE = """
+import contextlib, io, sys
+import cyleta.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = cyleta.cli.main(argv)
+    assert status == 0, (argv, status)
+
+assert not scipy_modules(), scipy_modules()
+first, second = sys.argv[1:]
+circle = ["--twist", "0.25", "--n-max", "200"]
+for argv in (
+        ["eta", *circle], ["eta", "--spectrum", first],
+        ["contribution", *circle, "--a-prime", "0.3", "--a-prime", "0.8"],
+        ["dirichlet-variant", "--spectrum", first, "--a-prime", "0.5"],
+        ["index", *circle, "--as-term", "0.25"],
+        ["index", *circle, "--as-term", "0.25,0", "--a-prime", "0.5",
+         "--g-identity"],
+        ["relative", "--spectrum", first, "--spectrum", second,
+         "--a-prime", "0.5", "--as-term", "1", "--as-term", "0,1"],
+        ["verify-identities"]):
+    run(argv)
+    assert not scipy_modules(), (argv, scipy_modules())
+run(["verify-vanishing", *circle, "--a-prime", "0.5"])
+assert "scipy.integrate" in sys.modules
+"""
+
+
+def test_cli_leaves_scipy_unloaded(tmp_path):
+    paths = [tmp_path / "one.json", tmp_path / "two.json"]
+    dump_spectrum(circle_spectrum(0.25, 0.7, 200), paths[0])
+    dump_spectrum(circle_spectrum(0.6, 0.0, 150), paths[1])
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import cyleta.cli, sys; assert 'scipy.integrate' not in sys.modules"],
+        [sys.executable, "-c", _SCIPY_PROBE, *map(str, paths)],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 

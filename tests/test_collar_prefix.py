@@ -4,7 +4,10 @@ of oracles.py bit for bit.
 
 Past the prefix e^{-lam^2 T - a'^2/T} and e^{-2 a' |lam|} are exact zeros,
 so dropping them changes nothing. The comparisons below use exact equality
-(np.array_equal and ==), which lets only the sign of a zero differ. Collars
+(np.array_equal and ==), which lets only the sign of a zero differ; the
+oracles are handed cyleta's own erfc and erfcx for them, so that equality
+tests the prefix and not the kernels. The public values are also checked
+against the oracles with scipy's kernels, within their est_error. Collars
 are drawn so that a'^2/T lands below 700 (every mode live on a spectrum
 that ends near 1/sqrt(T)), in (700, 746) (a partial prefix) and above 746
 (an empty prefix), and so that 2 a' |lam| crosses 746 inside the spectrum.
@@ -14,13 +17,15 @@ import math
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
-from scipy.special import erfc
+from scipy.special import erfc as scipy_erfc, erfcx as scipy_erfcx
 
 from cyleta import (circle_spectrum, contribution,
                     dirichlet_variant_contribution, resolved_floor)
+from cyleta._special import erfc, erfcx
 from cyleta.contribution import (_collar_damping, _dirichlet_damping,
-                                 _dirichlet_tails, _spectral_tails)
-from cyleta.eta import _Modes, _modes
+                                 _dirichlet_tails, _dirichlet_variant_detailed,
+                                 _spectral_tails)
+from cyleta.spectral import _Modes
 
 from oracles import dirichlet_tails, spectral_tails
 from test_closed_forms import circles, finite_spectra
@@ -67,17 +72,17 @@ def _check_tails(spectrum, a_prime, T):
     modes = _modes_at(spectrum, T)
     _check_prefixes(modes.abs_l, a_prime, T)
     for runtime, oracle in ((_spectral_tails(modes, a_prime, T),
-                             spectral_tails(lams, a_prime, T)),
+                             spectral_tails(lams, a_prime, T, erfc, erfcx)),
                             (_dirichlet_tails(modes, a_prime, T),
-                             dirichlet_tails(lams, a_prime, T))):
+                             dirichlet_tails(lams, a_prime, T, erfc, erfcx))):
         assert np.array_equal(runtime, oracle)
         assert complex((traces * runtime).sum()) \
             == complex((traces * oracle).sum())
 
 
-def _check_public(spectrum, a_prime):
-    """contribution and the Dirichlet variant against the full-array
-    forms at the resolved floor, or the s -> 0 limits when it is refused."""
+def _full_arrays(spectrum, a_prime, kernels):
+    """The spectral and Dirichlet sums of the full-array forms at the
+    resolved floor, or of the s -> 0 limits when it is refused."""
     lams, traces = spectrum.lams, spectrum.traces
     floor = resolved_floor(spectrum)
     if floor is None:
@@ -86,12 +91,25 @@ def _check_public(spectrum, a_prime):
         dirichlet = half + traces * np.where(
             lams < 0.0, np.exp(-2.0 * a_prime * np.abs(lams)), 0.0)
     else:
-        spectral = traces * spectral_tails(lams, a_prime, floor)
-        dirichlet = traces * dirichlet_tails(lams, a_prime, floor)
-    assert contribution(spectrum, a_prime).direct_value \
-        == -complex(spectral.sum())
-    assert dirichlet_variant_contribution(spectrum, a_prime) \
-        == -complex(dirichlet.sum())
+        spectral = traces * spectral_tails(lams, a_prime, floor, *kernels)
+        dirichlet = traces * dirichlet_tails(lams, a_prime, floor, *kernels)
+    return complex(spectral.sum()), complex(dirichlet.sum())
+
+
+def _check_public(spectrum, a_prime):
+    """contribution and the Dirichlet variant against the full-array
+    forms: exactly with cyleta's kernels, within est_error with scipy's."""
+    report = contribution(spectrum, a_prime)
+    dirichlet, dirichlet_err = _dirichlet_variant_detailed(spectrum, a_prime)
+    spectral_sum, dirichlet_sum = _full_arrays(spectrum, a_prime,
+                                               (erfc, erfcx))
+    assert report.direct_value == -spectral_sum
+    assert dirichlet_variant_contribution(spectrum, a_prime) == dirichlet \
+        == -dirichlet_sum
+    spectral_sum, dirichlet_sum = _full_arrays(spectrum, a_prime,
+                                               (scipy_erfc, scipy_erfcx))
+    assert abs(report.direct_value + spectral_sum) <= report.est_error
+    assert abs(dirichlet + dirichlet_sum) <= dirichlet_err
 
 
 @PROPERTY
@@ -117,7 +135,7 @@ def test_partial_prefixes_match_full_arrays():
     # of this circle; 2 a' |lam| = 746 at |lam| = 1000 splits it too.
     spectrum = circle_spectrum(0.3, 0.7, 2000)
     floor = resolved_floor(spectrum)
-    modes = _modes(spectrum)
+    modes = spectrum.modes
     a_prime = math.sqrt(720.0 * floor)
     live = _collar_damping(modes.abs_l, a_prime, floor).size
     assert 0 < live < len(spectrum)

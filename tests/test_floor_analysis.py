@@ -111,14 +111,21 @@ def test_the_record_leaves_identity_hashing_and_arrays_alone():
         analysis.floor = None
 
 
-def test_only_scalars_are_kept():
+def test_only_scalars_and_the_mode_arrays_are_kept():
     spectrum = circle_spectrum(0.25, 0.7, 500)
     eta_invariant(spectrum)
     contribution(spectrum, 0.5)
     kept = set(vars(spectrum)) - {f.name for f in dataclasses.fields(spectrum)}
-    assert kept == {"floor_analysis"}
+    assert kept == {"floor_analysis", "modes"}
     values = dataclasses.astuple(spectrum.floor_analysis)
     assert all(type(v) is float for v in values)
+    assert spectrum.floor_analysis.floor is not None
+    for array in spectrum.modes:
+        assert type(array) is np.ndarray and array.dtype == np.float64
+        assert array.shape == (len(spectrum),)
+        assert not array.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spectrum.modes = None
 
 
 def test_fields_match_an_independent_pass():
