@@ -30,6 +30,12 @@ Contents:
   The runtime evaluates the collar factors only where they do not
   underflow. Given the runtime's own erfc and erfcx in place of scipy's,
   it must match these bit for bit.
+* ``per_mode_difference_by_quad`` and ``dominator_integrals_by_quad``:
+  the integrals behind the vanishing verifier, by adaptive quadrature in
+  s, each with quad's error estimate.
+* ``closed_form_partial``: the closed-form regularized vanishing sum at
+  one t, every factor evaluated on every mode; the same bit-for-bit role
+  as the tails above.
 """
 
 from __future__ import annotations
@@ -217,21 +223,28 @@ def contribution_by_double_quadrature(lam: float, a_prime: float,
 # integrals run in u = sqrt(s), which removes the s^{-1/2} endpoint
 # singularity, from sqrt(s_lo) to the point where every mode's Gaussian
 # e^{-lam^2 u^2} is below e^{-50}; each mode's remainder beyond it is below
-# erfc(sqrt(50)) < 1e-22 and is dropped. The interval is split at the
+# erfc(sqrt(50)) < 1e-22 and is dropped. The interval is cut at the
 # dyadic multiples of 1/max|lam|, so every mode's scale sees its own
-# subintervals.
+# pieces, and each piece gets a quad call of its own. A single call over
+# the whole range, with the cuts as breakpoints, must meet its tolerance
+# on a total whose pieces cancel, and reports roundoff on spectra such as
+# lams [1, -2, -3, -4, 5].
 
 _OUTER_EXPONENT = 50.0
 
 
 def _quad_complex(f, lo: float, hi: float, points) -> tuple[complex, float]:
-    out = []
-    for part in (lambda u: f(u).real, lambda u: f(u).imag):
-        val, err = quad(part, lo, hi, points=points, epsabs=1e-14,
-                        epsrel=1e-12, limit=2000)
-        out.append((val, err))
-    (re, re_err), (im, im_err) = out
-    return complex(re, im), re_err + im_err
+    """int_lo^hi f(u) du, one quad call per piece between the points."""
+    edges = [lo, *points, hi]
+    value, error = 0j, 0.0
+    for a, b in zip(edges, edges[1:]):
+        for unit, part in ((1.0, lambda u: f(u).real),
+                           (1j, lambda u: f(u).imag)):
+            val, err = quad(part, a, b, epsabs=1e-14, epsrel=1e-12,
+                            limit=2000)
+            value += unit * val
+            error += err
+    return value, error
 
 
 def _u_range(lams: np.ndarray, s_lo: float):
@@ -244,7 +257,7 @@ def _u_range(lams: np.ndarray, s_lo: float):
         if u > lo:
             points.append(u)
         u *= 2.0
-    return lo, max(hi, 2.0 * lo), points or None
+    return lo, max(hi, 2.0 * lo), points
 
 
 def eta_by_quadrature(lams, traces, s_lo: float = 0.0
@@ -333,3 +346,74 @@ def dirichlet_tails(lams, a_prime: float, T: float, erfc=erfc,
     neg = -0.5 * erfc_T + np.where(v >= 0.0, branch_pos_v, branch_neg_v)
 
     return np.where(lams > 0.0, pos, neg)
+
+
+# ---------------------------------------------------------------------------
+# The vanishing verifier's integrals by adaptive quadrature in s, on the
+# kernel k(s) = e^{-lam^2 s - a'^2/s} s^{-1/2}.
+
+def _k_quad(lam2: float, a2: float, lo: float, hi: float
+            ) -> tuple[float, float]:
+    def k(s: float) -> float:
+        if s <= 0.0:
+            return 0.0
+        expo = -lam2 * s - a2 / s
+        return math.exp(expo) / math.sqrt(s) if expo > -745.0 else 0.0
+
+    return quad(k, lo, hi, epsabs=1e-14, epsrel=1e-12, limit=500)
+
+
+def per_mode_difference_by_quad(lam: float, a_prime: float, t: float
+                                ) -> tuple[float, float]:
+    """d(t, lam) = int_0^{a'^2/(lam^2 t)} k ds - int_t^inf k ds.
+
+    The second integral stops at X = max(40/lam^2, 2t); what it drops is
+    at most sqrt(pi)/|lam| erfc(|lam| sqrt(X)), which joins the error.
+    Returns (value, error estimate).
+    """
+    lam2, a2 = lam * lam, a_prime * a_prime
+    first, first_err = _k_quad(lam2, a2, 0.0, a2 / (lam2 * t))
+    x_cut = max(40.0 / lam2, 2.0 * t)
+    second, second_err = _k_quad(lam2, a2, t, x_cut)
+    dropped = math.sqrt(math.pi) / abs(lam) * float(
+        erfc(abs(lam) * math.sqrt(x_cut)))
+    return first - second, first_err + second_err + dropped
+
+
+def dominator_integrals_by_quad(t: float, abs_lambda: float, a_prime: float
+                                ) -> tuple[tuple[float, float],
+                                           tuple[float, float]]:
+    """int_0^t e^{-a'^2/s} s^{-1} (1 - a'/(|lam| s))^2 ds and
+    int_0^1 e^{-a'^2/s} s^{-1/2} ds, as ((values), (error estimates))."""
+    a2 = a_prime * a_prime
+
+    def inner(s: float) -> float:
+        if s <= 0.0 or a2 / s > 745.0:
+            return 0.0
+        return math.exp(-a2 / s) / s * (1.0 - a_prime / (abs_lambda * s)) ** 2
+
+    def head(s: float) -> float:
+        if s <= 0.0 or a2 / s > 745.0:
+            return 0.0
+        return math.exp(-a2 / s) / math.sqrt(s)
+
+    (v1, e1), (v2, e2) = (quad(f, 0.0, hi, epsabs=1e-14, epsrel=1e-12,
+                               limit=500)
+                          for f, hi in ((inner, t), (head, 1.0)))
+    return (v1, v2), (e1, e2)
+
+
+def closed_form_partial(lams, traces, a_prime: float, t: float,
+                        erfcx=erfcx) -> complex:
+    """sum_j lam_j a_j d(t, lam_j) from the closed form of d.
+
+    lam d(t, lam) = -sqrt(pi) sgn(lam) erfcx(|lam| sqrt(t) + a'/sqrt(t))
+    e^{-lam^2 t - a'^2/t}, with the given erfcx, scipy's by default.
+    """
+    abs_l = np.abs(lams)
+    sqrt_t = math.sqrt(t)
+    z = abs_l * sqrt_t + a_prime / sqrt_t
+    expo = -(lams * lams) * t - (a_prime * a_prime) / t
+    terms = traces * (-math.sqrt(math.pi)) * np.sign(lams) * erfcx(z) \
+        * np.exp(expo)
+    return complex(terms.sum())

@@ -1,11 +1,14 @@
 """Command-line interface: JSON envelopes, exit codes, file output."""
 
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import cyleta
 from cyleta import circle_spectrum, dump_spectrum, from_records
 from cyleta.cli import main
 
@@ -223,22 +226,19 @@ def test_relative_needs_two_files(capsys, tmp_path):
 # module entry point
 
 
-# Runs in a fresh interpreter: every subcommand but verify-vanishing, which
-# must leave scipy unloaded, then verify-vanishing, whose quadrature loads
-# scipy.integrate when it is called.
+# Runs in a fresh interpreter with scipy blocked, so that any attempt to
+# import it raises ImportError: all seven subcommands must still succeed,
+# and none may leave a scipy module behind.
 _SCIPY_PROBE = """
 import contextlib, io, sys
+sys.modules["scipy"] = None
 import cyleta.cli
-
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
 def run(argv):
     with contextlib.redirect_stdout(io.StringIO()):
         status = cyleta.cli.main(argv)
     assert status == 0, (argv, status)
 
-assert not scipy_modules(), scipy_modules()
 first, second = sys.argv[1:]
 circle = ["--twist", "0.25", "--n-max", "200"]
 for argv in (
@@ -250,11 +250,12 @@ for argv in (
          "--g-identity"],
         ["relative", "--spectrum", first, "--spectrum", second,
          "--a-prime", "0.5", "--as-term", "1", "--as-term", "0,1"],
-        ["verify-identities"]):
+        ["verify-identities"],
+        ["verify-vanishing", *circle, "--a-prime", "0.5"],
+        ["verify-vanishing", "--spectrum", first, "--a-prime", "2"]):
     run(argv)
-    assert not scipy_modules(), (argv, scipy_modules())
-run(["verify-vanishing", *circle, "--a-prime", "0.5"])
-assert "scipy.integrate" in sys.modules
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert loaded == ["scipy"] and sys.modules["scipy"] is None, loaded
 """
 
 
@@ -266,6 +267,23 @@ def test_cli_leaves_scipy_unloaded(tmp_path):
         [sys.executable, "-c", _SCIPY_PROBE, *map(str, paths)],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_no_module_of_the_package_imports_scipy():
+    package = Path(cyleta.__file__).parent
+    imported = {}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            imported.update((name, path.name) for name in names
+                            if name.split(".")[0] == "scipy")
+    assert len(list(package.glob("*.py"))) >= 10
+    assert imported == {}
 
 
 def test_module_invocation():

@@ -6,11 +6,14 @@ integrates the spectral sums numerically over every heat time from the
 same lower limit (the resolved floor, or 0 when it is refused). Inputs are
 random finite spectra with mixed signs, multiplicities and complex traces,
 and twisted circles large enough for the resolved floor to be used.
+The oracle's roundoff warning is an error here: its error estimate joins
+every tolerance, so it must be one to trust.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyleta import (
@@ -24,6 +27,9 @@ from cyleta import (
 from cyleta.contribution import _dirichlet_variant_detailed
 
 from oracles import collar_integral_by_quadrature, eta_by_quadrature
+
+pytestmark = pytest.mark.filterwarnings(
+    "error::scipy.integrate.IntegrationWarning")
 
 # The oracle's own error estimate must stay below this, so that adding it
 # to the tolerance cannot make a comparison vacuous.

@@ -1,6 +1,7 @@
 """Regularized vanishing sums, their certificate, and the dual evaluation
-routes (closed form against adaptive quadrature); and that no runtime
-computation evaluates the vanishing term."""
+routes (closed form against the Gauss-Legendre rule, and the rule against
+scipy's adaptive quadrature); and that no runtime computation evaluates
+the vanishing term."""
 
 import json
 import math
@@ -26,9 +27,24 @@ from cyleta import (
     vanishing_term_detailed,
     verify_vanishing,
 )
+from cyleta._special import erfcx as cyleta_erfcx
 from cyleta.cli import main
+from cyleta.vanishing import (_NEGLIGIBLE, _differences,
+                              _dominator_integrals, _mode_envelopes)
 
+from oracles import (closed_form_partial, dominator_integrals_by_quad,
+                     per_mode_difference_by_quad)
 from test_closed_forms import PROPERTY, finite_spectra
+
+# The grids the CLI and the benchmark reach: collars in [1, 3], the default
+# t-sequence, and 4001-mode circles at the identity and at rotation angles
+# in [0.55, 0.85].
+BENCH_COLLARS = (1.0, 1.37, 2.2, 3.0)
+DEFAULT_TS = VanishingTermConfig(a_prime=1.0).t_sequence
+BENCH_CIRCLES = [(0.25, 0.0), (0.37, 0.55), (0.81, 0.7), (0.6, 0.85)]
+
+oracle_warnings_are_errors = pytest.mark.filterwarnings(
+    "error::scipy.integrate.IntegrationWarning")
 
 
 def _single(lam=1.0):
@@ -111,6 +127,22 @@ def test_partials_are_bounded_and_end_in_exact_zeros(spectrum, a_prime):
     assert res.est_error == 0.0
 
 
+@pytest.mark.parametrize("n_max", [2000, 20000])
+@pytest.mark.parametrize("a_prime", [0.05, 0.5, 0.84, 2.0])
+def test_partials_match_the_full_array_evaluation(n_max, a_prime):
+    # Only the modes whose exponent stays above -746 are evaluated; every
+    # partial must still be the full-array sum bit for bit. At a' = 0.84
+    # the level t = 2^-10 has a'^2/t = 722.5, so all of its terms are
+    # subnormal and a prefix cut short of -746 shows.
+    for angle in (0.0, 0.7):
+        spectrum = circle_spectrum(0.25, angle, n_max)
+        res = vanishing_term_detailed(spectrum, a_prime)
+        want = [closed_form_partial(spectrum.lams, spectrum.traces, a_prime,
+                                    2.0 ** -k, cyleta_erfcx)
+                for k in range(len(res.partials))]
+        assert [repr(p) for p in res.partials] == [repr(w) for w in want]
+
+
 def test_runtime_never_evaluates_the_vanishing_term(monkeypatch, capsys,
                                                     tmp_path):
     def evaluated(*args):
@@ -180,6 +212,126 @@ def test_dominator_bounds_the_difference():
         assert lhs <= f * math.exp(-a_prime * lam / 2.0)
 
 
+def _kept_lams(twist, angle, a_prime, t):
+    """The modes verify_vanishing evaluates on a 4001-mode circle."""
+    spectrum = circle_spectrum(twist, angle, 2000)
+    weights = np.abs(spectrum.traces)
+    kept = _mode_envelopes(spectrum.lams, a_prime, t) * weights \
+        > _NEGLIGIBLE * weights.sum()
+    return spectrum.lams[kept]
+
+
+def test_rule_estimate_covers_its_gap_to_the_closed_form():
+    lams = np.concatenate([np.geomspace(0.05, 1000.0, 50),
+                           -np.geomspace(0.07, 700.0, 20)])
+    worst = 0.0
+    for a_prime in np.geomspace(0.02, 10.0, 12):
+        for t in np.geomspace(0.005, 1.0, 12):
+            d, err = _differences(lams, a_prime, t)
+            gap = np.abs(d - np.array([_closed_form_d(lam, a_prime, t)
+                                       for lam in lams]))
+            assert (gap <= err).all(), (a_prime, t, lams[gap > err])
+            worst = max(worst, float(gap.max()))
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("a_prime", BENCH_COLLARS)
+def test_rule_estimate_covers_the_closed_form_on_circle_modes(a_prime):
+    # At the larger collars no mode is kept at the smaller t: e^{-a'^2/t}
+    # is negligible on its own.
+    checked = 0
+    for twist, angle in BENCH_CIRCLES:
+        for t in DEFAULT_TS:
+            lams = _kept_lams(twist, angle, a_prime, t)
+            d, err = _differences(lams, a_prime, t)
+            want = np.array([_closed_form_d(lam, a_prime, t) for lam in lams])
+            assert (np.abs(d - want) <= err).all()
+            checked += lams.size
+    assert checked >= 50
+
+
+@oracle_warnings_are_errors
+@pytest.mark.parametrize("lam, a_prime, t", [
+    (1.0, 1.0, 1.0), (2.0, 0.5, 0.25), (0.5, 0.5, 0.01), (2.0, 1.0, 0.1),
+    (4.0, 0.5, 1.0), (-3.25, 0.02, 0.005), (0.05, 10.0, 1.0),
+    (1000.0, 0.02, 0.005), (1.0, 1e-170, 0.5)])
+def test_per_mode_difference_agrees_with_adaptive_quadrature(lam, a_prime,
+                                                             t):
+    (d,), (err,) = _differences(np.array([lam]), a_prime, t)
+    assert per_mode_difference(lam, a_prime, t) == d
+    want, want_err = per_mode_difference_by_quad(lam, a_prime, t)
+    assert abs(d - want) <= err + want_err
+
+
+def test_quadrature_route_never_calls_erfcx(monkeypatch):
+    def erfcx(*args):
+        raise AssertionError("the quadrature route used the closed form")
+
+    monkeypatch.setattr("cyleta.vanishing._erfcx_arr", erfcx)
+    spectrum = circle_spectrum(0.25, 0.7, 200)
+    verify_vanishing(spectrum, VanishingTermConfig(a_prime=0.5))
+    per_mode_difference(2.0, 0.5, 0.25)
+    dominator(0.1, 2.0, 1.0)
+    with pytest.raises(AssertionError):
+        vanishing_term_detailed(spectrum, 0.5)
+
+
+@oracle_warnings_are_errors
+@pytest.mark.parametrize("a_prime", BENCH_COLLARS)
+def test_circle_rows_agree_with_adaptive_quadrature(a_prime):
+    for twist, angle in BENCH_CIRCLES:
+        spectrum = circle_spectrum(twist, angle, 2000)
+        report = verify_vanishing(spectrum,
+                                  VanishingTermConfig(a_prime=a_prime))
+        for t, row in report.rows:
+            lams = _kept_lams(twist, angle, a_prime, t)
+            _, err = _differences(lams, a_prime, t)
+            by_lam = dict(zip(spectrum.lams.tolist(), spectrum.traces))
+            want, budget = 0j, 0.0
+            for lam, rule_err in zip(lams.tolist(), err):
+                d, quad_err = per_mode_difference_by_quad(lam, a_prime, t)
+                want += lam * by_lam[lam] * d
+                budget += abs(lam * by_lam[lam]) * (rule_err + quad_err)
+            assert abs(row - want) <= budget + 1e-15 * abs(want)
+
+
+def _dominator_cases():
+    cases = [(0.01, 0.5, 0.5), (0.1, 2.0, 1.0), (1.0, 4.0, 0.5),
+             (0.005, 0.05, 0.02), (1.0, 1000.0, 10.0)]
+    for a_prime in BENCH_COLLARS:
+        for t in DEFAULT_TS:
+            # the certificate's sample modes: rank 10000 of a 4001-mode
+            # circle is its last mode, and rank 100 of a 401-mode one
+            cases += [(t, 2000.25, a_prime), (t, 50.25, a_prime)]
+    return cases
+
+
+@oracle_warnings_are_errors
+@pytest.mark.parametrize("t, abs_lambda, a_prime", _dominator_cases())
+def test_dominator_agrees_with_adaptive_quadrature(t, abs_lambda, a_prime):
+    values, errors = _dominator_integrals(t, abs_lambda, a_prime)
+    want, want_errors = dominator_integrals_by_quad(t, abs_lambda, a_prime)
+    for value, err, other, other_err in zip(values, errors, want,
+                                            want_errors):
+        assert abs(value - other) <= err + other_err
+
+    # The same bound assembled from the oracle's integrals. |sqrt x -
+    # sqrt y| <= sqrt|x - y| carries the integral errors into f1; f2 is the
+    # peak of e^{-a'^2/(2s)} s^{-1/2} at s = min(a'^2, a'^2/(lam^2 t)).
+    (inner, head), (inner_err, head_err) = want, want_errors
+    lam2 = abs_lambda * abs_lambda
+    scale = a_prime / abs_lambda * math.exp(-a_prime * abs_lambda)
+    f1 = math.sqrt(scale * inner)
+    s_peak = min(a_prime * a_prime, a_prime * a_prime / (lam2 * t))
+    f2 = a_prime / abs_lambda * math.exp(-a_prime * a_prime / (2.0 * s_peak)) \
+        / math.sqrt(s_peak)
+    f3 = head + 2.0 * math.exp(-lam2 / 2.0) / lam2
+    budget = max(math.sqrt(scale * (inner_err + errors[0])),
+                 head_err + errors[1] + 1e-15 * f2)
+    assert abs(dominator(t, abs_lambda, a_prime) - max(f1, f2 + f3)) \
+        <= budget
+
+
 # ---------------------------------------------------------------------------
 # the spectrum-level verifier
 
@@ -216,6 +368,20 @@ def test_verify_vanishing_report_serializes():
     assert set(doc) == {"rows", "certificate_failures", "certified"}
     assert doc["rows"][0]["t"] == 0.5
     assert len(doc["rows"][0]["partial_sum"]) == 2
+
+
+@pytest.mark.parametrize("a_prime", ["1", "2.2", "3"])
+def test_verify_vanishing_passes_on_bench_circles(capsys, a_prime):
+    for twist, angle in BENCH_CIRCLES:
+        status = main(["verify-vanishing", "--twist", str(twist),
+                       "--rotation-angle", str(angle), "--n-max", "2000",
+                       "--a-prime", a_prime])
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert status == 0
+        assert set(result) == {"rows", "certificate_failures", "certified",
+                               "final_abs", "tolerance", "passed"}
+        assert result["passed"] is True
+        assert [row["t"] for row in result["rows"]] == list(DEFAULT_TS)
 
 
 def test_verify_vanishing_requires_config_type():
