@@ -30,7 +30,7 @@ from ._json import JsonFields
 from .contribution import ContributionReport, contribution
 from .errors import DomainError
 from .eta import eta_invariant
-from .spectral import BoundarySpectrum
+from .spectral import BoundarySpectrum, _kept
 
 __all__ = [
     "IndexReport",
@@ -82,12 +82,18 @@ def assemble_index(as_term: complex, report: ContributionReport,
         integrality_residual=residual)
 
 
+def _is_identity(spectrum: BoundarySpectrum) -> bool:
+    """Whether every stored trace equals its multiplicity."""
+    return bool((spectrum.traces == spectrum.multiplicity).all())
+
+
 def aps_index(spectrum: BoundarySpectrum, as_term: complex,
               g_is_identity: bool | None = None) -> IndexReport:
     """ind = as_term - eta/2, skipping the collar integral entirely.
 
     With g_is_identity=None the identity case is auto-detected from the
-    spectrum: every stored trace equal to its multiplicity.
+    spectrum: every stored trace equal to its multiplicity. Both eta and
+    that flag are kept with the spectrum, so a repeated call is O(1).
     """
     as_term = complex(as_term)
     eta_res = eta_invariant(spectrum)
@@ -95,7 +101,7 @@ def aps_index(spectrum: BoundarySpectrum, as_term: complex,
     contribution_value = -eta_half
     index_value = as_term + contribution_value
     if g_is_identity is None:
-        g_is_identity = bool((spectrum.traces == spectrum.multiplicity).all())
+        g_is_identity = _kept(spectrum, "identity", _is_identity)
     residual = _gaussian_integer_distance(index_value) if g_is_identity \
         else None
     return IndexReport(

@@ -18,18 +18,25 @@ depend on where the collar is cut.
 contribution() computes both sides separately: direct_value sums the
 closed-form per-mode integral of the whole bracket from the resolved floor
 of the eta invariant (erfc/erfcx expressions, or the s -> 0 limit
-sgn(lam)/2 when the floor is refused), while decomposed_value is -eta/2;
-both read the erfc(|lam| sqrt(s_f)) array that the spectrum keeps. The
+sgn(lam)/2 when the floor is refused), while decomposed_value is -eta/2,
+read from the eta sums the spectrum keeps. The
 vanishing piece is zero mode by mode, so it is not evaluated:
 vanishing_residual is an exact 0, kept for the JSON contract, and the
 vanishing module verifies the zero.
 The quadrature route of the same integrals lives in the test oracles.
 
-The collar factors e^{-lam^2 s_f - a'^2/s_f} and e^{-2 a' |lam|} fall with
-|lam|, by which the modes are sorted, so each is evaluated only on the
-prefix where its exponent stays above -746 (one searchsorted). Past it the
-factor is an exact 0.0 and is stored as one, so every value is unchanged
-bit for bit; at a'^2/s_f > 746 the first prefix is empty.
+Only the collar factors e^{-lam^2 s_f - a'^2/s_f} and e^{-2 a' |lam|}
+depend on a'. They fall with |lam|, by which the modes are sorted, so each
+lives only on the prefix where its exponent stays above -746 (one
+searchsorted); past it the factor is an exact 0.0 and the mode's tail is
+its collar-free one, sgn(lam) erfc(|lam| sqrt(s_f))/2. A query therefore
+starts from that collar-free array and overwrites only the live prefix
+with the full formula, which gives every per-mode term bit for bit. When
+no spectral collar factor lives (a'^2/s_f > 746) or the floor is refused,
+the spectral terms are the collar-free ones, whose sum and roundoff the
+spectrum keeps as two scalars in spectrum.collar_free: such a query
+builds no array. The Dirichlet factor lives up to |lam| = 373/a', so the
+Dirichlet variant always builds its terms.
 
 dirichlet_variant_contribution swaps the per-mode factor (a'/s - |lam|) in
 the vanishing piece for (sgn(lam) a'/s - |lam|), which is what imposing a
@@ -51,7 +58,7 @@ from ._json import JsonFields
 from ._special import erfc as _erfc_arr, erfcx as _erfcx_arr
 from .errors import DomainError
 from .eta import _roundoff, eta_invariant
-from .spectral import BoundarySpectrum, _Modes
+from .spectral import BoundarySpectrum, _Modes, _kept
 from .vanishing import _UNDERFLOW, _check_a_prime
 
 __all__ = [
@@ -106,18 +113,19 @@ def contribution_integrand(spectrum: BoundarySpectrum, a_prime: float,
     return complex((traces * np.exp(-s * lams * lams) * bracket).sum() * norm)
 
 
-def _on_prefix(head: np.ndarray, size: int) -> np.ndarray:
-    """head followed by exact zeros, size entries in all."""
-    return np.concatenate([head, np.zeros(size - head.size)])
+def _collar_reach(abs_l: np.ndarray, a_prime: float, T: float) -> int:
+    """The number of leading modes whose e^{-lam^2 T - a'^2/T} is not an
+    exact 0.0: its exponent stays above -_UNDERFLOW."""
+    offset = (a_prime * a_prime) / T
+    reach = math.sqrt(max(_UNDERFLOW - offset, 0.0) / T)
+    return int(abs_l.searchsorted(reach, side="right"))
 
 
 def _collar_damping(abs_l: np.ndarray, a_prime: float, T: float) -> np.ndarray:
     """e^{-lam^2 T - a'^2/T} on the leading modes whose exponent stays
     above -_UNDERFLOW; on every later mode it is an exact 0.0."""
-    offset = (a_prime * a_prime) / T
-    reach = math.sqrt(max(_UNDERFLOW - offset, 0.0) / T)
-    head = abs_l[:int(abs_l.searchsorted(reach, side="right"))]
-    return np.exp(-(head * head) * T - offset)
+    head = abs_l[:_collar_reach(abs_l, a_prime, T)]
+    return np.exp(-(head * head) * T - (a_prime * a_prime) / T)
 
 
 def _dirichlet_damping(abs_l: np.ndarray, a_prime: float) -> np.ndarray:
@@ -126,17 +134,36 @@ def _dirichlet_damping(abs_l: np.ndarray, a_prime: float) -> np.ndarray:
     return np.exp(-2.0 * a_prime * abs_l[:reach])
 
 
+def _collar_free(modes: _Modes) -> np.ndarray:
+    """sgn(lam) erfc(|lam| sqrt(s_f)) / 2: each mode's tail where its
+    collar factors are exact zeros, as a new array."""
+    return (modes.sgn * 0.5) * modes.erfc
+
+
+def _spectral_head(modes: _Modes, a_prime: float, T: float,
+                   expo: np.ndarray, size: int) -> np.ndarray:
+    """The spectral tails of the first size modes, given the collar
+    factors expo = _collar_damping(...) of the first expo.size <= size."""
+    sqrt_T = math.sqrt(T)
+    damped = np.zeros(size)
+    damped[:expo.size] = _erfcx_arr(
+        modes.abs_l[:expo.size] * sqrt_T + a_prime / sqrt_T) * expo
+    return (modes.sgn[:size] * 0.5) * (modes.erfc[:size] - damped)
+
+
 def _spectral_tails(modes: _Modes, a_prime: float, T: float) -> np.ndarray:
     """Per-mode int_T^inf of the spectral-condition diagonal, in closed form.
 
     For each mode: sgn(lam) [erfc(|lam| sqrt(T))
     - erfcx(|lam| sqrt(T) + a'/sqrt(T)) e^{-lam^2 T - a'^2/T}] / 2. The
     erfcx form keeps the evaluation exact and overflow-free for any lam.
+    Only the live prefix is evaluated; past it the collar factor is an
+    exact 0.0 and the tail is the collar-free one.
     """
-    abs_l, sqrt_T = modes.abs_l, math.sqrt(T)
-    expo = _collar_damping(abs_l, a_prime, T)
-    damped = _erfcx_arr(abs_l[:expo.size] * sqrt_T + a_prime / sqrt_T) * expo
-    return modes.sgn * 0.5 * (modes.erfc - _on_prefix(damped, abs_l.size))
+    expo = _collar_damping(modes.abs_l, a_prime, T)
+    tails = _collar_free(modes)
+    tails[:expo.size] = _spectral_head(modes, a_prime, T, expo, expo.size)
+    return tails
 
 
 def _dirichlet_tails(modes: _Modes, a_prime: float, T: float) -> np.ndarray:
@@ -146,18 +173,39 @@ def _dirichlet_tails(modes: _Modes, a_prime: float, T: float) -> np.ndarray:
     flip turns the combination into one whose primitive involves
     erfcx(|lam| sqrt(s) - a'/sqrt(s)); when that argument is negative the
     equivalent e^{-2 a' |lam|} (2 - erfc(...)) form is used so nothing
-    overflows.
+    overflows. Only the prefix where a collar factor lives is evaluated.
     """
     sqrt_T, expo = math.sqrt(T), _collar_damping(modes.abs_l, a_prime, T)
     neg_damp = _dirichlet_damping(modes.abs_l, a_prime)
-    v = modes.abs_l[:max(expo.size, neg_damp.size)] * sqrt_T - a_prime / sqrt_T
+    live = max(expo.size, neg_damp.size)
+    v = modes.abs_l[:live] * sqrt_T - a_prime / sqrt_T
     safe_v = np.where(v[:expo.size] >= 0.0, v[:expo.size], 0.0)
-    branch_pos_v = _on_prefix(0.5 * _erfcx_arr(safe_v) * expo, v.size)
-    branch_neg_v = _on_prefix(
-        0.5 * neg_damp * (2.0 - _erfc_arr(-v[:neg_damp.size])), v.size)
-    neg = -0.5 * modes.erfc + _on_prefix(
-        np.where(v >= 0.0, branch_pos_v, branch_neg_v), modes.erfc.size)
-    return np.where(modes.sgn > 0.0, _spectral_tails(modes, a_prime, T), neg)
+    branch_pos_v, branch_neg_v = np.zeros(live), np.zeros(live)
+    branch_pos_v[:expo.size] = 0.5 * _erfcx_arr(safe_v) * expo
+    branch_neg_v[:neg_damp.size] = \
+        0.5 * neg_damp * (2.0 - _erfc_arr(-v[:neg_damp.size]))
+    neg = -0.5 * modes.erfc[:live] + np.where(v >= 0.0, branch_pos_v,
+                                              branch_neg_v)
+    tails = _collar_free(modes)
+    tails += 0.0  # a lam < 0 tail is -erfc/2 + 0.0 there, never -0.0
+    tails[:live] = np.where(modes.sgn[:live] > 0.0,
+                            _spectral_head(modes, a_prime, T, expo, live), neg)
+    return tails
+
+
+def _summed(terms: np.ndarray) -> tuple[complex, float]:
+    """The sum of per-mode terms and its roundoff."""
+    return complex(terms.sum()), _roundoff(terms)
+
+
+def _spectral_sums(spectrum: BoundarySpectrum) -> tuple[complex, float]:
+    """The sum and roundoff of the spectral terms when every collar factor
+    is an exact 0.0: sgn(lam) a erfc(|lam| sqrt(s_f)) / 2 from the floor,
+    or the s -> 0 limit sgn(lam) a / 2 when it is refused."""
+    modes = spectrum.modes
+    if modes.erfc is None:
+        return _summed(0.5 * spectrum.traces * modes.sgn)
+    return _summed(spectrum.traces * _collar_free(modes))
 
 
 def _integral(spectrum: BoundarySpectrum, a_prime: float,
@@ -168,30 +216,35 @@ def _integral(spectrum: BoundarySpectrum, a_prime: float,
     s_f is the resolved floor of the eta invariant. When it is refused the
     integrals start at 0, where each mode gives sgn(lam)/2 plus the
     integral of its collar-dependent part (e^{-2 a' |lam|} on lam < 0 for
-    the Dirichlet bracket, else 0). The budget holds the roundoff, the eta
-    piece of the skipped segment [0, s_f] and a bound on the
-    collar-dependent part over that segment, which the cut removes too
-    although it has no truncation artifact: per mode at most
+    the Dirichlet bracket, else 0). The spectral bracket's sum is the
+    kept collar-free one whenever no collar factor lives. The budget holds
+    the roundoff, the eta piece of the skipped segment [0, s_f] and a
+    bound on the collar-dependent part over that segment, which the cut
+    removes too although it has no truncation artifact: per mode at most
     [erfc(a'/sqrt(s_f)) + e^{-a'^2/s_f}] / 2, the first from the a'/s
     term and the second from the |lam| term of the bracket.
     """
     traces, analysis, modes = (spectrum.traces, spectrum.floor_analysis,
                                spectrum.modes)
     floor = analysis.floor
+    if not dirichlet and (floor is None
+                          or not _collar_reach(modes.abs_l, a_prime, floor)):
+        total, roundoff = _kept(spectrum, "spectral", _spectral_sums)
+    elif floor is None:
+        damp = _dirichlet_damping(modes.abs_l, a_prime)
+        shift = np.zeros(traces.size)
+        shift[:damp.size] = np.where(modes.sgn[:damp.size] < 0.0, damp, 0.0)
+        total, roundoff = _summed(0.5 * traces * modes.sgn + traces * shift)
+    else:
+        tails = _dirichlet_tails if dirichlet else _spectral_tails
+        total, roundoff = _summed(traces * tails(modes, a_prime, floor))
     if floor is None:
-        terms = 0.5 * traces * modes.sgn
-        if dirichlet:
-            damp = _dirichlet_damping(modes.abs_l, a_prime)
-            terms = terms + traces * _on_prefix(np.where(
-                modes.sgn[:damp.size] < 0.0, damp, 0.0), traces.size)
-        return complex(terms.sum()), _roundoff(terms)
-    tails = _dirichlet_tails if dirichlet else _spectral_tails
-    terms = traces * tails(modes, a_prime, floor)
+        return total, roundoff
     collar_cut = 0.5 * (math.erfc(a_prime / math.sqrt(floor))
                         + math.exp(-a_prime * a_prime / floor))
-    est = (_roundoff(terms) + 0.5 * analysis.skipped_segment
+    est = (roundoff + 0.5 * analysis.skipped_segment
            + collar_cut * analysis.trace_mass)
-    return complex(terms.sum()), est
+    return total, est
 
 
 def contribution(spectrum: BoundarySpectrum, a_prime: float,

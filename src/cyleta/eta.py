@@ -24,7 +24,10 @@ spectral tail bound at 40/Lambda^2.
 The floor is analysed once per spectrum: one heat-trace pass decides it and
 prices the skipped segment, and that FloorAnalysis serves every query. The
 erfc(|lam_j| sqrt(s_f)) array is made once per spectrum too, and kept with
-it as spectrum.modes.
+it as spectrum.modes. eta does not depend on any collar, so its sum, the
+roundoff of that sum and truncation_error are made by the spectrum's first
+eta query and kept as three scalars in spectrum.collar_free; every later
+eta_invariant, aps_index or contribution reads them in O(1).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import numpy as np
 
 from ._json import JsonFields
 from .errors import DomainError
-from .spectral import BoundarySpectrum, tail_bound
+from .spectral import BoundarySpectrum, _kept, tail_bound
 
 __all__ = [
     "EtaResult",
@@ -82,21 +85,27 @@ class EtaResult(JsonFields):
     truncation_error: float
 
 
+def _eta_sums(spectrum: BoundarySpectrum) -> tuple[complex, float, float]:
+    """eta's value, the roundoff of its sum and its truncation_error."""
+    modes = spectrum.modes
+    terms = spectrum.traces * modes.sgn
+    if modes.erfc is not None:
+        terms = terms * modes.erfc
+    trunc = tail_bound(spectrum, spectrum.floor_analysis.candidate, 0.0).bound
+    return complex(terms.sum()), _roundoff(terms), trunc
+
+
 def eta_invariant(spectrum: BoundarySpectrum) -> EtaResult:
     """eta = sum_j a_j sgn(lam_j) erfc(|lam_j| sqrt(s_f)), with s_f the
     resolved floor, or sum_j a_j sgn(lam_j) when the floor is refused.
 
-    All-real traces give an exactly real value, so identity-like group
-    elements stay exactly real.
+    The sums are made on the spectrum's first query and kept. All-real
+    traces give an exactly real value, so identity-like group elements
+    stay exactly real.
     """
-    analysis, modes = spectrum.floor_analysis, spectrum.modes
-    terms = spectrum.traces * modes.sgn
-    if modes.erfc is not None:
-        terms = terms * modes.erfc
-    est = _roundoff(terms) + analysis.skipped_segment
-    trunc = tail_bound(spectrum, analysis.candidate, 0.0).bound
-    return EtaResult(value=complex(terms.sum()), est_error=est,
-                     truncation_error=trunc)
+    value, roundoff, trunc = _kept(spectrum, "eta", _eta_sums)
+    est = roundoff + spectrum.floor_analysis.skipped_segment
+    return EtaResult(value=value, est_error=est, truncation_error=trunc)
 
 
 def eta_circle_oracle(twist: float) -> float:

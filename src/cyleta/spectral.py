@@ -25,9 +25,11 @@ Conventions baked into the container:
   hashing are those of the object; validation errors name the first
   offending record or rank,
 * the first read of ``floor_analysis`` keeps a FloorAnalysis of scalars in
-  the instance dict, and the first read of ``modes`` keeps three read-only
-  float64 arrays there (24 bytes a mode); fields, arrays, equality and
-  hashing stay as they are.
+  the instance dict, the first read of ``modes`` keeps three read-only
+  float64 arrays there (24 bytes a mode), and ``collar_free`` keeps the
+  sums that no collar changes as Python scalars, each made by the first
+  query that needs it; fields, arrays, equality and hashing stay as they
+  are.
 """
 
 from __future__ import annotations
@@ -215,6 +217,15 @@ class BoundarySpectrum:
         first read and kept, so that every query shares one erfc pass."""
         return _mode_arrays(self)
 
+    @cached_property
+    def collar_free(self) -> dict:
+        """The sums that no collar changes, by name, as Python scalars and
+        tuples of them: eta's, the spectral kernel's collar-free terms and
+        the identity flag. Each is made by the first query that needs it,
+        through _kept(), and serves every later query in O(1); no per-mode
+        array is kept here."""
+        return {}
+
     def rank_below(self, cutoff: float) -> int:
         """Number of modes with |lambda| <= cutoff."""
         return int(self.modes.abs_l.searchsorted(cutoff, side="right"))
@@ -258,9 +269,18 @@ def _analyse_floor(spectrum: BoundarySpectrum) -> FloorAnalysis:
         trace_mass=float(size.sum()))
 
 
+def _kept(spectrum: BoundarySpectrum, name: str, compute):
+    """spectrum.collar_free[name], made by compute(spectrum) on first use."""
+    store = spectrum.collar_free
+    if name not in store:
+        store[name] = compute(spectrum)
+    return store[name]
+
+
 class _Modes(NamedTuple):
     """|lam|, sgn lam and erfc(|lam| sqrt(s_f)) at the resolved floor s_f,
-    or None for erfc when the floor is refused; read-only arrays."""
+    or None for erfc when the floor is refused; read-only arrays. These are
+    the only per-mode arrays a spectrum keeps beside its own three."""
 
     abs_l: np.ndarray
     sgn: np.ndarray

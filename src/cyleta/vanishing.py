@@ -74,6 +74,13 @@ _ORDERS = (48, 96)
 _EPS = sys.float_info.epsilon
 _TINY = sys.float_info.min
 
+# dominator's domain: |lam| a' at least _SMALLEST_LAM_COLLAR keeps every
+# sample of f1's integral (about 4e8 / (|lam| a')^2, times the rule's
+# half-width and 1 + |exponent|) below 1e306, and a' at least
+# _SMALLEST_COLLAR keeps a'^2 a normal double and t/a'^2 finite.
+_SMALLEST_LAM_COLLAR = 1e-145
+_SMALLEST_COLLAR = 1e-150
+
 
 def _check_a_prime(a_prime: float) -> float:
     a_prime = float(a_prime)
@@ -271,42 +278,25 @@ def per_mode_difference(lam: float, a_prime: float, t: float) -> float:
     return float(value[0])
 
 
-def _golden_max(func, lo: float, hi: float) -> float:
-    """Maximum of a unimodal function on [lo, hi] by golden-section search."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = func(c), func(d)
-    for _ in range(200):
-        if b - a <= 1e-13 * (abs(a) + abs(b)) + 1e-300:
-            break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = func(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = func(d)
-    return max(fc, fd)
-
-
 def _dominator_integrals(t: float, abs_lambda: float, a_prime: float,
                          ) -> tuple[tuple[float, float], tuple[float, float]]:
     """The integrals inside f1 and f3 of the dominator, and their errors.
 
     int_0^t e^{-a'^2/s} s^{-1} (1 - a'/(|lam| s))^2 ds and
     int_0^1 e^{-a'^2/s} s^{-1/2} ds, by _log_rule from s = a'^2/_UNDERFLOW,
-    below which both integrands are exact zeros.
+    below which both integrands are exact zeros. The first is taken in
+    r = s/a'^2, where ds/s = dr/r and it reads
+    int e^{-1/r} r^{-1} (1 - kappa/r)^2 dr with kappa = 1/(|lam| a'): its
+    samples stay below about 4e8 kappa^2, where those in s reach about
+    4e8 / (lam^2 a'^4) and overflow for a' below about 1e-75.
     """
     a2 = a_prime * a_prime
-    ratio = a_prime / abs_lambda
-    floor = a2 / _UNDERFLOW
+    kappa = 1.0 / (abs_lambda * a_prime)
     inner, inner_err = _log_rule(
-        lambda s: (-a2 / s, (1.0 - ratio / s) ** 2 / s), floor, t)
+        lambda r: (-1.0 / r, (1.0 - kappa / r) ** 2 / r),
+        1.0 / _UNDERFLOW, t / a2)
     head, head_err = _log_rule(
-        lambda s: (-a2 / s, 1.0 / np.sqrt(s)), floor, 1.0)
+        lambda s: (-a2 / s, 1.0 / np.sqrt(s)), a2 / _UNDERFLOW, 1.0)
     return (float(inner), float(head)), (float(inner_err), float(head_err))
 
 
@@ -319,15 +309,24 @@ def dominator(t: float, abs_lambda: float, a_prime: float) -> float:
 
     f1 is a Cauchy-Schwarz factorization of the small-t branch, f2 bounds
     the substituted integral through the maximum of e^{-a'^2/(2s)} s^{-1/2}
-    over the folded domain (found by golden-section search around the
-    stationary point s = a'^2), and f3 is a two-piece direct bound of the
-    large-t branch. The integrals inside f1 and f3 are taken by the same
-    Gauss-Legendre rule as per_mode_difference.
+    over the folded domain (0, a'^2/(lam^2 t)]; the maximand rises up to
+    s = a'^2 and falls after it, so the maximum sits at the smaller of the
+    two. f3 is a two-piece direct bound of the large-t branch. The
+    integrals inside f1 and f3 are taken by the same Gauss-Legendre rule as
+    per_mode_difference. As a' -> 0 the integral inside f1 grows like
+    1/(lam^2 a'^2); below a' = max(1e-150, 1e-145/|lam|) it would leave
+    double range, and DomainError names that smallest collar.
     """
     for name, val in (("t", t), ("abs_lambda", abs_lambda),
                       ("a_prime", a_prime)):
         if not (math.isfinite(val) and val > 0.0):
             raise DomainError(f"{name} must be a positive real, got {val!r}")
+    smallest = max(_SMALLEST_COLLAR, _SMALLEST_LAM_COLLAR / abs_lambda)
+    if a_prime < smallest:
+        raise DomainError(
+            f"a_prime must be at least {smallest!r} at |lam| = "
+            f"{abs_lambda!r}, got {a_prime!r}: below it the dominator's "
+            "integral, about 1/(lam^2 a'^2), leaves double range")
 
     a2 = a_prime * a_prime
     lam2 = abs_lambda * abs_lambda
@@ -341,13 +340,7 @@ def dominator(t: float, abs_lambda: float, a_prime: float) -> float:
         expo = -a2 / (2.0 * s)
         return math.exp(expo) / math.sqrt(s) if expo > -745.0 else 0.0
 
-    upper = a2 / (lam2 * t)
-    # The maximand is unimodal with stationary point a'^2; cap the bracket
-    # there when the domain extends past it, and keep the analytic candidate
-    # in play either way.
-    hi = min(upper, 4.0 * a2)
-    f2 = (a_prime / abs_lambda) * max(_golden_max(peak, 0.0, hi),
-                                      peak(min(a2, upper)))
+    f2 = (a_prime / abs_lambda) * peak(min(a2, a2 / (lam2 * t)))
     f3 = f3_head + 2.0 * math.exp(-lam2 / 2.0) / lam2
 
     return max(f1, f2 + f3)

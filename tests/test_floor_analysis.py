@@ -115,11 +115,19 @@ def test_only_scalars_and_the_mode_arrays_are_kept():
     spectrum = circle_spectrum(0.25, 0.7, 500)
     eta_invariant(spectrum)
     contribution(spectrum, 0.5)
+    contribution(spectrum, 5.0)  # no collar factor lives: the kept sums
+    aps_index(spectrum, 0.0)
     kept = set(vars(spectrum)) - {f.name for f in dataclasses.fields(spectrum)}
-    assert kept == {"floor_analysis", "modes"}
+    assert kept == {"floor_analysis", "modes", "collar_free"}
     values = dataclasses.astuple(spectrum.floor_analysis)
     assert all(type(v) is float for v in values)
     assert spectrum.floor_analysis.floor is not None
+    sums = spectrum.collar_free
+    assert set(sums) == {"eta", "spectral", "identity"}
+    scalars = [v for value in sums.values()
+               for v in (value if isinstance(value, tuple) else (value,))]
+    assert {type(v) for v in scalars} <= {float, complex, bool}
+    assert not any(isinstance(v, np.ndarray) for v in scalars)
     for array in spectrum.modes:
         assert type(array) is np.ndarray and array.dtype == np.float64
         assert array.shape == (len(spectrum),)

@@ -212,6 +212,25 @@ def test_dominator_bounds_the_difference():
         assert lhs <= f * math.exp(-a_prime * lam / 2.0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_dominator_stays_finite_at_tiny_collars():
+    # f1's integral is about 1/(lam^2 a'^2) = 1e200 here; the bound must
+    # hold it, with no numpy overflow on the way.
+    for lam, t in [(1.0, 0.5), (0.5, 1.0), (3.0, 0.01)]:
+        f = dominator(t, lam, 1e-100)
+        assert math.isfinite(f) and f > 1e40
+        d = per_mode_difference(lam, 1e-100, t)
+        assert abs(d) <= f * math.exp(-1e-100 * lam / 2.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_dominator_refuses_collars_past_double_range():
+    with pytest.raises(DomainError, match="at least 1e-145"):
+        dominator(0.5, 1.0, 1e-170)
+    with pytest.raises(DomainError, match="at least 1e-150"):
+        dominator(0.5, 1e9, 1e-170)
+
+
 def _kept_lams(twist, angle, a_prime, t):
     """The modes verify_vanishing evaluates on a 4001-mode circle."""
     spectrum = circle_spectrum(twist, angle, 2000)
