@@ -51,11 +51,13 @@ def main():
     print()
     print("the Dirichlet variant keeps a defect per negative mode:")
     single = from_records([(-1.0, 1, 1.0, 0.0)])
-    print(f"{'a_prime':>8} {'A^F':>20} {'1/2 - e^(-2 a_prime)':>22}")
+    print(f"{'a_prime':>8} {'A^F':>20} {'est_error':>10} "
+          f"{'1/2 - e^(-2 a_prime)':>22}")
     for a_prime in (0.25, 0.5, 1.0, 2.0):
-        value = dirichlet_variant_contribution(single, a_prime)
+        result = dirichlet_variant_contribution(single, a_prime)
         closed = 0.5 - math.exp(-2.0 * a_prime)
-        print(f"{a_prime:>8} {value.real:>20.15f} {closed:>22.15f}")
+        print(f"{a_prime:>8} {result.value.real:>20.15f} "
+              f"{result.est_error:>10.1e} {closed:>22.15f}")
     print("As a' grows the defect dies off and A^F drifts toward the")
     print("spectral-condition value +1/2.")
 

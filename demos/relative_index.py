@@ -41,7 +41,8 @@ def main():
     print(f"interior-term difference:  {as_terms[0] - as_terms[1]}")
     defect = relative_index_check(spectrum, as_terms[0],
                                   spectrum, as_terms[1], 0.5)
-    print(f"cancellation defect:       {abs(defect):.2e}")
+    print(f"cancellation defect:       {abs(defect.value):.2e} "
+          f"(est_error {defect.est_error:.1e})")
 
     print()
     print("the eta route gives the same indices without the collar integral:")

@@ -12,20 +12,18 @@ assembly routes.
 
 from ._version import __version__
 from .assembly import IndexReport, aps_index, assemble_index, relative_index_check
-from .contribution import (ContributionReport, contribution,
-                           contribution_integrand,
+from .contribution import (ContributionReport, Estimate, contribution,
                            dirichlet_variant_contribution)
 from .errors import (CyletaError, DomainError, InvalidSpectrumError,
                      InvalidTraceError, VerificationError)
-from .eta import (EtaResult, eta_circle_oracle, eta_invariant, heat_trace,
-                  resolved_floor)
+from .eta import EtaResult, eta_circle_oracle, eta_invariant, heat_trace
 from .identities import (BOUNDARY_GRID, DECOMPOSITION_GRID, DeviationReport,
                          KernelGrid, verify_boundary_vanish,
                          verify_decomposition, verify_not_feel_boundary)
 from .kernels import (ModePoint, aps_mode_kernel, dirichlet_lambda_combination,
-                      dirichlet_mode_kernel, erfc_eval, full_line_mode_kernel,
+                      dirichlet_mode_kernel, full_line_mode_kernel,
                       lambda_mode_kernel)
-from .spectral import (BoundarySpectrum, FloorAnalysis, SpectralDatum,
+from .spectral import (BoundarySpectrum, FloorAnalysis,
                        TruncationBound, circle_spectrum, direct_sum,
                        dump_spectrum, from_records, load_spectrum,
                        spectrum_from_json_dict, spectrum_to_json_dict,
@@ -41,7 +39,6 @@ __all__ = [
     "InvalidTraceError",
     "DomainError",
     "VerificationError",
-    "SpectralDatum",
     "BoundarySpectrum",
     "FloorAnalysis",
     "TruncationBound",
@@ -54,7 +51,6 @@ __all__ = [
     "load_spectrum",
     "dump_spectrum",
     "ModePoint",
-    "erfc_eval",
     "full_line_mode_kernel",
     "dirichlet_mode_kernel",
     "aps_mode_kernel",
@@ -71,7 +67,6 @@ __all__ = [
     "heat_trace",
     "eta_invariant",
     "eta_circle_oracle",
-    "resolved_floor",
     "VanishingTermConfig",
     "VanishingReport",
     "CertificateFailure",
@@ -79,8 +74,8 @@ __all__ = [
     "per_mode_difference",
     "dominator",
     "verify_vanishing",
+    "Estimate",
     "ContributionReport",
-    "contribution_integrand",
     "contribution",
     "dirichlet_variant_contribution",
     "IndexReport",

@@ -13,6 +13,8 @@ boundary-spectral is computed here. Two assembly routes exist:
 
 Their agreement, within the reported error budgets, is the cylinder case
 of the index identity the rest of the package verifies piecewise.
+relative_index_check returns the relative index defect of two spectra as
+an Estimate, with the two contributions' budgets summed.
 
 Indices are reported as complex numbers and never rounded: for a
 non-identity group element the equivariant index character is genuinely
@@ -27,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 from ._json import JsonFields
-from .contribution import ContributionReport, contribution
+from .contribution import ContributionReport, Estimate, contribution
 from .errors import DomainError
 from .eta import eta_invariant
 from .spectral import BoundarySpectrum, _kept
@@ -115,18 +117,17 @@ def aps_index(spectrum: BoundarySpectrum, as_term: complex,
 
 def relative_index_check(spec1: BoundarySpectrum, as1: complex,
                          spec2: BoundarySpectrum, as2: complex,
-                         a_prime: float) -> complex:
+                         a_prime: float) -> Estimate:
     """(ind_1 - ind_2) - (as_1 - as_2), which is A_1(a') - A_2(a').
 
     Operators agreeing outside their compact sets share a boundary
     spectrum, so for spec1 == spec2 the contributions cancel and the
     relative index reduces to the difference of interior terms; this
-    function returns the defect of that cancellation.
+    function returns the defect of that cancellation, with the sum of the
+    two contributions' est_error as its own.
     """
-    as1 = complex(as1)
-    as2 = complex(as2)
-    r1 = contribution(spec1, a_prime)
-    r2 = contribution(spec2, a_prime)
-    ind1 = as1 + r1.direct_value
-    ind2 = as2 + r2.direct_value
-    return (ind1 - ind2) - (as1 - as2)
+    as1, as2 = complex(as1), complex(as2)
+    r1, r2 = contribution(spec1, a_prime), contribution(spec2, a_prime)
+    ind1, ind2 = as1 + r1.direct_value, as2 + r2.direct_value
+    return Estimate(value=(ind1 - ind2) - (as1 - as2),
+                    est_error=r1.est_error + r2.est_error)

@@ -22,8 +22,8 @@ import sys
 import tempfile
 
 from ._version import __version__
-from .assembly import aps_index, assemble_index
-from .contribution import _dirichlet_variant_detailed, contribution
+from .assembly import aps_index, assemble_index, relative_index_check
+from .contribution import contribution, dirichlet_variant_contribution
 from .errors import CyletaError
 from .eta import eta_invariant
 from .identities import (BOUNDARY_GRID, DECOMPOSITION_GRID,
@@ -192,8 +192,8 @@ def _request_echo(args: argparse.Namespace) -> dict:
     echo: dict = {"command": args.command}
     for key in ("spectrum", "twist", "rotation_angle", "n_max", "f1",
                 "cutoff_rank", "g_identity", "output"):
-        if hasattr(args, key.replace("-", "_")):
-            echo[key] = getattr(args, key.replace("-", "_"))
+        if hasattr(args, key):
+            echo[key] = getattr(args, key)
     if hasattr(args, "a_prime"):
         echo["a_prime_list"] = args.a_prime
     if hasattr(args, "t"):
@@ -228,11 +228,9 @@ def _run_contribution(args: argparse.Namespace) -> tuple[dict, int]:
 
 def _run_dirichlet(args: argparse.Namespace) -> tuple[dict, int]:
     spectrum = _spectrum_from_args(args)
-    values = []
-    for ap in args.a_prime:
-        value, est = _dirichlet_variant_detailed(spectrum, ap)
-        values.append({"a_prime": ap, "value": _complex_pair(value),
-                       "est_error": est})
+    values = [{"a_prime": ap,
+               **dirichlet_variant_contribution(spectrum, ap).to_json_dict()}
+              for ap in args.a_prime]
     return {"values": values}, 0
 
 
@@ -260,10 +258,8 @@ def _run_verify_vanishing(args: argparse.Namespace) -> tuple[dict, int]:
     report = verify_vanishing(spectrum, VanishingTermConfig(**kwargs))
     final_abs = abs(report.rows[-1][1])
     passed = report.certified and final_abs <= _VANISHING_TOL
-    result = report.to_json_dict()
-    result["final_abs"] = final_abs
-    result["tolerance"] = _VANISHING_TOL
-    result["passed"] = passed
+    result = {**report.to_json_dict(), "final_abs": final_abs,
+              "tolerance": _VANISHING_TOL, "passed": passed}
     return result, 0 if passed else 2
 
 
@@ -271,14 +267,10 @@ def _run_index(args: argparse.Namespace) -> tuple[dict, int]:
     spectrum = _spectrum_from_args(args)
     as_term = _parse_complex(args.as_term)
     if args.a_prime:
-        reports = []
-        for ap in args.a_prime:
-            con = contribution(spectrum, ap, args.f1)
-            report = assemble_index(as_term, con,
-                                    g_is_identity=args.g_identity)
-            entry = report.to_json_dict()
-            entry["a_prime"] = ap
-            reports.append(entry)
+        reports = [{"a_prime": ap, **assemble_index(
+            as_term, contribution(spectrum, ap, args.f1),
+            g_is_identity=args.g_identity).to_json_dict()}
+            for ap in args.a_prime]
         return {"route": "contribution", "reports": reports}, 0
     report = aps_index(spectrum, as_term,
                        g_is_identity=args.g_identity or None)
@@ -293,21 +285,13 @@ def _run_relative(args: argparse.Namespace) -> tuple[dict, int]:
     terms = args.as_term or []
     if len(terms) > 2:
         raise _InputError("relative takes at most two --as-term values")
-    as1 = _parse_complex(terms[0]) if len(terms) >= 1 else 0j
-    as2 = _parse_complex(terms[1]) if len(terms) >= 2 else 0j
+    as1, as2 = [_parse_complex(t) for t in terms] + [0j] * (2 - len(terms))
     spec1 = _load_spectrum_file(paths[0])
     spec2 = _load_spectrum_file(paths[1])
-    r1 = contribution(spec1, a_prime)
-    r2 = contribution(spec2, a_prime)
-    ind1 = as1 + r1.direct_value
-    ind2 = as2 + r2.direct_value
-    value = (ind1 - ind2) - (as1 - as2)
-    result = {
-        "a_prime": a_prime,
-        "value": _complex_pair(value),
-        "est_error": r1.est_error + r2.est_error,
-        "as_terms": [_complex_pair(as1), _complex_pair(as2)],
-    }
+    result = relative_index_check(spec1, as1, spec2, as2,
+                                  a_prime).to_json_dict()
+    result["a_prime"] = a_prime
+    result["as_terms"] = [_complex_pair(as1), _complex_pair(as2)]
     return result, 0
 
 

@@ -38,8 +38,9 @@ spectrum keeps as two scalars in spectrum.collar_free: such a query
 builds no array. The Dirichlet factor lives up to |lam| = 373/a', so the
 Dirichlet variant always builds its terms.
 
-dirichlet_variant_contribution swaps the per-mode factor (a'/s - |lam|) in
-the vanishing piece for (sgn(lam) a'/s - |lam|), which is what imposing a
+dirichlet_variant_contribution returns an Estimate, the value with its
+error budget. It swaps the per-mode factor (a'/s - |lam|) in the
+vanishing piece for (sgn(lam) a'/s - |lam|), which is what imposing a
 Dirichlet instead of a spectral boundary condition does to the kernel. The
 modified vanishing piece still integrates to zero on lam > 0 modes but
 leaves -e^{-2 a' |lam|} on each lam < 0 mode, so the variant drifts from
@@ -59,14 +60,40 @@ from ._special import erfc as _erfc_arr, erfcx as _erfcx_arr
 from .errors import DomainError
 from .eta import _roundoff, eta_invariant
 from .spectral import BoundarySpectrum, _Modes, _kept
-from .vanishing import _UNDERFLOW, _check_a_prime
 
 __all__ = [
+    "Estimate",
     "ContributionReport",
-    "contribution_integrand",
     "contribution",
     "dirichlet_variant_contribution",
 ]
+
+# e^{-x} is an exact 0 in double precision for every x above this. The
+# vanishing verifier reads it and _check_a_prime from here, so that no
+# runtime module imports a verifier.
+_UNDERFLOW = 746.0
+
+
+def _check_a_prime(a_prime: float) -> float:
+    a_prime = float(a_prime)
+    if not (math.isfinite(a_prime) and a_prime > 0.0):
+        raise DomainError(f"a_prime must be a positive real, got {a_prime!r}")
+    return a_prime
+
+
+@dataclass(frozen=True)
+class Estimate(JsonFields):
+    """A value with est_error, the bound on its numerical error. complex(e)
+    and e + z read the value, for callers that use the result as a number."""
+
+    value: complex
+    est_error: float
+
+    def __complex__(self) -> complex:
+        return self.value
+
+    def __add__(self, other) -> complex:
+        return self.value + other
 
 
 @dataclass(frozen=True)
@@ -89,28 +116,6 @@ class ContributionReport(JsonFields):
     vanishing_residual: complex
     eta_reference: complex
     est_error: float
-
-
-def contribution_integrand(spectrum: BoundarySpectrum, a_prime: float,
-                           s: float) -> complex:
-    """The spectral sum of diagonal kernel combinations at heat time s.
-
-    Equals sum_j trace_g(j) * lambda_mode_kernel(lam_j, s, a', a'); the
-    collapsed bracket sum_j a_j e^{-lam^2 s} (4 pi s)^{-1/2} [lam + sgn(lam)
-    e^{-a'^2/s} (a'/s - |lam|)] used here is algebraically identical on the
-    diagonal and is what makes large spectra affordable. The test suite
-    checks the two forms against each other.
-    """
-    a_prime = _check_a_prime(a_prime)
-    s = float(s)
-    if not (math.isfinite(s) and s > 0.0):
-        raise DomainError(f"s must be a positive real, got {s!r}")
-    lams, traces = spectrum.lams, spectrum.traces
-    expo = -(a_prime * a_prime) / s
-    damp = math.exp(expo) if expo > -745.0 else 0.0
-    bracket = lams + np.sign(lams) * damp * (a_prime / s - np.abs(lams))
-    norm = 1.0 / math.sqrt(4.0 * math.pi * s)
-    return complex((traces * np.exp(-s * lams * lams) * bracket).sum() * norm)
 
 
 def _collar_reach(abs_l: np.ndarray, a_prime: float, T: float) -> int:
@@ -272,17 +277,10 @@ def contribution(spectrum: BoundarySpectrum, a_prime: float,
         eta_reference=eta_reference, est_error=est)
 
 
-def _dirichlet_variant_detailed(spectrum: BoundarySpectrum, a_prime: float,
-                                ) -> tuple[complex, float]:
-    """A_g^F(a') together with its error budget."""
-    a_prime = _check_a_prime(a_prime)
-    integral, est = _integral(spectrum, a_prime, dirichlet=True)
-    return -integral, est
-
-
 def dirichlet_variant_contribution(spectrum: BoundarySpectrum,
-                                   a_prime: float) -> complex:
-    """A_g^F(a'): the contribution computed with the Dirichlet kernel.
+                                   a_prime: float) -> Estimate:
+    """A_g^F(a'), the contribution computed with the Dirichlet kernel, with
+    its error budget.
 
     Same closed-form pipeline as the direct value of contribution(), with
     the Dirichlet bracket's per-mode integrals. No collar-independence
@@ -291,5 +289,6 @@ def dirichlet_variant_contribution(spectrum: BoundarySpectrum,
     -eta/2 when every mode is positive, and shifted by the negative modes
     whether or not the spectrum is symmetric.
     """
-    value, _ = _dirichlet_variant_detailed(spectrum, a_prime)
-    return value
+    integral, est = _integral(spectrum, _check_a_prime(a_prime),
+                              dirichlet=True)
+    return Estimate(value=-integral, est_error=est)

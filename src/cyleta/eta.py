@@ -59,16 +59,6 @@ def heat_trace(spectrum: BoundarySpectrum, s: float) -> complex:
     return complex((spectrum.traces * (lams * np.exp(-s * lams * lams))).sum())
 
 
-def resolved_floor(spectrum: BoundarySpectrum) -> float | None:
-    """The truncation-artifact cut point 40/Lambda^2, or None.
-
-    Returns the floor only when it is at most 1/4 AND the truncated trace
-    is certified as resolved there (cancellation detector); otherwise the
-    heat-time integrals start at 0 as for any small hand-made spectrum.
-    """
-    return spectrum.floor_analysis.floor
-
-
 def _roundoff(terms: np.ndarray) -> float:
     """Roundoff envelope of summing the given per-mode terms."""
     return _ROUNDOFF * float(np.abs(terms).sum())

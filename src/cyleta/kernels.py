@@ -37,29 +37,12 @@ from .errors import DomainError
 
 __all__ = [
     "ModePoint",
-    "erfc_eval",
     "full_line_mode_kernel",
     "dirichlet_mode_kernel",
     "aps_mode_kernel",
     "lambda_mode_kernel",
     "dirichlet_lambda_combination",
 ]
-
-
-def erfc_eval(x: float) -> float:
-    """Complementary error function erfc(x) = (2/sqrt(pi)) int_x^inf e^{-xi^2} dxi.
-
-    Delegates to math.erfc, the C library's scalar erfc, which meets the
-    1e-14 relative-accuracy contract for |x| <= 26, satisfies
-    erfc(-x) = 2 - erfc(x), and underflows smoothly to 0 for large x
-    (erfc(30) is below 1e-300 in double precision). The array kernels of
-    eta and the collar integrals use cyleta._special.erfc instead. NaN is
-    rejected rather than propagated.
-    """
-    x = float(x)
-    if math.isnan(x):
-        raise DomainError("erfc_eval: NaN input")
-    return math.erfc(x)
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,8 @@ metadata and the truncation cutoff. This module defines the container,
 constructors (an explicit twisted-circle model, raw record lists, JSON
 files), a direct sum, and the truncation-tail estimator that turns the
 growth metadata into a quantitative bound on everything the omitted modes
-could contribute. Constructors build and check whole arrays; the record
-type SpectralDatum only serves the on-demand ``data`` view.
+could contribute. Constructors build and check whole arrays; no per-mode
+record object exists.
 
 Conventions baked into the container:
 
@@ -49,7 +49,6 @@ from ._special import erfc, gammaincc
 from .errors import DomainError, InvalidSpectrumError, InvalidTraceError
 
 __all__ = [
-    "SpectralDatum",
     "BoundarySpectrum",
     "FloorAnalysis",
     "TruncationBound",
@@ -113,29 +112,6 @@ def _record_checks(lams, multiplicity, traces) -> list:
     ]
 
 
-@dataclass(frozen=True)
-class SpectralDatum:
-    """One eigenvalue record: eigenvalue, eigenspace dimension, g-trace.
-
-    The attribute is named ``lam`` because ``lambda`` is reserved in Python;
-    the JSON key remains "lambda".
-    """
-
-    lam: float
-    multiplicity: int
-    trace_g: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "lam", float(self.lam))
-        object.__setattr__(self, "trace_g", complex(self.trace_g))
-        if not isinstance(self.multiplicity, int):
-            raise InvalidSpectrumError(
-                f"multiplicity must be a positive integer, got {self.multiplicity!r}")
-        _raise_first(_record_checks(np.array([self.lam]),
-                                    np.array([self.multiplicity]),
-                                    np.array([self.trace_g])))
-
-
 @dataclass(frozen=True, eq=False)
 class BoundarySpectrum:
     """Sorted modes as read-only copies of the given arrays, plus growth
@@ -194,12 +170,6 @@ class BoundarySpectrum:
                  f"trace bound violated at rank {i + 1}: "
                  f"|{complex(traces[i])!r}| > {c3!r} * {i + 1}**{c4!r}")),
         ])
-
-    @property
-    def data(self) -> tuple[SpectralDatum, ...]:
-        """The modes as records, built on demand for callers that want them."""
-        return tuple(map(SpectralDatum, self.lams.tolist(),
-                         self.multiplicity.tolist(), self.traces.tolist()))
 
     @property
     def gap(self) -> float:
@@ -320,12 +290,14 @@ def circle_spectrum(twist: float, rotation_angle: float, n_max: int) -> Boundary
 
     A rotation by rotation_angle acts on the n-th Fourier mode with trace
     exp(-i n rotation_angle); every eigenspace is one-dimensional. The gap
-    is min(twist, 1 - twist), and the growth metadata uses the square-root
-    envelope c2 = 1/2 (eigenvalues grow linearly in rank but rank counts
-    both signs). c1 is the gap except when the gap exceeds 1/(1 + sqrt 2),
-    where the rank-2 eigenvalue sits below gap * sqrt 2 and c1 must shrink
-    to keep the stored inequality true on every mode. The list is
-    complete below n_max + 1 - twist.
+    is min(twist, 1 - twist). The growth metadata uses c2 = 1/2, a true
+    but loose envelope: |n + twist| grows linearly in rank (about rank/2,
+    since the ranks alternate between the signs), so c2 = 1 would hold
+    too, with a smaller c1. The value stays until the growth metadata is
+    refitted together with the bounds that read it. c1 is the gap except
+    when the gap exceeds 1/(1 + sqrt 2), where the rank-2 eigenvalue sits
+    below gap * sqrt 2 and c1 must shrink to keep the stored inequality
+    true on every mode. The list is complete below n_max + 1 - twist.
     """
     twist = float(twist)
     if not (0.0 < twist < 1.0):

@@ -46,6 +46,7 @@ import numpy as np
 
 from ._json import JsonFields
 from ._special import erfcx as _erfcx_arr
+from .contribution import _UNDERFLOW, _check_a_prime
 from .errors import DomainError
 from .spectral import BoundarySpectrum
 
@@ -64,9 +65,6 @@ _SQRT_PI = math.sqrt(math.pi)
 # fraction of the spectrum scale are skipped in the quadrature route.
 _NEGLIGIBLE = 1e-30
 
-# e^{-x} is an exact 0 in double precision for every x above this.
-_UNDERFLOW = 746.0
-
 # The two Gauss-Legendre orders of the quadrature route; their difference
 # estimates each integral's error.
 _ORDERS = (48, 96)
@@ -80,13 +78,6 @@ _TINY = sys.float_info.min
 # _SMALLEST_COLLAR keeps a'^2 a normal double and t/a'^2 finite.
 _SMALLEST_LAM_COLLAR = 1e-145
 _SMALLEST_COLLAR = 1e-150
-
-
-def _check_a_prime(a_prime: float) -> float:
-    a_prime = float(a_prime)
-    if not (math.isfinite(a_prime) and a_prime > 0.0):
-        raise DomainError(f"a_prime must be a positive real, got {a_prime!r}")
-    return a_prime
 
 
 @dataclass(frozen=True)

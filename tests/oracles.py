@@ -20,6 +20,9 @@ Contents:
   the per-mode boundary contribution, composing two half-time image
   kernels through the semigroup identity instead of using any
   closed-form diagonal bracket.
+* ``contribution_integrand``: the collapsed diagonal bracket of the
+  contribution summed over a list of modes at one heat time, which the
+  tests check against the per-mode kernel summed one mode at a time.
 * ``eta_by_quadrature`` and ``collar_integral_by_quadrature``: the
   heat-time integrals behind eta, the contribution and its Dirichlet
   variant for a whole list of modes, by adaptive quadrature of the
@@ -305,6 +308,24 @@ def collar_integral_by_quadrature(lams, traces, a_prime: float,
 
     lo, hi, points = _u_range(lams, s_lo)
     return _quad_complex(integrand, lo, hi, points)
+
+
+def contribution_integrand(lams, traces, a_prime: float, s: float
+                           ) -> complex:
+    """sum_j a_j e^{-lam_j^2 s} (4 pi s)^{-1/2} [lam_j + sgn(lam_j)
+    e^{-a'^2/s} (a'/s - |lam_j|)] at heat time s.
+
+    On the diagonal y = y' = a' this collapsed bracket is algebraically
+    sum_j a_j lambda_mode_kernel(lam_j, s, a', a'); it is the integrand
+    whose per-mode heat-time integrals the contribution evaluates in
+    closed form.
+    """
+    lams, traces = np.asarray(lams), np.asarray(traces)
+    expo = -(a_prime * a_prime) / s
+    damp = math.exp(expo) if expo > -745.0 else 0.0
+    bracket = lams + np.sign(lams) * damp * (a_prime / s - np.abs(lams))
+    norm = 1.0 / math.sqrt(4.0 * math.pi * s)
+    return complex((traces * np.exp(-s * lams * lams) * bracket).sum() * norm)
 
 
 def spectral_tails(lams, a_prime: float, T: float, erfc=erfc,

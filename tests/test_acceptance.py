@@ -161,7 +161,7 @@ def test_criterion_06_dirichlet_variant_separation():
     def offset_and_pin(lam):
         # (A^F + eta/2, |A^F - oracle|) for the single mode lam.
         spec = from_records([(lam, 1, 1.0, 0.0)])
-        value = dirichlet_variant_contribution(spec, a_prime)
+        value = dirichlet_variant_contribution(spec, a_prime).value
         oracle = contribution_by_double_quadrature(lam, a_prime,
                                                    derivative="second")
         return (value + 0.5 * eta_invariant(spec).value,
@@ -191,10 +191,12 @@ def test_criterion_06_dirichlet_variant_separation():
 
 
 def test_criterion_07_relative_cancellation(circle_quarter):
-    rebuilt = from_records([
-        (d.lam, d.multiplicity, d.trace_g.real, d.trace_g.imag)
-        for d in circle_quarter.data])
-    same = abs(relative_index_check(circle_quarter, 2.0, rebuilt, -3.0, 0.5))
+    rebuilt = from_records(zip(
+        circle_quarter.lams.tolist(), circle_quarter.multiplicity.tolist(),
+        circle_quarter.traces.real.tolist(),
+        circle_quarter.traces.imag.tolist()))
+    same = abs(relative_index_check(circle_quarter, 2.0, rebuilt, -3.0,
+                                    0.5).value)
 
     with mp.workdps(30):
         eta_04 = mp.zeta(0, 0.4) - mp.zeta(0, 0.6)
@@ -203,7 +205,7 @@ def test_criterion_07_relative_cancellation(circle_quarter):
     assert expected == pytest.approx(-0.15, abs=5e-16)
     two_twists = relative_index_check(circle_quarter, 1.0,
                                       circle_spectrum(0.4, 0.0, 2000), 2.0,
-                                      0.5)
+                                      0.5).value
     twist_dev = abs(two_twists - expected)
     ok = same <= 1e-10 and twist_dev <= 1e-6
     _verdict(7, "relative-cancellation", ok,
@@ -290,9 +292,10 @@ def test_criterion_10_tail_bound_soundness():
     for s_min in (0.1, 1.0, 10.0):
         for a_prime in (0.0, 0.5):
             actual = sum(
-                abs(d.trace_g) * (abs(d.lam) + a_prime / s_min + 1.0)
-                * math.exp(-d.lam * d.lam * s_min)
-                for d in big.data if abs(d.lam) > cutoff)
+                abs(trace) * (abs(lam) + a_prime / s_min + 1.0)
+                * math.exp(-lam * lam * s_min)
+                for lam, trace in zip(big.lams.tolist(), big.traces.tolist())
+                if abs(lam) > cutoff)
             bound = tail_bound(small, s_min, a_prime).bound
             ok = ok and bound >= actual
             if bound > 0.0:

@@ -98,18 +98,28 @@ def test_both_assembly_routes_agree(spec):
 
 def test_relative_index_cancels_for_equal_boundaries():
     spec = circle_spectrum(0.25, 0.0, 400)
-    rebuilt = from_records([
-        (d.lam, d.multiplicity, d.trace_g.real, d.trace_g.imag)
-        for d in spec.data])
-    value = relative_index_check(spec, 3.0, rebuilt, -1.0, 0.5)
+    rebuilt = from_records(zip(spec.lams.tolist(), spec.multiplicity.tolist(),
+                               spec.traces.real.tolist(),
+                               spec.traces.imag.tolist()))
+    value = relative_index_check(spec, 3.0, rebuilt, -1.0, 0.5).value
     assert abs(value) <= 1e-10
+
+
+def test_relative_index_budget_is_both_contributions_budgets():
+    one, two = circle_spectrum(0.25, 0.0, 300), circle_spectrum(0.4, 0.7, 300)
+    result = relative_index_check(one, 1.0, two, 2.0, 0.5)
+    assert result.est_error == (contribution(one, 0.5).est_error
+                                + contribution(two, 0.5).est_error)
+    assert abs(result.value - (contribution(one, 0.5).direct_value
+                               - contribution(two, 0.5).direct_value)) \
+        <= 1e-14
 
 
 def test_relative_index_of_two_twists():
     # A_1 - A_2 = (eta_2 - eta_1)/2 = ((1 - 0.8) - (1 - 0.5))/2 = -0.15.
-    value = relative_index_check(circle_spectrum(0.25, 0.0, 300), 1.0,
-                                 circle_spectrum(0.4, 0.0, 300), 2.0, 0.5)
-    assert value == pytest.approx(-0.15, abs=1e-9)
+    result = relative_index_check(circle_spectrum(0.25, 0.0, 300), 1.0,
+                                  circle_spectrum(0.4, 0.0, 300), 2.0, 0.5)
+    assert result.value == pytest.approx(-0.15, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import cyleta
-from cyleta import circle_spectrum, dump_spectrum, from_records
+from cyleta import (circle_spectrum, dirichlet_variant_contribution,
+                    dump_spectrum, from_records, load_spectrum,
+                    relative_index_check)
 from cyleta.cli import main
 
 
@@ -70,6 +72,8 @@ def test_dirichlet_variant_from_file(capsys, tmp_path):
     assert values[0]["a_prime"] == 0.5
     assert values[0]["value"] == pytest.approx([-0.5, 0.0], abs=1e-10)
     assert values[0]["est_error"] > 0.0
+    library = dirichlet_variant_contribution(load_spectrum(path), 0.5)
+    assert values[0] == {"a_prime": 0.5, **library.to_json_dict()}
 
 
 def test_index_eta_route(capsys):
@@ -110,6 +114,10 @@ def test_relative_between_spectrum_files(capsys, tmp_path):
     assert result["value"] == pytest.approx([0.0, 0.0], abs=1e-10)
     assert result["as_terms"] == [[1.0, 0.0], [0.0, 1.0]]
     assert result["est_error"] > 0.0
+    library = relative_index_check(load_spectrum(path1), 1.0,
+                                   load_spectrum(path2), 1j, 0.5)
+    assert result == {"a_prime": 0.5, "as_terms": result["as_terms"],
+                      **library.to_json_dict()}
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +292,35 @@ def test_no_module_of_the_package_imports_scipy():
                             if name.split(".")[0] == "scipy")
     assert len(list(package.glob("*.py"))) >= 10
     assert imported == {}
+
+
+def _cyleta_imports(path):
+    """(module, name) for each name the file imports from another cyleta
+    module, with name None where it imports the module itself."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("cyleta."):
+                    yield alias.name.removeprefix("cyleta."), None
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("cyleta.")):
+            module = (node.module or "").removeprefix("cyleta.")
+            for alias in node.names:
+                yield (module, alias.name) if module else (alias.name, None)
+
+
+def test_the_cli_imports_public_names_and_the_runtime_no_verifier():
+    package = Path(cyleta.__file__).parent
+    private = [(module, name) for module, name
+               in _cyleta_imports(package / "cli.py")
+               if name and name.startswith("_") and not name.endswith("__")]
+    assert private == []
+    verifiers = {"vanishing", "identities", "kernels"}
+    reached = [(runtime, module)
+               for runtime in ("spectral", "eta", "contribution", "assembly")
+               for module, _ in _cyleta_imports(package / f"{runtime}.py")
+               if module in verifiers]
+    assert reached == []
 
 
 def test_module_invocation():

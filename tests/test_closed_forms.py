@@ -20,11 +20,10 @@ from cyleta import (
     BoundarySpectrum,
     circle_spectrum,
     contribution,
+    dirichlet_variant_contribution,
     eta_invariant,
     from_records,
-    resolved_floor,
 )
-from cyleta.contribution import _dirichlet_variant_detailed
 
 from oracles import collar_integral_by_quadrature, eta_by_quadrature
 
@@ -82,7 +81,7 @@ def _negated(spectrum):
 
 def _check_against_oracle(spectrum, a_prime):
     lams, traces = spectrum.lams, spectrum.traces
-    s_lo = resolved_floor(spectrum) or 0.0
+    s_lo = spectrum.floor_analysis.floor or 0.0
 
     eta = eta_invariant(spectrum)
     want, oracle_err = eta_by_quadrature(lams, traces, s_lo)
@@ -95,11 +94,11 @@ def _check_against_oracle(spectrum, a_prime):
     assert oracle_err <= ORACLE_CAP
     assert abs(report.direct_value + want) <= report.est_error + oracle_err
 
-    value, est = _dirichlet_variant_detailed(spectrum, a_prime)
+    dirichlet = dirichlet_variant_contribution(spectrum, a_prime)
     want, oracle_err = collar_integral_by_quadrature(
         lams, traces, a_prime, s_lo, dirichlet=True)
     assert oracle_err <= ORACLE_CAP
-    assert abs(value + want) <= est + oracle_err
+    assert abs(dirichlet.value + want) <= dirichlet.est_error + oracle_err
 
 
 def _check_dirichlet_shift(spectrum, a_prime):
@@ -111,9 +110,9 @@ def _check_dirichlet_shift(spectrum, a_prime):
     shift = -complex((traces[neg] * np.exp(-2.0 * a_prime * np.abs(lams[neg])))
                      .sum())
     report = contribution(spectrum, a_prime)
-    value, est = _dirichlet_variant_detailed(spectrum, a_prime)
-    gap = abs(value - report.direct_value - shift)
-    assert gap <= 1e-12 + est + report.est_error
+    dirichlet = dirichlet_variant_contribution(spectrum, a_prime)
+    gap = abs(dirichlet.value - report.direct_value - shift)
+    assert gap <= 1e-12 + dirichlet.est_error + report.est_error
 
 
 @PROPERTY

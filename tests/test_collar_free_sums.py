@@ -20,7 +20,6 @@ from cyleta import (aps_index, circle_spectrum, contribution,
                     dirichlet_variant_contribution, eta_invariant,
                     from_records)
 from cyleta.cli import main
-from cyleta.contribution import _dirichlet_variant_detailed
 
 from test_closed_forms import finite_spectra
 
@@ -112,13 +111,12 @@ def _answers(spectrum, a_prime):
     eta = eta_invariant(spectrum)
     index = aps_index(spectrum, 0.25)
     report = contribution(spectrum, a_prime, 1.3)
-    dirichlet = _dirichlet_variant_detailed(spectrum, a_prime)
+    dirichlet = dirichlet_variant_contribution(spectrum, a_prime)
     return repr((eta.value, eta.est_error, eta.truncation_error,
                  index.index_value, index.est_error,
                  index.integrality_residual, report.direct_value,
                  report.decomposed_value, report.eta_reference,
-                 report.est_error, dirichlet,
-                 dirichlet_variant_contribution(spectrum, a_prime)))
+                 report.est_error, dirichlet.value, dirichlet.est_error))
 
 
 def _fresh(spectrum):

@@ -13,6 +13,7 @@ that ends near 1/sqrt(T)), in (700, 746) (a partial prefix) and above 746
 (an empty prefix), and so that 2 a' |lam| crosses 746 inside the spectrum.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,11 +21,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import erfc as scipy_erfc, erfcx as scipy_erfcx
 
 from cyleta import (circle_spectrum, contribution,
-                    dirichlet_variant_contribution, resolved_floor)
+                    dirichlet_variant_contribution)
 from cyleta._special import erfc, erfcx
 from cyleta.contribution import (_collar_damping, _dirichlet_damping,
-                                 _dirichlet_tails, _dirichlet_variant_detailed,
-                                 _spectral_tails)
+                                 _dirichlet_tails, _spectral_tails)
 from cyleta.spectral import _Modes
 
 from oracles import dirichlet_tails, spectral_tails
@@ -84,7 +84,7 @@ def _full_arrays(spectrum, a_prime, kernels):
     """The spectral and Dirichlet sums of the full-array forms at the
     resolved floor, or of the s -> 0 limits when it is refused."""
     lams, traces = spectrum.lams, spectrum.traces
-    floor = resolved_floor(spectrum)
+    floor = spectrum.floor_analysis.floor
     if floor is None:
         half = 0.5 * traces * np.sign(lams)
         spectral = half
@@ -100,16 +100,15 @@ def _check_public(spectrum, a_prime):
     """contribution and the Dirichlet variant against the full-array
     forms: exactly with cyleta's kernels, within est_error with scipy's."""
     report = contribution(spectrum, a_prime)
-    dirichlet, dirichlet_err = _dirichlet_variant_detailed(spectrum, a_prime)
+    dirichlet = dirichlet_variant_contribution(spectrum, a_prime)
     spectral_sum, dirichlet_sum = _full_arrays(spectrum, a_prime,
                                                (erfc, erfcx))
     assert report.direct_value == -spectral_sum
-    assert dirichlet_variant_contribution(spectrum, a_prime) == dirichlet \
-        == -dirichlet_sum
+    assert dirichlet.value == -dirichlet_sum
     spectral_sum, dirichlet_sum = _full_arrays(spectrum, a_prime,
                                                (scipy_erfc, scipy_erfcx))
     assert abs(report.direct_value + spectral_sum) <= report.est_error
-    assert abs(dirichlet + dirichlet_sum) <= dirichlet_err
+    assert abs(dirichlet.value + dirichlet_sum) <= dirichlet.est_error
 
 
 @PROPERTY
@@ -123,7 +122,7 @@ def test_finite_spectra_tails_match_full_arrays(data, spectrum, T):
 @CIRCLES
 @given(st.data(), circles())
 def test_circle_tails_match_full_arrays(data, spectrum):
-    floor = resolved_floor(spectrum)
+    floor = spectrum.floor_analysis.floor
     assert floor is not None
     a_prime = data.draw(collar_at(spectrum, floor))
     _check_tails(spectrum, a_prime, floor)
@@ -134,7 +133,7 @@ def test_partial_prefixes_match_full_arrays():
     # a'^2/s_f = 720 leaves the modes with lam^2 s_f < 26 live, about 80%
     # of this circle; 2 a' |lam| = 746 at |lam| = 1000 splits it too.
     spectrum = circle_spectrum(0.3, 0.7, 2000)
-    floor = resolved_floor(spectrum)
+    floor = spectrum.floor_analysis.floor
     modes = spectrum.modes
     a_prime = math.sqrt(720.0 * floor)
     live = _collar_damping(modes.abs_l, a_prime, floor).size
@@ -147,10 +146,24 @@ def test_partial_prefixes_match_full_arrays():
     _check_tails(spectrum, a_prime, floor)
     _check_public(spectrum, a_prime)
 
+    # The live terms above are about 1e-313, so a kept collar-free sum
+    # would pass as well. Cut at Lambda = 100.7, the same modes get the
+    # resolved floor s_f = 3.9e-3, and a'^2/s_f = 10 leaves the 864 modes
+    # with |lam| < 432 live; their terms move the direct value 1e-5 away
+    # from the collar-free -eta/2, which no kept sum can match.
+    cut = dataclasses.replace(spectrum, truncated_at=100.7)
+    floor = cut.floor_analysis.floor
+    a_prime = math.sqrt(10.0 * floor)
+    assert _collar_damping(cut.modes.abs_l, a_prime, floor).size == 864
+    report = contribution(cut, a_prime)
+    assert abs(report.direct_value - report.decomposed_value) > 1e-6
+    _check_tails(cut, a_prime, floor)
+    _check_public(cut, a_prime)
+
 
 def test_the_prefix_keeps_every_nonzero_factor():
     spectrum = circle_spectrum(0.3, 0.0, 2000)
-    abs_l, floor = np.abs(spectrum.lams), resolved_floor(spectrum)
+    abs_l, floor = np.abs(spectrum.lams), spectrum.floor_analysis.floor
     for offset in (100.0, 700.0, 720.0, 745.0, 745.2, 746.0, 800.0):
         _check_prefixes(abs_l, math.sqrt(offset * floor), floor)
     for a_prime in (0.05, 0.3, 0.373, 0.4, 2.0):

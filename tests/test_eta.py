@@ -12,7 +12,6 @@ from cyleta import (
     eta_invariant,
     from_records,
     heat_trace,
-    resolved_floor,
     tail_bound,
 )
 
@@ -114,15 +113,15 @@ def test_eta_truncation_error_is_the_tail_bound_at_the_floor():
 
 def test_resolved_floor_active_for_dense_spectra():
     s = circle_spectrum(0.25, 0.0, 2000)
-    floor = resolved_floor(s)
+    floor = s.floor_analysis.floor
     assert floor == pytest.approx(40.0 / s.truncated_at**2, rel=1e-12)
 
 
 def test_resolved_floor_inactive_for_sparse_spectra():
-    assert resolved_floor(_single(2.0)) is None
+    assert _single(2.0).floor_analysis.floor is None
     # candidate cut is early enough, but the trace is not yet settled there
     two_scale = from_records([(0.1, 1, 1.0, 0.0), (50.0, 1, 1.0, 0.0)])
-    assert resolved_floor(two_scale) is None
+    assert two_scale.floor_analysis.floor is None
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
-"""Array storage of BoundarySpectrum: no per-mode records on any runtime
-path, exact save-reload round trips, immutability, and agreement with the
-record-by-record construction the arrays replaced."""
+"""Array storage of BoundarySpectrum: no hashing on any runtime path,
+exact save-reload round trips, immutability, and agreement with a
+record-by-record construction of the same modes."""
 
 import cmath
 import math
@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from cyleta import (
     BoundarySpectrum,
-    SpectralDatum,
     aps_index,
     circle_spectrum,
     contribution,
@@ -34,16 +33,20 @@ def _arrays_of(spectrum):
     return spectrum.lams, spectrum.multiplicity, spectrum.traces
 
 
+def _rows(spectrum):
+    """The modes as (lambda, multiplicity, trace) tuples of Python numbers."""
+    return list(zip(*(array.tolist() for array in _arrays_of(spectrum))))
+
+
 # ---------------------------------------------------------------------------
-# no per-mode records, no hashing
+# no hashing; the package has no per-mode record type to build
 
 
 def test_runtime_paths_neither_hash_nor_build_records(monkeypatch, tmp_path):
     def forbidden(*args, **kwargs):
-        raise AssertionError("runtime path touched a per-mode record or hash")
+        raise AssertionError("runtime path hashed a spectrum")
 
     monkeypatch.setattr(BoundarySpectrum, "__hash__", forbidden)
-    monkeypatch.setattr(SpectralDatum, "__init__", forbidden)
 
     circle = circle_spectrum(0.25, 0.7, 50)
     records = from_records(ROWS)
@@ -56,9 +59,7 @@ def test_runtime_paths_neither_hash_nor_build_records(monkeypatch, tmp_path):
         contribution(spectrum, 0.3)
         dirichlet_variant_contribution(spectrum, 0.3)
         aps_index(spectrum, 1.0)
-    # the guard itself works: the record view does build records
-    with pytest.raises(AssertionError, match="per-mode record"):
-        circle.data
+    # the guard itself works
     with pytest.raises(AssertionError, match="hash"):
         hash(circle)
 
@@ -165,28 +166,26 @@ def test_equality_and_hash_are_those_of_the_object():
     (0.25, 0.0, 300), (0.5, 0.7, 40), (0.83, 2.3, 100)])
 def test_circle_matches_record_by_record_construction(twist, angle, n_max):
     records = sorted(
-        (SpectralDatum(n + twist, 1, cmath.exp(-1j * n * angle))
+        ((n + twist, 1, cmath.exp(-1j * n * angle))
          for n in range(-n_max, n_max + 1)),
-        key=lambda d: (abs(d.lam), 0 if d.lam < 0 else 1))
+        key=lambda d: (abs(d[0]), 0 if d[0] < 0 else 1))
     spectrum = circle_spectrum(twist, angle, n_max)
-    assert spectrum.data == tuple(records)
+    assert _rows(spectrum) == records
     assert spectrum.weyl_c1 == min(
-        abs(d.lam) / math.sqrt(j) for j, d in enumerate(records, start=1))
+        abs(d[0]) / math.sqrt(j) for j, d in enumerate(records, start=1))
 
 
 def test_direct_sum_matches_record_by_record_merge():
     a = circle_spectrum(0.25, 0.3, 20)
     b = from_records(ROWS + [(1.25, 1, 0.0, 1.0), (-2.75, 2, 1.0, 1.0)])
-    merged: list[SpectralDatum] = []
-    for d in sorted(a.data + b.data, key=lambda d: d.lam):
-        if merged and abs(merged[-1].lam - d.lam) <= 1e-12:
+    merged: list[tuple] = []
+    for d in sorted(_rows(a) + _rows(b), key=lambda d: d[0]):
+        if merged and abs(merged[-1][0] - d[0]) <= 1e-12:
             prev = merged[-1]
-            merged[-1] = SpectralDatum(prev.lam,
-                                       prev.multiplicity + d.multiplicity,
-                                       prev.trace_g + d.trace_g)
+            merged[-1] = (prev[0], prev[1] + d[1], prev[2] + d[2])
         else:
             merged.append(d)
-    merged.sort(key=lambda d: (abs(d.lam), 0 if d.lam < 0 else 1))
+    merged.sort(key=lambda d: (abs(d[0]), 0 if d[0] < 0 else 1))
     got = direct_sum(a, b)
-    assert got.data == tuple(merged)
+    assert _rows(got) == merged
     assert len(got) == len(a) + len(b) - 2
