@@ -15,6 +15,8 @@ from cyleta import (
     lambda_mode_kernel,
 )
 
+from cyleta.contribution import _check_a_prime
+
 from oracles import contribution_by_double_quadrature, contribution_integrand
 
 
@@ -47,6 +49,14 @@ def test_integrand_matches_per_mode_kernel_sum(s):
         expected += trace * lambda_mode_kernel(point)
     got = contribution_integrand(MIXED.lams, MIXED.traces, a_prime, s)
     assert got == pytest.approx(expected, abs=1e-14)
+
+
+@pytest.mark.parametrize("a_prime", [0.0, -0.5, math.inf, math.nan])
+def test_integrand_rejects_bad_collar(a_prime):
+    # Every collar integrand the package evaluates, for both boundary
+    # conditions and the vanishing verifier, takes its a' through this check.
+    with pytest.raises(DomainError):
+        _check_a_prime(a_prime)
 
 
 # ---------------------------------------------------------------------------
