@@ -35,15 +35,25 @@ with the full formula, which gives every per-mode term bit for bit. When
 no spectral collar factor lives (a'^2/s_f > 746) or the floor is refused,
 the spectral terms are the collar-free ones, whose sum and roundoff the
 spectrum keeps as two scalars in spectrum.collar_free: such a query
-builds no array. The Dirichlet factor lives up to |lam| = 373/a', so the
-Dirichlet variant always builds its terms.
+builds no array.
 
 dirichlet_variant_contribution returns an Estimate, the value with its
 error budget. It swaps the per-mode factor (a'/s - |lam|) in the
 vanishing piece for (sgn(lam) a'/s - |lam|), which is what imposing a
-Dirichlet instead of a spectral boundary condition does to the kernel. The
-modified vanishing piece still integrates to zero on lam > 0 modes but
-leaves -e^{-2 a' |lam|} on each lam < 0 mode, so the variant drifts from
+Dirichlet instead of a spectral boundary condition does to the kernel.
+The two brackets differ only on lam < 0 modes, by
+e^{-lam^2 s - a'^2/s} (4 pi s)^{-1/2} 2 a'/s, whose integral from s_f is
+the closed-form shift
+
+    [e^{-2 a' |lam|} erfc(v) - erfcx(w) e^{-lam^2 s_f - a'^2/s_f}] / 2,
+    v, w = |lam| sqrt(s_f) -+ a'/sqrt(s_f),
+
+with the s_f -> 0 limit e^{-2 a' |lam|}, used when the floor is refused.
+So the variant is the spectral integral above, kept sum included, plus
+the shift summed over the lam < 0 modes where e^{-2 a' |lam|} is not an
+exact 0.0 (|lam| <= 373/a'). No mode past that prefix is lost: by AM-GM
+lam^2 s_f + a'^2/s_f >= 2 a' |lam|, so the spectral collar factor
+underflows no later than the Dirichlet one. The variant drifts from
 -eta/2 by exactly -sum_{lam_j < 0} a_j e^{-2 a' |lam_j|}: not at all on a
 spectrum with only positive modes such as {2}, and by -e^{-4 a'} on the
 symmetric pair {-2, 2}.
@@ -145,17 +155,6 @@ def _collar_free(modes: _Modes) -> np.ndarray:
     return (modes.sgn * 0.5) * modes.erfc
 
 
-def _spectral_head(modes: _Modes, a_prime: float, T: float,
-                   expo: np.ndarray, size: int) -> np.ndarray:
-    """The spectral tails of the first size modes, given the collar
-    factors expo = _collar_damping(...) of the first expo.size <= size."""
-    sqrt_T = math.sqrt(T)
-    damped = np.zeros(size)
-    damped[:expo.size] = _erfcx_arr(
-        modes.abs_l[:expo.size] * sqrt_T + a_prime / sqrt_T) * expo
-    return (modes.sgn[:size] * 0.5) * (modes.erfc[:size] - damped)
-
-
 def _spectral_tails(modes: _Modes, a_prime: float, T: float) -> np.ndarray:
     """Per-mode int_T^inf of the spectral-condition diagonal, in closed form.
 
@@ -165,37 +164,41 @@ def _spectral_tails(modes: _Modes, a_prime: float, T: float) -> np.ndarray:
     Only the live prefix is evaluated; past it the collar factor is an
     exact 0.0 and the tail is the collar-free one.
     """
-    expo = _collar_damping(modes.abs_l, a_prime, T)
-    tails = _collar_free(modes)
-    tails[:expo.size] = _spectral_head(modes, a_prime, T, expo, expo.size)
-    return tails
-
-
-def _dirichlet_tails(modes: _Modes, a_prime: float, T: float) -> np.ndarray:
-    """Per-mode int_T^inf of the Dirichlet-condition diagonal, in closed form.
-
-    lam > 0 modes match the spectral-condition tail. On lam < 0 the sign
-    flip turns the combination into one whose primitive involves
-    erfcx(|lam| sqrt(s) - a'/sqrt(s)); when that argument is negative the
-    equivalent e^{-2 a' |lam|} (2 - erfc(...)) form is used so nothing
-    overflows. Only the prefix where a collar factor lives is evaluated.
-    """
     sqrt_T, expo = math.sqrt(T), _collar_damping(modes.abs_l, a_prime, T)
-    neg_damp = _dirichlet_damping(modes.abs_l, a_prime)
-    live = max(expo.size, neg_damp.size)
-    v = modes.abs_l[:live] * sqrt_T - a_prime / sqrt_T
-    safe_v = np.where(v[:expo.size] >= 0.0, v[:expo.size], 0.0)
-    branch_pos_v, branch_neg_v = np.zeros(live), np.zeros(live)
-    branch_pos_v[:expo.size] = 0.5 * _erfcx_arr(safe_v) * expo
-    branch_neg_v[:neg_damp.size] = \
-        0.5 * neg_damp * (2.0 - _erfc_arr(-v[:neg_damp.size]))
-    neg = -0.5 * modes.erfc[:live] + np.where(v >= 0.0, branch_pos_v,
-                                              branch_neg_v)
+    live = expo.size
+    damped = _erfcx_arr(modes.abs_l[:live] * sqrt_T + a_prime / sqrt_T) * expo
     tails = _collar_free(modes)
-    tails += 0.0  # a lam < 0 tail is -erfc/2 + 0.0 there, never -0.0
-    tails[:live] = np.where(modes.sgn[:live] > 0.0,
-                            _spectral_head(modes, a_prime, T, expo, live), neg)
+    tails[:live] = (modes.sgn[:live] * 0.5) * (modes.erfc[:live] - damped)
     return tails
+
+
+def _dirichlet_shift(modes: _Modes, traces: np.ndarray, a_prime: float,
+                     T: float | None) -> tuple[complex, float]:
+    """sum_{lam_j < 0} a_j shift_j, the Dirichlet minus the spectral
+    integral from T, with its roundoff.
+
+    shift = [e^{-2 a' |lam|} erfc(v) - erfcx(w) e^{-lam^2 T - a'^2/T}] / 2
+    with v, w = |lam| sqrt(T) -+ a'/sqrt(T); its T -> 0 limit, taken when
+    T is None, is e^{-2 a' |lam|}. It is summed over the lam < 0 modes
+    where e^{-2 a' |lam|} is not an exact 0.0: past them both factors are,
+    since lam^2 T + a'^2/T >= 2 a' |lam|. The roundoff is priced on the
+    two pieces before they cancel.
+    """
+    damp = _dirichlet_damping(modes.abs_l, a_prime)
+    neg = modes.sgn[:damp.size] < 0.0
+    traces, damp = traces[:damp.size][neg], damp[neg]
+    if T is None:  # erfc(v) -> 2 and the collar factor -> 0
+        first, second = 2.0 * damp, np.zeros(damp.size)
+    else:
+        sqrt_T, abs_l = math.sqrt(T), modes.abs_l[:neg.size][neg]
+        first = damp * _erfc_arr(abs_l * sqrt_T - a_prime / sqrt_T)
+        expo = _collar_damping(modes.abs_l[:neg.size], a_prime, T)
+        expo = expo[neg[:expo.size]]
+        second = np.zeros(damp.size)
+        second[:expo.size] = _erfcx_arr(
+            abs_l[:expo.size] * sqrt_T + a_prime / sqrt_T) * expo
+    return (complex((traces * (0.5 * (first - second))).sum()),
+            0.5 * _roundoff(traces * (first + second)))
 
 
 def _summed(terms: np.ndarray) -> tuple[complex, float]:
@@ -213,36 +216,29 @@ def _spectral_sums(spectrum: BoundarySpectrum) -> tuple[complex, float]:
     return _summed(spectrum.traces * _collar_free(modes))
 
 
-def _integral(spectrum: BoundarySpectrum, a_prime: float,
-              dirichlet: bool) -> tuple[complex, float]:
-    """sum_j a_j int_{s_f}^inf (diagonal bracket of mode j) ds, with its
-    error budget.
+def _integral(spectrum: BoundarySpectrum,
+              a_prime: float) -> tuple[complex, float]:
+    """sum_j a_j int_{s_f}^inf (spectral diagonal bracket of mode j) ds,
+    with its error budget.
 
     s_f is the resolved floor of the eta invariant. When it is refused the
-    integrals start at 0, where each mode gives sgn(lam)/2 plus the
-    integral of its collar-dependent part (e^{-2 a' |lam|} on lam < 0 for
-    the Dirichlet bracket, else 0). The spectral bracket's sum is the
+    integrals start at 0, where each mode gives sgn(lam)/2. The sum is the
     kept collar-free one whenever no collar factor lives. The budget holds
     the roundoff, the eta piece of the skipped segment [0, s_f] and a
     bound on the collar-dependent part over that segment, which the cut
     removes too although it has no truncation artifact: per mode at most
     [erfc(a'/sqrt(s_f)) + e^{-a'^2/s_f}] / 2, the first from the a'/s
-    term and the second from the |lam| term of the bracket.
+    term and the second from the |lam| term of the bracket. The Dirichlet
+    bracket differs only in the sign of the a'/s term, so the same budget
+    holds for it.
     """
-    traces, analysis, modes = (spectrum.traces, spectrum.floor_analysis,
-                               spectrum.modes)
+    analysis, modes = spectrum.floor_analysis, spectrum.modes
     floor = analysis.floor
-    if not dirichlet and (floor is None
-                          or not _collar_reach(modes.abs_l, a_prime, floor)):
+    if floor is None or not _collar_reach(modes.abs_l, a_prime, floor):
         total, roundoff = _kept(spectrum, "spectral", _spectral_sums)
-    elif floor is None:
-        damp = _dirichlet_damping(modes.abs_l, a_prime)
-        shift = np.zeros(traces.size)
-        shift[:damp.size] = np.where(modes.sgn[:damp.size] < 0.0, damp, 0.0)
-        total, roundoff = _summed(0.5 * traces * modes.sgn + traces * shift)
     else:
-        tails = _dirichlet_tails if dirichlet else _spectral_tails
-        total, roundoff = _summed(traces * tails(modes, a_prime, floor))
+        total, roundoff = _summed(
+            spectrum.traces * _spectral_tails(modes, a_prime, floor))
     if floor is None:
         return total, roundoff
     collar_cut = 0.5 * (math.erfc(a_prime / math.sqrt(floor))
@@ -265,7 +261,7 @@ def contribution(spectrum: BoundarySpectrum, a_prime: float,
     if not math.isfinite(f1):
         raise DomainError(f"f1_at_aprime must be finite, got {f1_at_aprime!r}")
 
-    integral, integral_err = _integral(spectrum, a_prime, dirichlet=False)
+    integral, integral_err = _integral(spectrum, a_prime)
     eta_res = eta_invariant(spectrum)
 
     eta_reference = f1 * eta_res.value
@@ -282,13 +278,16 @@ def dirichlet_variant_contribution(spectrum: BoundarySpectrum,
     """A_g^F(a'), the contribution computed with the Dirichlet kernel, with
     its error budget.
 
-    Same closed-form pipeline as the direct value of contribution(), with
-    the Dirichlet bracket's per-mode integrals. No collar-independence
-    holds here: each lam < 0 mode leaves an extra -e^{-2 a' |lam|} behind,
-    so the value is -eta/2 - sum_{lam_j < 0} a_j e^{-2 a' |lam_j|}: exactly
-    -eta/2 when every mode is positive, and shifted by the negative modes
-    whether or not the spectrum is symmetric.
+    The spectral integral of contribution()'s direct value, kept sum
+    included, plus the closed-form shift of the lam < 0 modes where
+    e^{-2 a' |lam|} lives. No collar-independence holds here: each lam < 0
+    mode leaves an extra -e^{-2 a' |lam|} behind, the shift's s_f -> 0
+    limit, so the value is -eta/2 - sum_{lam_j < 0} a_j e^{-2 a' |lam_j|}:
+    exactly -eta/2 when every mode is positive, and shifted by the negative
+    modes whether or not the spectrum is symmetric.
     """
-    integral, est = _integral(spectrum, _check_a_prime(a_prime),
-                              dirichlet=True)
-    return Estimate(value=-integral, est_error=est)
+    a_prime = _check_a_prime(a_prime)
+    integral, est = _integral(spectrum, a_prime)
+    shift, shift_err = _dirichlet_shift(spectrum.modes, spectrum.traces,
+                                        a_prime, spectrum.floor_analysis.floor)
+    return Estimate(value=-(integral + shift), est_error=est + shift_err)

@@ -457,8 +457,9 @@ def tail_bound(spectrum: BoundarySpectrum, s_min: float,
     """
     if not (s_min > 0):
         raise DomainError(f"s_min must be positive, got {s_min!r}")
-    if a_prime < 0:
-        raise DomainError(f"a_prime must be nonnegative, got {a_prime!r}")
+    if not (math.isfinite(a_prime) and a_prime >= 0.0):
+        raise DomainError(
+            f"a_prime must be a nonnegative real, got {a_prime!r}")
     c1, c2 = spectrum.weyl_c1, spectrum.weyl_c2
     c3, c4 = spectrum.trace_bound_c3, spectrum.trace_bound_c4
     cutoff = spectrum.truncated_at

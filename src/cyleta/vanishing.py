@@ -46,7 +46,7 @@ import numpy as np
 
 from ._json import JsonFields
 from ._special import erfcx as _erfcx_arr
-from .contribution import _UNDERFLOW, _check_a_prime
+from .contribution import _UNDERFLOW, _check_a_prime, _collar_damping
 from .errors import DomainError
 from .spectral import BoundarySpectrum
 
@@ -124,16 +124,12 @@ def _closed_form_partial(lams: np.ndarray, traces: np.ndarray,
     term is an exact 0 and is summed as one, so the sum is the full-array
     evaluation's bit for bit.
     """
-    abs_l = np.abs(lams)
-    sqrt_t = math.sqrt(t)
-    offset = (a_prime * a_prime) / t
-    reach = math.sqrt(max(_UNDERFLOW - offset, 0.0) / t)
-    n = int(abs_l.searchsorted(reach, side="right"))
-    head = lams[:n]
+    abs_l, sqrt_t = np.abs(lams), math.sqrt(t)
+    damp = _collar_damping(abs_l, a_prime, t)
+    n = damp.size
     z = abs_l[:n] * sqrt_t + a_prime / sqrt_t
-    expo = -(head * head) * t - offset
-    terms = traces[:n] * (-_SQRT_PI) * np.sign(head) * _erfcx_arr(z) \
-        * np.exp(expo)
+    terms = traces[:n] * (-_SQRT_PI) * np.sign(lams[:n]) * _erfcx_arr(z) \
+        * damp
     return complex(np.concatenate([terms, np.zeros(lams.size - n)]).sum())
 
 

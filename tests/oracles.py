@@ -28,11 +28,13 @@ Contents:
   variant for a whole list of modes, by adaptive quadrature of the
   spectral sums over every heat time from a given lower limit, with no
   erfc-type antiderivative anywhere.
-* ``spectral_tails`` and ``dirichlet_tails``: the per-mode closed forms
-  of the same collar integrals, every factor evaluated on every mode.
-  The runtime evaluates the collar factors only where they do not
-  underflow. Given the runtime's own erfc and erfcx in place of scipy's,
-  it must match these bit for bit.
+* ``spectral_tails``, ``dirichlet_tails`` and ``dirichlet_shift``: the
+  per-mode closed forms of the same collar integrals and of their
+  difference, every factor evaluated on every mode. The runtime
+  evaluates the collar factors only where they do not underflow. Given
+  the runtime's own erfc and erfcx in place of scipy's, it must match
+  spectral_tails and dirichlet_shift bit for bit; dirichlet_tails is
+  their sum to a few ulp of the larger piece.
 * ``per_mode_difference_by_quad`` and ``dominator_integrals_by_quad``:
   the integrals behind the vanishing verifier, by adaptive quadrature in
   s, each with quad's error estimate.
@@ -367,6 +369,27 @@ def dirichlet_tails(lams, a_prime: float, T: float, erfc=erfc,
     neg = -0.5 * erfc_T + np.where(v >= 0.0, branch_pos_v, branch_neg_v)
 
     return np.where(lams > 0.0, pos, neg)
+
+
+def dirichlet_shift(lams, a_prime: float, T: float | None, erfc=erfc,
+                    erfcx=erfcx) -> np.ndarray:
+    """Per-mode Dirichlet minus spectral tail from T, in closed form.
+
+    On lam < 0: [e^{-2 a' |lam|} erfc(v) - erfcx(w) e^{-lam^2 T - a'^2/T}]
+    / 2 with v, w = |lam| sqrt(T) -+ a'/sqrt(T), or the T -> 0 limit
+    e^{-2 a' |lam|} when T is None; 0 on lam > 0. erfc and erfcx are
+    scipy's unless others are given.
+    """
+    lams = np.asarray(lams, dtype=float)
+    abs_l = np.abs(lams)
+    first = np.exp(-2.0 * a_prime * abs_l)
+    if T is None:
+        return np.where(lams < 0.0, first, 0.0)
+    sqrt_T = math.sqrt(T)
+    expo = np.exp(-(lams * lams) * T - (a_prime * a_prime) / T)
+    shift = 0.5 * (first * erfc(abs_l * sqrt_T - a_prime / sqrt_T)
+                   - erfcx(abs_l * sqrt_T + a_prime / sqrt_T) * expo)
+    return np.where(lams < 0.0, shift, 0.0)
 
 
 # ---------------------------------------------------------------------------

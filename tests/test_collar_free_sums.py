@@ -36,6 +36,13 @@ PROPERTY = settings(derandomize=True, deadline=None, database=None,
 # lives on some modes at a' = 0.05 and on none at a' >= 0.09.
 COLLARS = (0.05, 0.5, 1.5, 0.02, 3.0)
 
+SPECTRA = pytest.mark.parametrize("make", [
+    lambda: circle_spectrum(0.25, 0.7, 2000),
+    lambda: circle_spectrum(0.3, 0.0, 200),
+    # one-signed, so the floor is refused
+    lambda: from_records([(j + 0.5, 1, 1.0, 0.0) for j in range(300)]),
+], ids=["circle-4001", "identity-circle-401", "refused-floor"])
+
 
 @pytest.fixture
 def made(monkeypatch):
@@ -60,12 +67,7 @@ def _every_query(spectrum):
         dirichlet_variant_contribution(spectrum, a_prime)
 
 
-@pytest.mark.parametrize("make", [
-    lambda: circle_spectrum(0.25, 0.7, 2000),
-    lambda: circle_spectrum(0.3, 0.0, 200),
-    # one-signed, so the floor is refused
-    lambda: from_records([(j + 0.5, 1, 1.0, 0.0) for j in range(300)]),
-], ids=["circle-4001", "identity-circle-401", "refused-floor"])
+@SPECTRA
 def test_one_collar_free_pass_per_spectrum(made, make):
     spectrum = make()
     _every_query(spectrum)
@@ -74,17 +76,29 @@ def test_one_collar_free_pass_per_spectrum(made, make):
                     "identity": [spectrum]}
 
 
+@SPECTRA
+def test_dirichlet_queries_alone_make_one_spectral_pass(made, make):
+    spectrum = make()
+    for a_prime in COLLARS + COLLARS:
+        dirichlet_variant_contribution(spectrum, a_prime)
+    assert made == {"eta": [], "spectral": [spectrum], "identity": []}
+
+
 def test_a_lone_query_makes_only_what_it_reads(made):
     spectrum = circle_spectrum(0.25, 0.7, 2000)
     eta_invariant(spectrum)
     assert set(spectrum.collar_free) == {"eta"}
-    dirichlet_variant_contribution(spectrum, 0.5)
-    contribution(spectrum, 0.05)  # a live prefix: the kept sum is not read
+    # A live prefix: neither query reads the kept sum.
+    dirichlet_variant_contribution(spectrum, 0.05)
+    contribution(spectrum, 0.05)
     assert set(spectrum.collar_free) == {"eta"}
     aps_index(spectrum, 0.0, g_is_identity=False)
     assert set(spectrum.collar_free) == {"eta"}
-    contribution(spectrum, 0.5)
+    # No spectral collar factor lives at 0.5, so the Dirichlet variant
+    # reads the kept spectral sum, as the contribution then does too.
+    dirichlet_variant_contribution(spectrum, 0.5)
     assert set(spectrum.collar_free) == {"eta", "spectral"}
+    contribution(spectrum, 0.5)
     assert [len(v) for v in made.values()] == [1, 1, 0]
 
 

@@ -6,11 +6,16 @@ Past the prefix e^{-lam^2 T - a'^2/T} and e^{-2 a' |lam|} are exact zeros,
 so dropping them changes nothing. The comparisons below use exact equality
 (np.array_equal and ==), which lets only the sign of a zero differ; the
 oracles are handed cyleta's own erfc and erfcx for them, so that equality
-tests the prefix and not the kernels. The public values are also checked
-against the oracles with scipy's kernels, within their est_error. Collars
-are drawn so that a'^2/T lands below 700 (every mode live on a spectrum
-that ends near 1/sqrt(T)), in (700, 746) (a partial prefix) and above 746
-(an empty prefix), and so that 2 a' |lam| crosses 746 inside the spectrum.
+tests the prefix and not the kernels. The Dirichlet variant is the
+spectral sum plus the shift summed over the lam < 0 modes of the
+e^{-2 a' |lam|} prefix, so it is checked exactly against that composition
+of oracles, and the composition against the full-array Dirichlet tails
+per mode. The public values are also checked against the full-array
+oracles with cyleta's and with scipy's kernels, within their est_error.
+Collars are drawn so that a'^2/T lands below 700 (every mode live on a
+spectrum that ends near 1/sqrt(T)), in (700, 746) (a partial prefix) and
+above 746 (an empty prefix), and so that 2 a' |lam| crosses 746 inside
+the spectrum.
 """
 
 import dataclasses
@@ -21,13 +26,13 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import erfc as scipy_erfc, erfcx as scipy_erfcx
 
 from cyleta import (circle_spectrum, contribution,
-                    dirichlet_variant_contribution)
+                    dirichlet_variant_contribution, from_records)
 from cyleta._special import erfc, erfcx
 from cyleta.contribution import (_collar_damping, _dirichlet_damping,
-                                 _dirichlet_tails, _spectral_tails)
+                                 _dirichlet_shift, _spectral_tails)
 from cyleta.spectral import _Modes
 
-from oracles import dirichlet_tails, spectral_tails
+from oracles import dirichlet_shift, dirichlet_tails, spectral_tails
 from test_closed_forms import circles, finite_spectra
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None,
@@ -67,46 +72,82 @@ def _check_prefixes(abs_l, a_prime, T):
     assert not np.exp(-2.0 * a_prime * abs_l)[reach:].any()
 
 
+def _shift_sum(spectrum, a_prime, T, kernels):
+    """The oracle shift summed over the modes the runtime sums, in the same
+    order: the lam < 0 modes of the e^{-2 a' |lam|} prefix."""
+    lams, traces = spectrum.lams, spectrum.traces
+    reach = _dirichlet_damping(np.abs(lams), a_prime).size
+    neg = lams[:reach] < 0.0
+    shift = dirichlet_shift(lams, a_prime, T, *kernels)[:reach][neg]
+    return complex((traces[:reach][neg] * shift).sum())
+
+
+def _check_shift_identity(lams, a_prime, T):
+    """Per mode, spectral tail plus shift is the Dirichlet tail, to 4 ulp
+    of the largest piece. Where v >= 0 the Dirichlet tail has
+    erfcx(v) e^{-lam^2 T - a'^2/T} for e^{-2 a' |lam|} erfc(v), whose
+    exponent is rounded to its own ulp, so that piece gets 4 ulp per unit
+    of the exponent. cyleta's kernels keep erfc(v) subnormal where
+    scipy's flush it to 0."""
+    abs_l, sqrt_T = np.abs(lams), math.sqrt(T)
+    v = abs_l * sqrt_T - a_prime / sqrt_T
+    exponent = (lams * lams) * T + (a_prime * a_prime) / T
+    first = np.exp(-2.0 * a_prime * abs_l) * erfc(v)
+    second = erfcx(abs_l * sqrt_T + a_prime / sqrt_T) * np.exp(-exponent)
+    largest = np.max([erfc(abs_l * sqrt_T), first, second], axis=0)
+    gap = np.abs(spectral_tails(lams, a_prime, T, erfc, erfcx)
+                 + dirichlet_shift(lams, a_prime, T, erfc, erfcx)
+                 - dirichlet_tails(lams, a_prime, T, erfc, erfcx))
+    assert np.all(gap <= 4.0 * (np.spacing(largest) + np.spacing(first)
+                                * np.where(v >= 0.0, exponent, 0.0)))
+
+
 def _check_tails(spectrum, a_prime, T):
     lams, traces = spectrum.lams, spectrum.traces
     modes = _modes_at(spectrum, T)
     _check_prefixes(modes.abs_l, a_prime, T)
-    for runtime, oracle in ((_spectral_tails(modes, a_prime, T),
-                             spectral_tails(lams, a_prime, T, erfc, erfcx)),
-                            (_dirichlet_tails(modes, a_prime, T),
-                             dirichlet_tails(lams, a_prime, T, erfc, erfcx))):
-        assert np.array_equal(runtime, oracle)
-        assert complex((traces * runtime).sum()) \
-            == complex((traces * oracle).sum())
+    runtime = _spectral_tails(modes, a_prime, T)
+    oracle = spectral_tails(lams, a_prime, T, erfc, erfcx)
+    assert np.array_equal(runtime, oracle)
+    assert complex((traces * runtime).sum()) \
+        == complex((traces * oracle).sum())
+    for heat_time in (T, None):
+        shift, _ = _dirichlet_shift(modes, traces, a_prime, heat_time)
+        assert shift == _shift_sum(spectrum, a_prime, heat_time,
+                                   (erfc, erfcx))
+    _check_shift_identity(lams, a_prime, T)
 
 
 def _full_arrays(spectrum, a_prime, kernels):
-    """The spectral and Dirichlet sums of the full-array forms at the
-    resolved floor, or of the s -> 0 limits when it is refused."""
+    """The spectral, shift and Dirichlet sums of the full-array forms at
+    the resolved floor, or of the s -> 0 limits when it is refused; the
+    shift summed as _shift_sum does."""
     lams, traces = spectrum.lams, spectrum.traces
     floor = spectrum.floor_analysis.floor
     if floor is None:
-        half = 0.5 * traces * np.sign(lams)
-        spectral = half
-        dirichlet = half + traces * np.where(
-            lams < 0.0, np.exp(-2.0 * a_prime * np.abs(lams)), 0.0)
+        spectral = 0.5 * traces * np.sign(lams)
+        dirichlet = spectral + traces * dirichlet_shift(lams, a_prime, None)
     else:
         spectral = traces * spectral_tails(lams, a_prime, floor, *kernels)
         dirichlet = traces * dirichlet_tails(lams, a_prime, floor, *kernels)
-    return complex(spectral.sum()), complex(dirichlet.sum())
+    return (complex(spectral.sum()),
+            _shift_sum(spectrum, a_prime, floor, kernels),
+            complex(dirichlet.sum()))
 
 
 def _check_public(spectrum, a_prime):
     """contribution and the Dirichlet variant against the full-array
-    forms: exactly with cyleta's kernels, within est_error with scipy's."""
+    forms: exactly with cyleta's kernels, and the Dirichlet variant within
+    est_error of the full-array Dirichlet tails with either kernels."""
     report = contribution(spectrum, a_prime)
     dirichlet = dirichlet_variant_contribution(spectrum, a_prime)
-    spectral_sum, dirichlet_sum = _full_arrays(spectrum, a_prime,
-                                               (erfc, erfcx))
+    spectral_sum, shift_sum, dirichlet_sum = _full_arrays(spectrum, a_prime,
+                                                          (erfc, erfcx))
     assert report.direct_value == -spectral_sum
-    assert dirichlet.value == -dirichlet_sum
-    spectral_sum, dirichlet_sum = _full_arrays(spectrum, a_prime,
-                                               (scipy_erfc, scipy_erfcx))
+    assert dirichlet.value == -(spectral_sum + shift_sum)
+    assert abs(dirichlet.value + dirichlet_sum) <= dirichlet.est_error
+    spectral_sum, _, dirichlet_sum = _full_arrays(spectrum, a_prime,
+                                                  (scipy_erfc, scipy_erfcx))
     assert abs(report.direct_value + spectral_sum) <= report.est_error
     assert abs(dirichlet.value + dirichlet_sum) <= dirichlet.est_error
 
@@ -150,7 +191,8 @@ def test_partial_prefixes_match_full_arrays():
     # would pass as well. Cut at Lambda = 100.7, the same modes get the
     # resolved floor s_f = 3.9e-3, and a'^2/s_f = 10 leaves the 864 modes
     # with |lam| < 432 live; their terms move the direct value 1e-5 away
-    # from the collar-free -eta/2, which no kept sum can match.
+    # from the collar-free -eta/2, which no kept sum can match, in the
+    # direct value and in the Dirichlet variant alike.
     cut = dataclasses.replace(spectrum, truncated_at=100.7)
     floor = cut.floor_analysis.floor
     a_prime = math.sqrt(10.0 * floor)
@@ -159,6 +201,26 @@ def test_partial_prefixes_match_full_arrays():
     assert abs(report.direct_value - report.decomposed_value) > 1e-6
     _check_tails(cut, a_prime, floor)
     _check_public(cut, a_prime)
+
+
+def test_the_shift_holds_for_either_sign_of_v_and_a_subnormal_erfc():
+    # At T = 1 the modes near |lam| = 27 have erfc(v) below the smallest
+    # normal double; a' = 3 puts v < 0 on the first two modes.
+    spectrum = from_records([(-0.5, 1, 1.0, 0.0), (2.0, 1, 0.5, 0.5),
+                             (-5.0, 2, 1.5, 0.0), (-12.0, 1, 0.0, 1.0),
+                             (-26.9, 1, 1.0, 0.0), (-27.1, 1, -1.0, 0.0),
+                             (30.0, 1, 1.0, 0.0)])
+    abs_l, neg = np.abs(spectrum.lams), spectrum.lams < 0.0
+    seen = set()
+    for a_prime in (0.1, 3.0, 13.0):
+        v = abs_l[neg] - a_prime
+        tiny = (erfc(v) > 0.0) & (erfc(v) < np.finfo(float).tiny)
+        seen |= {"v >= 0"} if (v >= 0.0).any() else set()
+        seen |= {"v < 0"} if (v < 0.0).any() else set()
+        seen |= {"subnormal erfc(v)"} if tiny.any() else set()
+        _check_tails(spectrum, a_prime, 1.0)
+        _check_public(spectrum, a_prime)
+    assert seen == {"v >= 0", "v < 0", "subnormal erfc(v)"}
 
 
 def test_the_prefix_keeps_every_nonzero_factor():

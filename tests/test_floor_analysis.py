@@ -110,29 +110,54 @@ def test_the_record_leaves_identity_hashing_and_arrays_alone():
         analysis.floor = None
 
 
-def test_only_scalars_and_the_mode_arrays_are_kept():
-    spectrum = circle_spectrum(0.25, 0.7, 500)
+def _check_only_scalars_are_kept(spectrum, dirichlet_collars):
+    """Every query, the Dirichlet variant at the given collars included,
+    keeps nothing but the floor analysis, the mode arrays and scalar
+    collar-free sums."""
+    floor = spectrum.floor_analysis.floor
     eta_invariant(spectrum)
     contribution(spectrum, 0.5)
     contribution(spectrum, 5.0)  # no collar factor lives: the kept sums
     aps_index(spectrum, 0.0)
+    for a_prime in dirichlet_collars:
+        dirichlet_variant_contribution(spectrum, a_prime)
     kept = set(vars(spectrum)) - {f.name for f in dataclasses.fields(spectrum)}
     assert kept == {"floor_analysis", "modes", "collar_free"}
     values = dataclasses.astuple(spectrum.floor_analysis)
-    assert all(type(v) is float for v in values)
-    assert spectrum.floor_analysis.floor is not None
+    assert all(type(v) is float for v in values if v is not None)
     sums = spectrum.collar_free
     assert set(sums) == {"eta", "spectral", "identity"}
     scalars = [v for value in sums.values()
                for v in (value if isinstance(value, tuple) else (value,))]
     assert {type(v) for v in scalars} <= {float, complex, bool}
     assert not any(isinstance(v, np.ndarray) for v in scalars)
+    assert (spectrum.modes.erfc is None) == (floor is None)
     for array in spectrum.modes:
-        assert type(array) is np.ndarray and array.dtype == np.float64
-        assert array.shape == (len(spectrum),)
-        assert not array.flags.writeable
+        if array is not None:
+            assert type(array) is np.ndarray and array.dtype == np.float64
+            assert array.shape == (len(spectrum),)
+            assert not array.flags.writeable
     with pytest.raises(dataclasses.FrozenInstanceError):
         spectrum.modes = None
+
+
+def test_only_scalars_and_the_mode_arrays_are_kept():
+    spectrum = circle_spectrum(0.25, 0.7, 500)
+    floor = spectrum.floor_analysis.floor
+    assert floor is not None
+    # The spectral collar factor lives on every, some and no mode.
+    _check_only_scalars_are_kept(
+        spectrum, (0.05, math.sqrt(720.0 * floor), 5.0))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_only_scalars_are_kept_with_a_refused_floor(sign):
+    # one-signed, so the floor is refused
+    spectrum = from_records([(sign * (j + 0.5), 1, 1.0, 0.0)
+                             for j in range(300)])
+    assert spectrum.floor_analysis.floor is None
+    # e^{-2 a' |lam|} lives on every, some and no mode.
+    _check_only_scalars_are_kept(spectrum, (0.05, 5.0, 1000.0))
 
 
 def test_fields_match_an_independent_pass():

@@ -292,6 +292,17 @@ def test_tail_bound_rejects_bad_arguments():
         tail_bound(s, 1.0, -0.5)
 
 
+@pytest.mark.parametrize("s_min, a_prime", [
+    *((s_min, 0.0) for s_min in (0.0, -1.0, math.nan)),
+    *((1e-3, a_prime) for a_prime in (-1.0, math.nan, math.inf)),
+])
+def test_tail_bound_refuses_each_bad_argument(s_min, a_prime):
+    spectrum = circle_spectrum(0.25, 0.0, 200)
+    assert math.isfinite(tail_bound(spectrum, 1e-3, 0.0).bound)
+    with pytest.raises(DomainError):
+        tail_bound(spectrum, s_min, a_prime)
+
+
 # ---------------------------------------------------------------------------
 # JSON round trips
 
