@@ -16,7 +16,7 @@ from .contribution import (ContributionReport, Estimate, contribution,
                            dirichlet_variant_contribution)
 from .errors import (CyletaError, DomainError, InvalidSpectrumError,
                      InvalidTraceError, VerificationError)
-from .eta import EtaResult, eta_circle_oracle, eta_invariant, heat_trace
+from .eta import EtaResult, eta_invariant
 from .identities import (BOUNDARY_GRID, DECOMPOSITION_GRID, DeviationReport,
                          KernelGrid, verify_boundary_vanish,
                          verify_decomposition, verify_not_feel_boundary)
@@ -64,9 +64,7 @@ __all__ = [
     "verify_boundary_vanish",
     "verify_not_feel_boundary",
     "EtaResult",
-    "heat_trace",
     "eta_invariant",
-    "eta_circle_oracle",
     "VanishingTermConfig",
     "VanishingReport",
     "CertificateFailure",

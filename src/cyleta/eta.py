@@ -37,26 +37,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._json import JsonFields
-from .errors import DomainError
 from .spectral import BoundarySpectrum, _kept, tail_bound
 
 __all__ = [
     "EtaResult",
-    "heat_trace",
     "eta_invariant",
-    "eta_circle_oracle",
 ]
 
 # Relative roundoff priced into est_error per unit of sum_j |term_j|.
 _ROUNDOFF = 4e-16
-
-
-def heat_trace(spectrum: BoundarySpectrum, s: float) -> complex:
-    """Tr(g e^{-s D^2} D) = sum_j a_j lam_j e^{-s lam_j^2}."""
-    if not s > 0:
-        raise DomainError(f"heat time must be positive, got {s!r}")
-    lams = spectrum.lams
-    return complex((spectrum.traces * (lams * np.exp(-s * lams * lams))).sum())
 
 
 def _roundoff(terms: np.ndarray) -> float:
@@ -97,15 +86,3 @@ def eta_invariant(spectrum: BoundarySpectrum) -> EtaResult:
     est = roundoff + spectrum.floor_analysis.skipped_segment
     return EtaResult(value=value, est_error=est, truncation_error=trunc)
 
-
-def eta_circle_oracle(twist: float) -> float:
-    """Closed form for the twisted circle with identity group element: 1 - 2 twist.
-
-    Comes from zeta-regularizing sum sgn(n + a) |n + a|^{-z} at z = 0 with
-    the Hurwitz values zeta_H(0, a) = 1/2 - a and the reflection a <-> 1 - a;
-    the test suite re-derives it from an independent Hurwitz-zeta evaluation.
-    """
-    twist = float(twist)
-    if not (0.0 < twist < 1.0):
-        raise DomainError(f"twist must lie in (0, 1), got {twist!r}")
-    return 1.0 - 2.0 * twist

@@ -7,10 +7,10 @@ eigenspace. BoundarySpectrum stores them as three read-only numpy arrays,
 lams (float64), multiplicity (int64) and traces (complex128), plus growth
 metadata and the truncation cutoff. This module defines the container,
 constructors (an explicit twisted-circle model, raw record lists, JSON
-files), a direct sum, and the truncation-tail estimator that turns the
-growth metadata into a quantitative bound on everything the omitted modes
-could contribute. Constructors build and check whole arrays; no per-mode
-record object exists.
+files of four columns or of records), a direct sum, and the truncation-tail
+estimator that turns the growth metadata into a quantitative bound on
+everything the omitted modes could contribute. Constructors build and check
+whole arrays; no per-mode record object exists.
 
 Conventions baked into the container:
 
@@ -475,10 +475,12 @@ def tail_bound(spectrum: BoundarySpectrum, s_min: float,
 
 
 # ---------------------------------------------------------------------------
-# JSON ingestion. Format: {"data": [{"lambda": r, "multiplicity": n,
-# "trace": [re, im]}, ...], "weyl": {"c1": r, "c2": r, "c3": r, "c4": r},
-# "truncated_at": r}, with "weyl" optional (fitted from the data when absent)
-# and "truncated_at" optional (the largest |lambda| when absent).
+# JSON files. The record form has no "format" key; its "data" is a list of
+# {"lambda": r, "multiplicity": n, "trace": [re, im]}. Format 2, which
+# dump_spectrum writes, has "format": 2 and "data": {"lambda": [r, ...],
+# "multiplicity": [n, ...], "trace_re": [r, ...], "trace_im": [r, ...]}.
+# Both take "weyl": {"c1": r, "c2": r, "c3": r, "c4": r}, fitted from the
+# data when absent, and "truncated_at": r, the largest |lambda| when absent.
 
 def _json_columns(raw: list):
     if not _only(raw, dict):
@@ -500,21 +502,52 @@ def _json_columns(raw: list):
     return (lam, mult, *np.array(trace, dtype=np.float64).reshape(-1, 2).T)
 
 
+_COLUMNS = {"lambda": (int, float), "multiplicity": int,
+            "trace_re": (int, float), "trace_im": (int, float)}
+
+
+def _fits(values, kinds) -> bool:
+    """Whether every value is an instance of kinds, an int one in 64 bits."""
+    return _only(values, kinds) and (kinds is not int
+                                     or all(map(_INT64.__contains__, values)))
+
+
+def _column_arrays(data) -> tuple[np.ndarray, ...]:
+    """The arrays of a format-2 "data" object: the first malformed entry is
+    named data.<column>[index], else _read names the first invalid mode."""
+    data = data if isinstance(data, dict) else {}
+    cols = [data[name] if isinstance(data.get(name), list) else [] for name in _COLUMNS]
+    n = max(map(len, cols))
+    for (name, kinds), col in zip(_COLUMNS.items(), cols):
+        if len(col) < n or not n:
+            raise InvalidSpectrumError(f"data.{name}[{len(col)}]: no entry; the four "
+                                       "columns must be non-empty arrays of one length")
+        if not _fits(col, kinds):
+            i = next(i for i, v in enumerate(col) if not _fits((v,), kinds))
+            raise InvalidSpectrumError(f"data.{name}[{i}]: must be " + (
+                "a 64-bit integer" if kinds is int else "a number") + f", got {col[i]!r}")
+    return _read(cols, lambda cols: cols, lambda i: f"data[{i}]")
+
+
 def spectrum_from_json_dict(doc: dict) -> BoundarySpectrum:
     if not isinstance(doc, dict) or "data" not in doc:
         raise InvalidSpectrumError('spectrum JSON must be an object with a "data" array')
-    raw = doc["data"]
-    if not isinstance(raw, list) or not raw:
-        raise InvalidSpectrumError('"data" must be a non-empty array')
-    lams, mult, traces = _read(raw, _json_columns, lambda i: f"data[{i}]")
+    if "format" not in doc:
+        raw = doc["data"]
+        if not isinstance(raw, list) or not raw:
+            raise InvalidSpectrumError('"data" must be a non-empty array')
+        lams, mult, traces = _read(raw, _json_columns, lambda i: f"data[{i}]")
+    elif doc["format"] == 2 and type(doc["format"]) is int:
+        lams, mult, traces = _column_arrays(doc["data"])
+    else:
+        raise InvalidSpectrumError(f'"format" must be 2 or absent, got {doc["format"]!r}')
     cutoff = doc.get("truncated_at")
     cutoff = float(np.abs(lams).max() if cutoff is None else cutoff)
     weyl = doc.get("weyl")
     if weyl is None:
         return _fitted(lams, mult, traces, cutoff)
     try:
-        c1, c2 = float(weyl["c1"]), float(weyl["c2"])
-        c3, c4 = float(weyl["c3"]), float(weyl["c4"])
+        c1, c2, c3, c4 = (float(weyl[key]) for key in ("c1", "c2", "c3", "c4"))
     except (KeyError, TypeError, ValueError):
         raise InvalidSpectrumError(
             '"weyl" must be an object with numeric c1, c2, c3, c4') from None
@@ -524,32 +557,24 @@ def spectrum_from_json_dict(doc: dict) -> BoundarySpectrum:
 
 
 def spectrum_to_json_dict(spectrum: BoundarySpectrum) -> dict:
-    columns = (spectrum.lams.tolist(), spectrum.multiplicity.tolist(),
-               spectrum.traces.real.tolist(), spectrum.traces.imag.tolist())
-    return {
-        "data": [{"lambda": lam, "multiplicity": mult, "trace": [re, im]}
-                 for lam, mult, re, im in zip(*columns)],
-        "weyl": {
-            "c1": spectrum.weyl_c1,
-            "c2": spectrum.weyl_c2,
-            "c3": spectrum.trace_bound_c3,
-            "c4": spectrum.trace_bound_c4,
-        },
-        "truncated_at": spectrum.truncated_at,
-    }
+    columns = (spectrum.lams, spectrum.multiplicity, spectrum.traces.real,
+               spectrum.traces.imag)
+    return {"format": 2,
+            "data": {name: col.tolist() for name, col in zip(_COLUMNS, columns)},
+            "weyl": {"c1": spectrum.weyl_c1, "c2": spectrum.weyl_c2,
+                     "c3": spectrum.trace_bound_c3, "c4": spectrum.trace_bound_c4},
+            "truncated_at": spectrum.truncated_at}
 
 
 def load_spectrum(path: Union[str, Path]) -> BoundarySpectrum:
-    """Read a spectrum from a JSON file."""
-    text = Path(path).read_text()
+    """Read a spectrum from a JSON file of either form."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise InvalidSpectrumError(f"{path}: not valid JSON ({exc})") from None
     return spectrum_from_json_dict(doc)
 
 
 def dump_spectrum(spectrum: BoundarySpectrum, path: Union[str, Path]) -> None:
-    """Write a spectrum to a JSON file in the documented format."""
-    doc = spectrum_to_json_dict(spectrum)
-    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
+    """Write a spectrum to a JSON file in format 2."""
+    Path(path).write_text(json.dumps(spectrum_to_json_dict(spectrum), sort_keys=True) + "\n")

@@ -23,6 +23,9 @@ Contents:
 * ``contribution_integrand``: the collapsed diagonal bracket of the
   contribution summed over a list of modes at one heat time, which the
   tests check against the per-mode kernel summed one mode at a time.
+* ``heat_trace``: Tr(g e^{-s D^2} D) of a list of modes at one heat time.
+* ``eta_circle_oracle``: the closed-form eta 1 - 2a of the twisted circle
+  with the identity group element.
 * ``eta_by_quadrature`` and ``collar_integral_by_quadrature``: the
   heat-time integrals behind eta, the contribution and its Dirichlet
   variant for a whole list of modes, by adaptive quadrature of the
@@ -263,6 +266,28 @@ def _u_range(lams: np.ndarray, s_lo: float):
             points.append(u)
         u *= 2.0
     return lo, max(hi, 2.0 * lo), points
+
+
+def heat_trace(lams, traces, s: float) -> complex:
+    """Tr(g e^{-s D^2} D) = sum_j a_j lam_j e^{-s lam_j^2}."""
+    if not s > 0:
+        raise ValueError(f"heat time must be positive, got {s!r}")
+    lams = np.asarray(lams, dtype=float)
+    return complex((np.asarray(traces) * (lams * np.exp(-s * lams * lams))).sum())
+
+
+def eta_circle_oracle(twist: float) -> float:
+    """Closed form for the twisted circle with identity group element: 1 - 2 twist.
+
+    Comes from zeta-regularizing sum sgn(n + a) |n + a|^{-z} at z = 0 with
+    the Hurwitz values zeta_H(0, a) = 1/2 - a and the reflection a <-> 1 - a;
+    the acceptance suite re-derives it from an independent Hurwitz-zeta
+    evaluation.
+    """
+    twist = float(twist)
+    if not (0.0 < twist < 1.0):
+        raise ValueError(f"twist must lie in (0, 1), got {twist!r}")
+    return 1.0 - 2.0 * twist
 
 
 def eta_by_quadrature(lams, traces, s_lo: float = 0.0

@@ -1,0 +1,258 @@
+"""The two spectrum file forms: format 2 (four flat columns), which
+dump_spectrum writes, and the older record form, which load_spectrum still
+reads. A record-form document and its format-2 re-dump load to the same
+spectrum bit for bit, and a malformed column names the column and the first
+bad index."""
+
+import json
+
+import numpy as np
+import pytest
+
+from cyleta import (InvalidSpectrumError, InvalidTraceError, circle_spectrum,
+                    direct_sum, dump_spectrum, eta_invariant, from_records,
+                    load_spectrum, spectrum_from_json_dict,
+                    spectrum_to_json_dict)
+from cyleta.cli import main
+
+METADATA = ("weyl_c1", "weyl_c2", "trace_bound_c3", "trace_bound_c4",
+            "truncated_at")
+
+
+def _arrays_of(spectrum):
+    return spectrum.lams, spectrum.multiplicity, spectrum.traces
+
+
+def _assert_same(got, want):
+    """Equal arrays (dtype and the sign of zeros included), metadata and
+    eta result, bit for bit."""
+    for a, b in zip(_arrays_of(got), _arrays_of(want)):
+        assert a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+    for name in METADATA:
+        assert getattr(got, name) == getattr(want, name)
+    before, after = eta_invariant(want), eta_invariant(got)
+    assert (after.value, after.est_error, after.truncation_error) == \
+        (before.value, before.est_error, before.truncation_error)
+
+
+def _record_doc(spectrum, weyl=True):
+    """The record-form document of a spectrum, written the way files were
+    before format 2."""
+    doc = {"data": [{"lambda": lam, "multiplicity": mult, "trace": [re, im]}
+                    for lam, mult, re, im in zip(
+                        spectrum.lams.tolist(), spectrum.multiplicity.tolist(),
+                        spectrum.traces.real.tolist(),
+                        spectrum.traces.imag.tolist())],
+           "truncated_at": spectrum.truncated_at}
+    if weyl:
+        doc["weyl"] = {"c1": spectrum.weyl_c1, "c2": spectrum.weyl_c2,
+                       "c3": spectrum.trace_bound_c3,
+                       "c4": spectrum.trace_bound_c4}
+    return doc
+
+
+def _columns(n=8):
+    return {"format": 2,
+            "data": {"lambda": [float(k + 1) for k in range(n)],
+                     "multiplicity": [1] * n, "trace_re": [1.0] * n,
+                     "trace_im": [0.0] * n}}
+
+
+SPECTRA = {
+    "circle": lambda: circle_spectrum(0.25, 0.0, 300),
+    "rotated": lambda: circle_spectrum(0.37, 2.3, 200),
+    "merged": lambda: direct_sum(
+        circle_spectrum(0.25, 0.7, 40),
+        from_records([(0.4, 1, 1.0, 0.0), (-0.9, 2, 0.7, 1.1),
+                      (1.6, 3, -1.2, 0.3), (-2.5, 1, 0.5, -0.4)])),
+}
+
+
+# ---------------------------------------------------------------------------
+# the written form
+
+
+def test_dump_writes_four_flat_columns(tmp_path):
+    spectrum = circle_spectrum(0.3, 0.2, 1)
+    path = tmp_path / "spectrum.json"
+    dump_spectrum(spectrum, path)
+    doc = json.loads(path.read_text())
+    assert doc == spectrum_to_json_dict(spectrum)
+    assert doc["format"] == 2
+    assert doc["data"] == {
+        "lambda": spectrum.lams.tolist(),
+        "multiplicity": [1, 1, 1],
+        "trace_re": spectrum.traces.real.tolist(),
+        "trace_im": spectrum.traces.imag.tolist()}
+    assert set(doc) == {"format", "data", "weyl", "truncated_at"}
+
+
+def test_a_40001_mode_circle_fits_in_one_megabyte(tmp_path):
+    path = tmp_path / "circle.json"
+    dump_spectrum(circle_spectrum(0.25, 0.0, 20000), path)
+    assert path.stat().st_size <= 1_000_000
+
+
+# ---------------------------------------------------------------------------
+# old files load exactly
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRA))
+@pytest.mark.parametrize("weyl", [True, False])
+def test_record_document_and_its_redump_load_alike(name, weyl):
+    doc = _record_doc(SPECTRA[name](), weyl)
+    old = spectrum_from_json_dict(json.loads(json.dumps(doc)))
+    redump = json.loads(json.dumps(spectrum_to_json_dict(old)))
+    assert redump["format"] == 2
+    _assert_same(spectrum_from_json_dict(redump), old)
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRA))
+def test_record_file_and_its_redump_file_load_alike(tmp_path, name):
+    spectrum = SPECTRA[name]()
+    old_path, new_path = tmp_path / "old.json", tmp_path / "new.json"
+    old_path.write_text(json.dumps(_record_doc(spectrum), indent=2,
+                                   sort_keys=True) + "\n")
+    old = load_spectrum(old_path)
+    _assert_same(old, spectrum)
+    dump_spectrum(old, new_path)
+    _assert_same(load_spectrum(new_path), old)
+
+
+def test_negative_zero_imaginary_parts_keep_their_sign(tmp_path):
+    # the real-trace circle, with -0.0 as every odd mode's imaginary part
+    spectrum = from_records([(n + 0.25, 1, 1.0, -0.0 if n % 2 else 0.0)
+                             for n in range(-50, 51)])
+    signs = np.signbit(spectrum.traces.imag)
+    assert signs.any() and not signs.all()
+    path = tmp_path / "circle.json"
+    dump_spectrum(spectrum, path)
+    back = load_spectrum(path)
+    assert np.array_equal(np.signbit(back.traces.imag), signs)
+    _assert_same(back, spectrum)
+
+
+def test_cli_reads_both_forms_to_one_result(capsys, tmp_path):
+    spectrum = circle_spectrum(0.25, 0.7, 200)
+    old_path, new_path = tmp_path / "old.json", tmp_path / "new.json"
+    old_path.write_text(json.dumps(_record_doc(spectrum)) + "\n")
+    dump_spectrum(spectrum, new_path)
+    results = []
+    for path in (old_path, new_path):
+        assert main(["eta", "--spectrum", str(path)]) == 0
+        results.append(json.loads(capsys.readouterr().out)["result"])
+    assert results[0] == results[1]
+
+
+# ---------------------------------------------------------------------------
+# malformed columns name the column and the first bad index
+
+
+def _without(name):
+    doc = _columns()
+    del doc["data"][name]
+    return doc
+
+
+def _short(name, length):
+    doc = _columns()
+    del doc["data"][name][length:]
+    return doc
+
+
+def _both_bad(name, first, second, value):
+    doc = _columns()
+    doc["data"][name][first] = doc["data"][name][second] = value
+    return doc
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_without("multiplicity"), "data.multiplicity[0]: no entry"),
+    (_short("trace_im", 5), "data.trace_im[5]: no entry"),
+    (_short("lambda", 6), "data.lambda[6]: no entry"),
+    (_short("trace_re", 0), "data.trace_re[0]: no entry"),
+    ({"format": 2, "data": {"lambda": [], "multiplicity": [],
+                            "trace_re": [], "trace_im": []}},
+     "data.lambda[0]: no entry"),
+    (_both_bad("lambda", 2, 5, True), "data.lambda[2]: must be a number, got True"),
+    (_both_bad("lambda", 3, 6, "4.0"),
+     "data.lambda[3]: must be a number, got '4.0'"),
+    (_both_bad("multiplicity", 3, 4, 1.0),
+     "data.multiplicity[3]: must be a 64-bit integer, got 1.0"),
+    (_both_bad("multiplicity", 1, 7, 2**70),
+     f"data.multiplicity[1]: must be a 64-bit integer, got {2**70}"),
+    (_both_bad("trace_re", 4, 5, None),
+     "data.trace_re[4]: must be a number, got None"),
+    (_both_bad("trace_im", 0, 2, [0.0]),
+     "data.trace_im[0]: must be a number, got [0.0]"),
+], ids=["missing", "short", "unequal", "empty", "all-empty", "bool",
+        "string", "float-multiplicity", "huge-multiplicity", "null-trace",
+        "list-trace"])
+def test_malformed_columns_are_named(doc, message):
+    with pytest.raises(InvalidSpectrumError) as err:
+        spectrum_from_json_dict(doc)
+    assert str(err.value).startswith(message)
+
+
+def test_a_longer_column_flags_the_first_short_one():
+    doc = _columns()
+    doc["data"]["trace_re"].append(1.0)
+    with pytest.raises(InvalidSpectrumError,
+                       match=r"^data\.lambda\[8\]: no entry; the four columns "
+                             r"must be non-empty arrays of one length"):
+        spectrum_from_json_dict(doc)
+
+
+@pytest.mark.parametrize("data", [None, "columns", [{"lambda": 1.0}],
+                                  {"lambda": 1.0, "multiplicity": 1,
+                                   "trace_re": 1.0, "trace_im": 0.0}])
+def test_data_that_is_not_an_object_of_arrays_is_refused(data):
+    with pytest.raises(InvalidSpectrumError, match=r"^data\.lambda\[0\]"):
+        spectrum_from_json_dict({"format": 2, "data": data})
+
+
+def test_format_2_names_a_zero_eigenvalue_at_its_row():
+    doc = _columns()
+    doc["data"]["lambda"][3] = 0.0
+    doc["data"]["lambda"][6] = 0.0
+    with pytest.raises(InvalidSpectrumError,
+                       match=r"^data\[3\]: zero eigenvalue"):
+        spectrum_from_json_dict(doc)
+
+
+def test_format_2_names_an_overlarge_trace_at_its_row():
+    doc = _columns()
+    doc["data"]["trace_re"][5], doc["data"]["trace_im"][5] = 0.0, 1.5
+    doc["data"]["trace_re"][7] = 3.0
+    with pytest.raises(InvalidTraceError,
+                       match=r"^data\[5\]: \|trace\| = 1\.5 exceeds "
+                             r"multiplicity 1"):
+        spectrum_from_json_dict(doc)
+
+
+def test_a_malformed_entry_is_named_before_an_invalid_row():
+    doc = _columns()
+    doc["data"]["lambda"][1] = 0.0
+    doc["data"]["trace_im"][6] = "0"
+    with pytest.raises(InvalidSpectrumError, match=r"^data\.trace_im\[6\]"):
+        spectrum_from_json_dict(doc)
+
+
+@pytest.mark.parametrize("value", [3, "2", True, 2.0, 1, None])
+def test_other_formats_are_refused(value):
+    doc = _columns()
+    doc["format"] = value
+    with pytest.raises(InvalidSpectrumError,
+                       match=f'^"format" must be 2 or absent, got {value!r}$'):
+        spectrum_from_json_dict(doc)
+
+
+def test_format_2_reads_weyl_and_cutoff_as_the_record_form_does():
+    doc = _columns(3)
+    fitted = spectrum_from_json_dict(doc)
+    assert fitted.truncated_at == 3.0
+    assert fitted.weyl_c1 > 0
+    doc.update(weyl={"c1": 0.5}, truncated_at=3.5)
+    with pytest.raises(InvalidSpectrumError, match="weyl"):
+        spectrum_from_json_dict(doc)
