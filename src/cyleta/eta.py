@@ -27,7 +27,8 @@ erfc(|lam_j| sqrt(s_f)) array is made once per spectrum too, and kept with
 it as spectrum.modes. eta does not depend on any collar, so its sum, the
 roundoff of that sum and truncation_error are made by the spectrum's first
 eta query and kept as three scalars in spectrum.collar_free; every later
-eta_invariant, aps_index or contribution reads them in O(1).
+eta_invariant, aps_index, contribution or Dirichlet variant reads them in
+O(1), the last two as eta/2 less their collar pieces.
 """
 
 from __future__ import annotations
@@ -66,10 +67,9 @@ class EtaResult(JsonFields):
 
 def _eta_sums(spectrum: BoundarySpectrum) -> tuple[complex, float, float]:
     """eta's value, the roundoff of its sum and its truncation_error."""
-    modes = spectrum.modes
-    terms = spectrum.traces * modes.sgn
-    if modes.erfc is not None:
-        terms = terms * modes.erfc
+    lams, erfc = spectrum.lams, spectrum.modes.erfc
+    terms = spectrum.traces * (np.sign(lams) if erfc is None
+                               else np.copysign(erfc, lams))
     trunc = tail_bound(spectrum, spectrum.floor_analysis.candidate, 0.0).bound
     return complex(terms.sum()), _roundoff(terms), trunc
 

@@ -25,11 +25,11 @@ Conventions baked into the container:
   hashing are those of the object; validation errors name the first
   offending record or rank,
 * the first read of ``floor_analysis`` keeps a FloorAnalysis of scalars in
-  the instance dict, the first read of ``modes`` keeps three read-only
-  float64 arrays there (24 bytes a mode), and ``collar_free`` keeps the
-  sums that no collar changes as Python scalars, each made by the first
-  query that needs it; fields, arrays, equality and hashing stay as they
-  are.
+  the instance dict, the first read of ``modes`` keeps two read-only
+  float64 arrays there, |lambda| and erfc (16 bytes a mode), and
+  ``collar_free`` keeps the sums that no collar changes as Python scalars,
+  each made by the first query that needs it; fields, arrays, equality and
+  hashing stay as they are.
 """
 
 from __future__ import annotations
@@ -189,11 +189,9 @@ class BoundarySpectrum:
 
     @cached_property
     def collar_free(self) -> dict:
-        """The sums that no collar changes, by name, as Python scalars and
-        tuples of them: eta's, the spectral kernel's collar-free terms and
-        the identity flag. Each is made by the first query that needs it,
-        through _kept(), and serves every later query in O(1); no per-mode
-        array is kept here."""
+        """eta's sums and the identity flag, which no collar changes, by
+        name as Python scalars and tuples of them; each is made by the first
+        query that needs it, through _kept(), and serves every later one."""
         return {}
 
     def rank_below(self, cutoff: float) -> int:
@@ -248,21 +246,18 @@ def _kept(spectrum: BoundarySpectrum, name: str, compute):
 
 
 class _Modes(NamedTuple):
-    """|lam|, sgn lam and erfc(|lam| sqrt(s_f)) at the resolved floor s_f,
-    or None for erfc when the floor is refused; read-only arrays. These are
-    the only per-mode arrays a spectrum keeps beside its own three."""
+    """|lam| and erfc(|lam| sqrt(s_f)) at the resolved floor s_f, or None
+    for erfc when the floor is refused; read-only arrays, and the only
+    per-mode ones a spectrum keeps beside its own three."""
 
     abs_l: np.ndarray
-    sgn: np.ndarray
     erfc: np.ndarray | None
 
 
 def _mode_arrays(spectrum: BoundarySpectrum) -> _Modes:
     """The _Modes of a spectrum, from one erfc pass."""
-    lams, floor = spectrum.lams, spectrum.floor_analysis.floor
-    abs_l = np.abs(lams)
-    modes = _Modes(abs_l, np.sign(lams),
-                   None if floor is None else erfc(abs_l * math.sqrt(floor)))
+    floor, abs_l = spectrum.floor_analysis.floor, np.abs(spectrum.lams)
+    modes = _Modes(abs_l, None if floor is None else erfc(abs_l * math.sqrt(floor)))
     for array in modes:
         if array is not None:
             array.flags.writeable = False
@@ -362,6 +357,16 @@ def _read(items: list, columns, label) -> tuple[np.ndarray, ...]:
     return lams, mult, traces
 
 
+def _doubles(lam, mult, trace):
+    """lam, mult and the re and im columns of the (re, im) pairs of trace,
+    all but mult as float64 arrays; or why not: an int past the double range."""
+    try:
+        return (np.array(lam, dtype=np.float64), mult,
+                *np.array(trace, dtype=np.float64).reshape(-1, 2).T)
+    except OverflowError:
+        return "lambda and trace must lie within the double range"
+
+
 def _row_columns(rows: list):
     try:
         lam, mult, re, im = zip(*rows, strict=True) if rows else [()] * 4
@@ -372,7 +377,7 @@ def _row_columns(rows: list):
         return f"multiplicity must be a positive integer, got {mult[0]!r}"
     if not all(map(_INT64.__contains__, mult)):
         return f"multiplicity must fit in 64 bits, got {mult[0]!r}"
-    return lam, mult, re, im
+    return _doubles(lam, mult, tuple(zip(re, im)))
 
 
 def from_records(records: Iterable[tuple]) -> BoundarySpectrum:
@@ -499,17 +504,21 @@ def _json_columns(raw: list):
     if not (_only(trace, list) and set(map(len, trace)) <= {2}
             and _only(chain.from_iterable(trace), (int, float))):
         return "trace must be [re, im]"
-    return (lam, mult, *np.array(trace, dtype=np.float64).reshape(-1, 2).T)
+    return _doubles(lam, mult, trace)
 
 
 _COLUMNS = {"lambda": (int, float), "multiplicity": int,
             "trace_re": (int, float), "trace_im": (int, float)}
 
 
-def _fits(values, kinds) -> bool:
-    """Whether every value is an instance of kinds, an int one in 64 bits."""
-    return _only(values, kinds) and (kinds is not int
-                                     or all(map(_INT64.__contains__, values)))
+def _array(values, kinds) -> np.ndarray | None:
+    """values as an int64 array if kinds is int, else as a float64 one; None
+    unless every value is an instance of kinds, bools excluded, that fits."""
+    try:
+        return np.array(values, dtype=np.int64 if kinds is int else np.float64) \
+            if _only(values, kinds) else None
+    except OverflowError:
+        return None
 
 
 def _column_arrays(data) -> tuple[np.ndarray, ...]:
@@ -517,16 +526,18 @@ def _column_arrays(data) -> tuple[np.ndarray, ...]:
     named data.<column>[index], else _read names the first invalid mode."""
     data = data if isinstance(data, dict) else {}
     cols = [data[name] if isinstance(data.get(name), list) else [] for name in _COLUMNS]
-    n = max(map(len, cols))
+    n, arrays = max(map(len, cols)), []
     for (name, kinds), col in zip(_COLUMNS.items(), cols):
         if len(col) < n or not n:
             raise InvalidSpectrumError(f"data.{name}[{len(col)}]: no entry; the four "
                                        "columns must be non-empty arrays of one length")
-        if not _fits(col, kinds):
-            i = next(i for i, v in enumerate(col) if not _fits((v,), kinds))
-            raise InvalidSpectrumError(f"data.{name}[{i}]: must be " + (
-                "a 64-bit integer" if kinds is int else "a number") + f", got {col[i]!r}")
-    return _read(cols, lambda cols: cols, lambda i: f"data[{i}]")
+        arrays.append(_array(col, kinds))
+        if arrays[-1] is None:
+            i = next(i for i, v in enumerate(col) if _array((v,), kinds) is None)
+            want = "a 64-bit integer" if kinds is int else \
+                "within the double range" if type(col[i]) is int else "a number"
+            raise InvalidSpectrumError(f"data.{name}[{i}]: must be {want}, got {col[i]!r}")
+    return _read(arrays, lambda cols: cols, lambda i: f"data[{i}]")
 
 
 def spectrum_from_json_dict(doc: dict) -> BoundarySpectrum:
@@ -541,16 +552,16 @@ def spectrum_from_json_dict(doc: dict) -> BoundarySpectrum:
         lams, mult, traces = _column_arrays(doc["data"])
     else:
         raise InvalidSpectrumError(f'"format" must be 2 or absent, got {doc["format"]!r}')
-    cutoff = doc.get("truncated_at")
-    cutoff = float(np.abs(lams).max() if cutoff is None else cutoff)
-    weyl = doc.get("weyl")
+    cutoff, weyl = doc.get("truncated_at"), doc.get("weyl")
+    try:
+        cutoff = float(np.abs(lams).max() if cutoff is None else cutoff)
+        if weyl is not None:
+            c1, c2, c3, c4 = (float(weyl[k]) for k in ("c1", "c2", "c3", "c4"))
+    except (KeyError, TypeError, ValueError, OverflowError):
+        raise InvalidSpectrumError('"truncated_at" must be a number and "weyl" an '
+                                   'object with numeric c1, c2, c3, c4') from None
     if weyl is None:
         return _fitted(lams, mult, traces, cutoff)
-    try:
-        c1, c2, c3, c4 = (float(weyl[key]) for key in ("c1", "c2", "c3", "c4"))
-    except (KeyError, TypeError, ValueError):
-        raise InvalidSpectrumError(
-            '"weyl" must be an object with numeric c1, c2, c3, c4') from None
     return BoundarySpectrum(*_sorted(lams, mult, traces), weyl_c1=c1,
                             weyl_c2=c2, trace_bound_c3=c3, trace_bound_c4=c4,
                             truncated_at=cutoff)
@@ -570,7 +581,7 @@ def load_spectrum(path: Union[str, Path]) -> BoundarySpectrum:
     """Read a spectrum from a JSON file of either form."""
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past int()'s digit limit
         raise InvalidSpectrumError(f"{path}: not valid JSON ({exc})") from None
     return spectrum_from_json_dict(doc)
 

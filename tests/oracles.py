@@ -31,13 +31,15 @@ Contents:
   variant for a whole list of modes, by adaptive quadrature of the
   spectral sums over every heat time from a given lower limit, with no
   erfc-type antiderivative anywhere.
-* ``spectral_tails``, ``dirichlet_tails`` and ``dirichlet_shift``: the
-  per-mode closed forms of the same collar integrals and of their
+* ``spectral_tails``, ``collar_piece``, ``dirichlet_tails`` and
+  ``dirichlet_shift``: the per-mode closed forms of the same collar
+  integrals, of the collar part of the spectral one and of their
   difference, every factor evaluated on every mode. The runtime
   evaluates the collar factors only where they do not underflow. Given
   the runtime's own erfc and erfcx in place of scipy's, it must match
-  spectral_tails and dirichlet_shift bit for bit; dirichlet_tails is
-  their sum to a few ulp of the larger piece.
+  collar_piece and dirichlet_shift bit for bit; spectral_tails is eta's
+  term, halved, less the signed half piece, and dirichlet_tails is the
+  spectral tail plus the shift to a few ulp of the larger piece.
 * ``per_mode_difference_by_quad`` and ``dominator_integrals_by_quad``:
   the integrals behind the vanishing verifier, by adaptive quadrature in
   s, each with quad's error estimate.
@@ -369,6 +371,17 @@ def spectral_tails(lams, a_prime: float, T: float, erfc=erfc,
     expo = -(lams * lams) * T - (a_prime * a_prime) / T
     return np.sign(lams) * 0.5 * (erfc(abs_l * sqrt_T)
                                   - erfcx(z_plus) * np.exp(expo))
+
+
+def collar_piece(lams, a_prime: float, T: float,
+                 erfcx=erfcx) -> np.ndarray:
+    """Per-mode erfcx(|lam| sqrt(T) + a'/sqrt(T)) e^{-lam^2 T - a'^2/T} on
+    every mode, the collar part of spectral_tails: each tail is
+    sgn(lam) [erfc(|lam| sqrt(T)) - piece] / 2. erfcx is scipy's unless
+    another is given."""
+    sqrt_T = math.sqrt(T)
+    expo = -(lams * lams) * T - (a_prime * a_prime) / T
+    return erfcx(np.abs(lams) * sqrt_T + a_prime / sqrt_T) * np.exp(expo)
 
 
 def dirichlet_tails(lams, a_prime: float, T: float, erfc=erfc,

@@ -1,9 +1,10 @@
 """The collar-free sums: made once per spectrum, kept as scalars, and never
 a reason for a query to answer differently.
 
-eta's sum, the spectral kernel's collar-free sum and the identity flag do
-not depend on the collar, so spectrum.collar_free keeps each after the
-first query that needs it. These tests count how often each is made, check
+eta's sum and the identity flag do not depend on the collar, so
+spectrum.collar_free keeps each after the first query that needs it. The
+contribution and the Dirichlet variant read eta's sum too: their
+collar-free part is eta/2. These tests count how often each is made, check
 that a lone query makes only what it needs, and compare every value and
 est_error of a query on a spectrum that already served other collars with
 the same query on a freshly built spectrum, by repr.
@@ -23,10 +24,9 @@ from cyleta.cli import main
 
 from test_closed_forms import finite_spectra
 
-# The package binds `contribution` to the function, so the modules are
+# The package binds some public names to functions, so the modules are
 # looked up by their full names.
 ETA = importlib.import_module("cyleta.eta")
-CONTRIBUTION = importlib.import_module("cyleta.contribution")
 ASSEMBLY = importlib.import_module("cyleta.assembly")
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None,
@@ -47,9 +47,8 @@ SPECTRA = pytest.mark.parametrize("make", [
 @pytest.fixture
 def made(monkeypatch):
     """The spectra each collar-free sum was made for, by name."""
-    seen = {"eta": [], "spectral": [], "identity": []}
+    seen = {"eta": [], "identity": []}
     for module, attr, name in ((ETA, "_eta_sums", "eta"),
-                               (CONTRIBUTION, "_spectral_sums", "spectral"),
                                (ASSEMBLY, "_is_identity", "identity")):
         def counted(spectrum, compute=getattr(module, attr), name=name):
             seen[name].append(spectrum)
@@ -72,34 +71,32 @@ def test_one_collar_free_pass_per_spectrum(made, make):
     spectrum = make()
     _every_query(spectrum)
     _every_query(spectrum)
-    assert made == {"eta": [spectrum], "spectral": [spectrum],
-                    "identity": [spectrum]}
+    assert made == {"eta": [spectrum], "identity": [spectrum]}
 
 
 @SPECTRA
 def test_dirichlet_queries_alone_make_one_spectral_pass(made, make):
+    """The one pass is eta's sum, which every collar reads."""
     spectrum = make()
     for a_prime in COLLARS + COLLARS:
         dirichlet_variant_contribution(spectrum, a_prime)
-    assert made == {"eta": [], "spectral": [spectrum], "identity": []}
+    assert made == {"eta": [spectrum], "identity": []}
 
 
 def test_a_lone_query_makes_only_what_it_reads(made):
     spectrum = circle_spectrum(0.25, 0.7, 2000)
-    eta_invariant(spectrum)
-    assert set(spectrum.collar_free) == {"eta"}
-    # A live prefix: neither query reads the kept sum.
+    # A live prefix: the Dirichlet variant reads eta's sum, which it makes.
     dirichlet_variant_contribution(spectrum, 0.05)
-    contribution(spectrum, 0.05)
     assert set(spectrum.collar_free) == {"eta"}
+    contribution(spectrum, 0.05)
+    eta_invariant(spectrum)
     aps_index(spectrum, 0.0, g_is_identity=False)
     assert set(spectrum.collar_free) == {"eta"}
-    # No spectral collar factor lives at 0.5, so the Dirichlet variant
-    # reads the kept spectral sum, as the contribution then does too.
+    # No spectral collar factor lives at 0.5: both read eta's sum alone.
     dirichlet_variant_contribution(spectrum, 0.5)
-    assert set(spectrum.collar_free) == {"eta", "spectral"}
     contribution(spectrum, 0.5)
-    assert [len(v) for v in made.values()] == [1, 1, 0]
+    assert set(spectrum.collar_free) == {"eta"}
+    assert [len(v) for v in made.values()] == [1, 0]
 
 
 def test_cli_contribution_sums_eta_once(made, capsys):
@@ -107,8 +104,7 @@ def test_cli_contribution_sums_eta_once(made, capsys):
                    "--a-prime", "0.05", "--a-prime", "1.5"])
     assert status == 0
     assert len(json.loads(capsys.readouterr().out)["result"]["reports"]) == 2
-    assert len(made["eta"]) == 1
-    assert len(made["spectral"]) == 1
+    assert made == {"eta": [made["eta"][0]], "identity": []}
 
 
 def test_cli_aps_index_sums_eta_once(made, capsys):

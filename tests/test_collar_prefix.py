@@ -6,16 +6,19 @@ Past the prefix e^{-lam^2 T - a'^2/T} and e^{-2 a' |lam|} are exact zeros,
 so dropping them changes nothing. The comparisons below use exact equality
 (np.array_equal and ==), which lets only the sign of a zero differ; the
 oracles are handed cyleta's own erfc and erfcx for them, so that equality
-tests the prefix and not the kernels. The Dirichlet variant is the
-spectral sum plus the shift summed over the lam < 0 modes of the
-e^{-2 a' |lam|} prefix, so it is checked exactly against that composition
-of oracles, and the composition against the full-array Dirichlet tails
-per mode. The public values are also checked against the full-array
-oracles with cyleta's and with scipy's kernels, within their est_error.
-Collars are drawn so that a'^2/T lands below 700 (every mode live on a
-spectrum that ends near 1/sqrt(T)), in (700, 746) (a partial prefix) and
-above 746 (an empty prefix), and so that 2 a' |lam| crosses 746 inside
-the spectrum.
+tests the prefix and not the kernels. Each mode's spectral tail is eta's
+term, halved, less sgn(lam) times the collar piece, halved, so the direct
+value is checked exactly against eta/2 less the oracle piece terms summed
+over the runtime's modes in its order, and where no collar factor lives it
+is -f1 eta/2 bit for bit. The Dirichlet variant adds the shift summed over
+the lam < 0 modes of the e^{-2 a' |lam|} prefix, so it is checked exactly
+against that composition of oracles, and the composition against the
+full-array Dirichlet tails per mode. The public values are also checked
+against the full-array oracles with cyleta's and with scipy's kernels,
+within their est_error. Collars are drawn so that a'^2/T lands below 700
+(every mode live on a spectrum that ends near 1/sqrt(T)), in (700, 746)
+(a partial prefix) and above 746 (an empty prefix), and so that
+2 a' |lam| crosses 746 inside the spectrum.
 """
 
 import dataclasses
@@ -26,13 +29,14 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import erfc as scipy_erfc, erfcx as scipy_erfcx
 
 from cyleta import (circle_spectrum, contribution,
-                    dirichlet_variant_contribution, from_records)
+                    dirichlet_variant_contribution, eta_invariant,
+                    from_records)
 from cyleta._special import erfc, erfcx
-from cyleta.contribution import (_collar_damping, _dirichlet_damping,
-                                 _dirichlet_shift, _spectral_tails)
-from cyleta.spectral import _Modes
+from cyleta.contribution import (_collar_damping, _collar_piece,
+                                 _dirichlet_damping, _dirichlet_shift)
 
-from oracles import dirichlet_shift, dirichlet_tails, spectral_tails
+from oracles import (collar_piece, dirichlet_shift, dirichlet_tails,
+                     spectral_tails)
 from test_closed_forms import circles, finite_spectra
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None,
@@ -43,6 +47,9 @@ CIRCLES = settings(derandomize=True, deadline=None, database=None,
 # Ranges of a'^2/T: every collar factor live, some live, none live.
 REGIMES = {"below": (1e-6, 700.0), "partial": (700.0, 746.0),
            "above": (746.0, 5000.0)}
+
+# Values of f1_at_aprime besides the default.
+F1 = (1.0, 1.3, -0.7)
 
 
 @st.composite
@@ -56,11 +63,6 @@ def collar_at(draw, spectrum, T):
     lo, hi = REGIMES[regime]
     offset = draw(st.floats(lo, hi, exclude_min=True, exclude_max=True))
     return math.sqrt(offset * T)
-
-
-def _modes_at(spectrum, T):
-    abs_l = np.abs(spectrum.lams)
-    return _Modes(abs_l, np.sign(spectrum.lams), erfc(abs_l * math.sqrt(T)))
 
 
 def _check_prefixes(abs_l, a_prime, T):
@@ -102,26 +104,50 @@ def _check_shift_identity(lams, a_prime, T):
                                 * np.where(v >= 0.0, exponent, 0.0)))
 
 
+def _check_piece(lams, a_prime, T):
+    """The runtime piece is the oracle piece on the collar prefix, the
+    oracle piece is an exact zero past it, and each oracle spectral tail is
+    eta's term, halved, less the signed piece, halved."""
+    abs_l = np.abs(lams)
+    runtime = _collar_piece(abs_l, a_prime, T)
+    oracle = collar_piece(lams, a_prime, T, erfcx)
+    assert runtime.size == _collar_damping(abs_l, a_prime, T).size
+    assert np.array_equal(runtime, oracle[:runtime.size])
+    assert not oracle[runtime.size:].any()
+    assert np.array_equal(
+        spectral_tails(lams, a_prime, T, erfc, erfcx),
+        np.sign(lams) * 0.5 * (erfc(abs_l * math.sqrt(T)) - oracle))
+
+
 def _check_tails(spectrum, a_prime, T):
-    lams, traces = spectrum.lams, spectrum.traces
-    modes = _modes_at(spectrum, T)
-    _check_prefixes(modes.abs_l, a_prime, T)
-    runtime = _spectral_tails(modes, a_prime, T)
-    oracle = spectral_tails(lams, a_prime, T, erfc, erfcx)
-    assert np.array_equal(runtime, oracle)
-    assert complex((traces * runtime).sum()) \
-        == complex((traces * oracle).sum())
+    lams = spectrum.lams
+    _check_prefixes(np.abs(lams), a_prime, T)
+    _check_piece(lams, a_prime, T)
     for heat_time in (T, None):
-        shift, _ = _dirichlet_shift(modes, traces, a_prime, heat_time)
+        shift, _ = _dirichlet_shift(spectrum, a_prime, heat_time)
         assert shift == _shift_sum(spectrum, a_prime, heat_time,
                                    (erfc, erfcx))
     _check_shift_identity(lams, a_prime, T)
 
 
+def _piece_sum(spectrum, a_prime):
+    """What the collar piece adds to the direct integral at the resolved
+    floor, -sum_j a_j sgn(lam_j) piece_j / 2, from the oracle piece over
+    the modes the runtime sums, in the same order; 0 when the floor is
+    refused, where the integrals start at 0 and the piece is gone."""
+    lams, traces = spectrum.lams, spectrum.traces
+    floor = spectrum.floor_analysis.floor
+    if floor is None:
+        return 0j
+    live = _collar_damping(np.abs(lams), a_prime, floor).size
+    piece = collar_piece(lams, a_prime, floor, erfcx)[:live]
+    terms = traces[:live] * (np.sign(lams[:live]) * piece)
+    return -0.5 * complex(terms.sum())
+
+
 def _full_arrays(spectrum, a_prime, kernels):
-    """The spectral, shift and Dirichlet sums of the full-array forms at
-    the resolved floor, or of the s -> 0 limits when it is refused; the
-    shift summed as _shift_sum does."""
+    """The spectral and Dirichlet sums of the full-array forms at the
+    resolved floor, or of the s -> 0 limits when it is refused."""
     lams, traces = spectrum.lams, spectrum.traces
     floor = spectrum.floor_analysis.floor
     if floor is None:
@@ -130,26 +156,45 @@ def _full_arrays(spectrum, a_prime, kernels):
     else:
         spectral = traces * spectral_tails(lams, a_prime, floor, *kernels)
         dirichlet = traces * dirichlet_tails(lams, a_prime, floor, *kernels)
-    return (complex(spectral.sum()),
-            _shift_sum(spectrum, a_prime, floor, kernels),
-            complex(dirichlet.sum()))
+    return complex(spectral.sum()), complex(dirichlet.sum())
 
 
 def _check_public(spectrum, a_prime):
-    """contribution and the Dirichlet variant against the full-array
-    forms: exactly with cyleta's kernels, and the Dirichlet variant within
-    est_error of the full-array Dirichlet tails with either kernels."""
+    """contribution and the Dirichlet variant: exactly eta/2 plus the
+    oracle piece sum, and that plus the oracle shift sum; within est_error
+    of the full-array forms with either kernels."""
+    eta = eta_invariant(spectrum).value
     report = contribution(spectrum, a_prime)
     dirichlet = dirichlet_variant_contribution(spectrum, a_prime)
-    spectral_sum, shift_sum, dirichlet_sum = _full_arrays(spectrum, a_prime,
-                                                          (erfc, erfcx))
-    assert report.direct_value == -spectral_sum
-    assert dirichlet.value == -(spectral_sum + shift_sum)
-    assert abs(dirichlet.value + dirichlet_sum) <= dirichlet.est_error
-    spectral_sum, _, dirichlet_sum = _full_arrays(spectrum, a_prime,
-                                                  (scipy_erfc, scipy_erfcx))
-    assert abs(report.direct_value + spectral_sum) <= report.est_error
-    assert abs(dirichlet.value + dirichlet_sum) <= dirichlet.est_error
+    integral = 0.5 * eta + _piece_sum(spectrum, a_prime)
+    shift_sum = _shift_sum(spectrum, a_prime, spectrum.floor_analysis.floor,
+                           (erfc, erfcx))
+    assert report.direct_value == -integral
+    assert dirichlet.value == -(integral + shift_sum)
+    for kernels in ((erfc, erfcx), (scipy_erfc, scipy_erfcx)):
+        spectral_sum, dirichlet_sum = _full_arrays(spectrum, a_prime, kernels)
+        assert abs(report.direct_value + spectral_sum) <= report.est_error
+        assert abs(dirichlet.value + dirichlet_sum) <= dirichlet.est_error
+
+
+def _check_gap(spectrum, a_prime):
+    """direct_value - decomposed_value is -f1 times the oracle piece sum:
+    bit for bit 0 where no collar factor lives or the floor is refused, and
+    within the roundoff of forming the two values elsewhere."""
+    eta, piece = eta_invariant(spectrum).value, _piece_sum(spectrum, a_prime)
+    floor = spectrum.floor_analysis.floor
+    live = floor is not None \
+        and _collar_damping(np.abs(spectrum.lams), a_prime, floor).size
+    for f1 in F1:
+        report = contribution(spectrum, a_prime, f1)
+        gap = report.direct_value - report.decomposed_value
+        if not live:
+            assert piece == 0.0
+            assert report.direct_value == report.decomposed_value
+        else:
+            slack = 8.0 * np.finfo(float).eps * abs(f1) \
+                * (abs(eta) + abs(piece))
+            assert abs(gap + f1 * piece) <= slack
 
 
 @PROPERTY
@@ -158,6 +203,7 @@ def test_finite_spectra_tails_match_full_arrays(data, spectrum, T):
     a_prime = data.draw(collar_at(spectrum, T))
     _check_tails(spectrum, a_prime, T)
     _check_public(spectrum, a_prime)
+    _check_gap(spectrum, a_prime)
 
 
 @CIRCLES
@@ -168,6 +214,7 @@ def test_circle_tails_match_full_arrays(data, spectrum):
     a_prime = data.draw(collar_at(spectrum, floor))
     _check_tails(spectrum, a_prime, floor)
     _check_public(spectrum, a_prime)
+    _check_gap(spectrum, a_prime)
 
 
 def test_partial_prefixes_match_full_arrays():
@@ -181,18 +228,20 @@ def test_partial_prefixes_match_full_arrays():
     assert 0 < live < len(spectrum)
     _check_tails(spectrum, a_prime, floor)
     _check_public(spectrum, a_prime)
+    _check_gap(spectrum, a_prime)
 
     a_prime = 0.373
     assert 0 < _dirichlet_damping(modes.abs_l, a_prime).size < len(spectrum)
     _check_tails(spectrum, a_prime, floor)
     _check_public(spectrum, a_prime)
+    _check_gap(spectrum, a_prime)
 
-    # The live terms above are about 1e-313, so a kept collar-free sum
-    # would pass as well. Cut at Lambda = 100.7, the same modes get the
-    # resolved floor s_f = 3.9e-3, and a'^2/s_f = 10 leaves the 864 modes
-    # with |lam| < 432 live; their terms move the direct value 1e-5 away
-    # from the collar-free -eta/2, which no kept sum can match, in the
-    # direct value and in the Dirichlet variant alike.
+    # The live pieces above are about 1e-313, so -eta/2 alone would pass
+    # as well. Cut at Lambda = 100.7, the same modes get the resolved floor
+    # s_f = 3.9e-3, and a'^2/s_f = 10 leaves the 864 modes with
+    # |lam| < 432 live; their pieces move the direct value 1e-5 away from
+    # the collar-free -eta/2, in the direct value and in the Dirichlet
+    # variant alike.
     cut = dataclasses.replace(spectrum, truncated_at=100.7)
     floor = cut.floor_analysis.floor
     a_prime = math.sqrt(10.0 * floor)
@@ -201,6 +250,7 @@ def test_partial_prefixes_match_full_arrays():
     assert abs(report.direct_value - report.decomposed_value) > 1e-6
     _check_tails(cut, a_prime, floor)
     _check_public(cut, a_prime)
+    _check_gap(cut, a_prime)
 
 
 def test_the_shift_holds_for_either_sign_of_v_and_a_subnormal_erfc():

@@ -118,7 +118,7 @@ def _check_only_scalars_are_kept(spectrum, dirichlet_collars):
     floor = spectrum.floor_analysis.floor
     eta_invariant(spectrum)
     contribution(spectrum, 0.5)
-    contribution(spectrum, 5.0)  # no collar factor lives: the kept sums
+    contribution(spectrum, 5.0)  # no collar factor lives: eta's kept sum
     aps_index(spectrum, 0.0)
     for a_prime in dirichlet_collars:
         dirichlet_variant_contribution(spectrum, a_prime)
@@ -127,11 +127,12 @@ def _check_only_scalars_are_kept(spectrum, dirichlet_collars):
     values = dataclasses.astuple(spectrum.floor_analysis)
     assert all(type(v) is float for v in values if v is not None)
     sums = spectrum.collar_free
-    assert set(sums) == {"eta", "spectral", "identity"}
+    assert set(sums) == {"eta", "identity"}
     scalars = [v for value in sums.values()
                for v in (value if isinstance(value, tuple) else (value,))]
     assert {type(v) for v in scalars} <= {float, complex, bool}
     assert not any(isinstance(v, np.ndarray) for v in scalars)
+    assert spectrum.modes._fields == ("abs_l", "erfc")
     assert (spectrum.modes.erfc is None) == (floor is None)
     for array in spectrum.modes:
         if array is not None:

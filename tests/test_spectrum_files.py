@@ -5,6 +5,7 @@ spectrum bit for bit, and a malformed column names the column and the first
 bad index."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -256,3 +257,111 @@ def test_format_2_reads_weyl_and_cutoff_as_the_record_form_does():
     doc.update(weyl={"c1": 0.5}, truncated_at=3.5)
     with pytest.raises(InvalidSpectrumError, match="weyl"):
         spectrum_from_json_dict(doc)
+
+
+# An int past the largest double: 10**400, or one of more digits than
+# int() reads from a string (4300 by default).
+HUGE = 10**400
+DIGITS = {"10**400": "1" + "0" * 400, "5000 digits": "1" * 5000}
+
+
+@pytest.mark.parametrize("name", ["lambda", "trace_re", "trace_im"])
+def test_format_2_names_an_int_past_the_double_range(name):
+    doc = _columns()
+    doc["data"][name][3], doc["data"][name][6] = -HUGE, HUGE
+    with pytest.raises(InvalidSpectrumError,
+                       match=rf"^data\.{name}\[3\]: must be within the "
+                             r"double range, got -1000"):
+        spectrum_from_json_dict(doc)
+
+
+@pytest.mark.parametrize("key, part", [("lambda", None), ("trace", 0),
+                                       ("trace", 1)])
+def test_the_record_form_names_an_int_past_the_double_range(key, part):
+    doc = _record_doc(circle_spectrum(0.25, 0.7, 3))
+    for i in (2, 5):
+        if part is None:
+            doc["data"][i][key] = HUGE
+        else:
+            doc["data"][i][key][part] = HUGE
+    with pytest.raises(InvalidSpectrumError,
+                       match=r"^data\[2\]: lambda and trace must lie within "
+                             r"the double range"):
+        spectrum_from_json_dict(doc)
+
+
+@pytest.mark.parametrize("column", [0, 2, 3],
+                         ids=["lambda", "trace_re", "trace_im"])
+def test_from_records_names_an_int_past_the_double_range(column):
+    rows = [[float(k + 1), 1, 1.0, 0.0] for k in range(8)]
+    rows[4][column] = rows[6][column] = HUGE
+    with pytest.raises(InvalidSpectrumError,
+                       match=r"^record 4: lambda and trace must lie within "
+                             r"the double range"):
+        from_records(map(tuple, rows))
+
+
+def test_the_largest_double_as_an_int_still_reads():
+    # 2**1024 - 2**970 is the midpoint above the largest double, and rounds
+    # up to an overflow; every int below it rounds to a finite double.
+    largest = int(np.finfo(float).max)
+    assert from_records([(largest, 1, 1.0, 0.0)]).lams[0] == largest
+    doc = _columns(1)
+    doc["data"]["lambda"][0] = 2**1024 - 2**970 - 1
+    assert spectrum_from_json_dict(doc).lams[0] == np.finfo(float).max
+    doc["data"]["lambda"][0] = 2**1024 - 2**970
+    with pytest.raises(InvalidSpectrumError, match=r"^data\.lambda\[0\]"):
+        spectrum_from_json_dict(doc)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("truncated_at", HUGE), ("truncated_at", "far"),
+    ("weyl", {"c1": HUGE, "c2": 1, "c3": 1, "c4": 0})])
+def test_metadata_past_the_double_range_is_refused(key, value):
+    doc = _columns()
+    doc[key] = value
+    with pytest.raises(InvalidSpectrumError,
+                       match=r'^"truncated_at" must be a number and "weyl"'):
+        spectrum_from_json_dict(doc)
+
+
+def _file_with(tmp_path, form, digits):
+    """A spectrum file of the given form whose second lambda is the int
+    written by the given digits."""
+    if form == "records":
+        doc = _record_doc(circle_spectrum(0.25, 0.7, 3))
+        doc["data"][1]["lambda"] = "HUGE"
+    else:
+        doc = _columns()
+        doc["data"]["lambda"][1] = "HUGE"
+    path = tmp_path / f"{form}.json"
+    path.write_text(json.dumps(doc).replace('"HUGE"', digits))
+    return path
+
+
+@pytest.mark.parametrize("form", ["records", "columns"])
+def test_an_int_past_the_digit_limit_is_refused(tmp_path, form):
+    path = _file_with(tmp_path, form, DIGITS["5000 digits"])
+    with pytest.raises(InvalidSpectrumError,
+                       match=rf"^{re.escape(str(path))}: not valid JSON "
+                             r"\(Exceeds the limit"):
+        load_spectrum(path)
+
+
+def test_a_file_that_is_not_utf8_is_refused(tmp_path):
+    path = tmp_path / "bytes.json"
+    path.write_bytes(b"\xff\xfe{")
+    with pytest.raises(InvalidSpectrumError, match="not valid JSON"):
+        load_spectrum(path)
+
+
+@pytest.mark.parametrize("digits", DIGITS.values(), ids=DIGITS)
+@pytest.mark.parametrize("form", ["records", "columns"])
+def test_cli_reports_a_huge_int_as_an_input_error(capsys, tmp_path, form,
+                                                  digits):
+    path = _file_with(tmp_path, form, digits)
+    assert main(["eta", "--spectrum", str(path)]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["result"] is None
+    assert len(doc["errors"]) == 1
+    assert doc["errors"][0].startswith(f"spectrum file {path}: ")
