@@ -161,14 +161,14 @@ def _dirichlet_shift(spectrum: BoundarySpectrum, a_prime: float,
     e^{-2 a' |lam|} when T is None), over the lam < 0 modes where
     e^{-2 a' |lam|} lives, with its roundoff, priced on the two pieces
     before they cancel."""
-    damp = _dirichlet_damping(spectrum.modes.abs_l, a_prime)
+    damp = _dirichlet_damping(spectrum.abs_lams, a_prime)
     neg = spectrum.lams[:damp.size] < 0.0
     traces, damp = spectrum.traces[:damp.size][neg], damp[neg]
     second = np.zeros(damp.size)
     if T is None:  # erfc(v) -> 2 and the collar factor -> 0
         first = 2.0 * damp
     else:
-        sqrt_T, abs_l = math.sqrt(T), spectrum.modes.abs_l[:neg.size][neg]
+        sqrt_T, abs_l = math.sqrt(T), spectrum.abs_lams[:neg.size][neg]
         first = damp * _erfc_arr(abs_l * sqrt_T - a_prime / sqrt_T)
         piece = _collar_piece(abs_l, a_prime, T)
         second[:piece.size] = piece
@@ -186,7 +186,7 @@ def _collar_part(spectrum: BoundarySpectrum,
     truncation artifact: per mode at most [erfc(a'/sqrt(s_f))
     + e^{-a'^2/s_f}] / 2, from the a'/s and |lam| terms of the bracket,
     whose Dirichlet form differs only in the sign of the a'/s term."""
-    analysis, abs_l = spectrum.floor_analysis, spectrum.modes.abs_l
+    analysis, abs_l = spectrum.floor_analysis, spectrum.abs_lams
     floor = analysis.floor
     if floor is None:
         return 0j, 0.0

@@ -22,22 +22,24 @@ omitted-mode scale is reported separately as truncation_error via the
 spectral tail bound at 40/Lambda^2.
 
 The floor is analysed once per spectrum: one heat-trace pass decides it and
-prices the skipped segment, and that FloorAnalysis serves every query. The
-erfc(|lam_j| sqrt(s_f)) array is made once per spectrum too, and kept with
-it as spectrum.modes. eta does not depend on any collar, so its sum, the
-roundoff of that sum and truncation_error are made by the spectrum's first
-eta query and kept as three scalars in spectrum.collar_free; every later
-eta_invariant, aps_index, contribution or Dirichlet variant reads them in
-O(1), the last two as eta/2 less their collar pieces.
+prices the skipped segment, and that FloorAnalysis serves every query. eta
+does not depend on any collar, so its sum, the roundoff of that sum and
+truncation_error are made by the spectrum's first eta query and kept as
+three scalars in spectrum.collar_free; every later eta_invariant,
+aps_index, contribution or Dirichlet variant reads them in O(1), the last
+two as eta/2 less their collar pieces. The erfc(|lam_j| sqrt(s_f)) array
+of that first query is made once per spectrum and not kept.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._json import JsonFields
+from ._special import erfc
 from .spectral import BoundarySpectrum, _kept, tail_bound
 
 __all__ = [
@@ -66,10 +68,11 @@ class EtaResult(JsonFields):
 
 
 def _eta_sums(spectrum: BoundarySpectrum) -> tuple[complex, float, float]:
-    """eta's value, the roundoff of its sum and its truncation_error."""
-    lams, erfc = spectrum.lams, spectrum.modes.erfc
-    terms = spectrum.traces * (np.sign(lams) if erfc is None
-                               else np.copysign(erfc, lams))
+    """eta's value, the roundoff of its sum and its truncation_error, from
+    the spectrum's one erfc pass, which is not kept."""
+    lams, floor = spectrum.lams, spectrum.floor_analysis.floor
+    terms = spectrum.traces * (np.sign(lams) if floor is None else np.copysign(
+        erfc(spectrum.abs_lams * math.sqrt(floor)), lams))
     trunc = tail_bound(spectrum, spectrum.floor_analysis.candidate, 0.0).bound
     return complex(terms.sum()), _roundoff(terms), trunc
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 from ._json import JsonFields
 from .errors import DomainError, VerificationError
@@ -71,6 +72,17 @@ class DeviationReport(JsonFields):
     samples: int
 
 
+def _worst(deviation, points) -> DeviationReport:
+    """The largest deviation(ModePoint(*point)) over the points, at the
+    first point that reaches it, and the number of points."""
+    worst, arg, samples = -1.0, None, 0
+    for samples, point in enumerate(points, 1):
+        dev = deviation(ModePoint(*point))
+        if dev > worst:
+            worst, arg = dev, point
+    return DeviationReport(max_abs=worst, argmax=arg, samples=samples)
+
+
 DECOMPOSITION_GRID = KernelGrid(
     lambdas=(-3.0, -1.0, -0.25, 0.25, 1.0, 3.0),
     times=(0.05, 0.5, 5.0),
@@ -91,19 +103,9 @@ def verify_decomposition(grid: KernelGrid = DECOMPOSITION_GRID) -> DeviationRepo
     agreement to near machine precision is the per-mode decomposition
     identity.
     """
-    worst = -1.0
-    arg = None
-    samples = 0
-    for lam in grid.lambdas:
-        for s in grid.times:
-            for y in grid.coords:
-                for yp in grid.coords:
-                    p = ModePoint(lam, s, y, yp)
-                    dev = abs(lambda_mode_kernel(p) - dirichlet_lambda_combination(p))
-                    samples += 1
-                    if dev > worst:
-                        worst, arg = dev, (lam, s, y, yp)
-    return DeviationReport(max_abs=worst, argmax=arg, samples=samples)
+    return _worst(
+        lambda p: abs(lambda_mode_kernel(p) - dirichlet_lambda_combination(p)),
+        product(grid.lambdas, grid.times, grid.coords, grid.coords))
 
 
 def verify_boundary_vanish(grid: KernelGrid = BOUNDARY_GRID) -> DeviationReport:
@@ -113,16 +115,8 @@ def verify_boundary_vanish(grid: KernelGrid = BOUNDARY_GRID) -> DeviationReport:
     cancellation between the Gaussian sum and the erfc correction, so this
     exercises real floating-point structure rather than a syntactic zero.
     """
-    worst = -1.0
-    arg = None
-    samples = 0
-    for lam in grid.lambdas:
-        for s in grid.times:
-            dev = abs(lambda_mode_kernel(ModePoint(lam, s, 0.0, 0.0)))
-            samples += 1
-            if dev > worst:
-                worst, arg = dev, (lam, s, 0.0, 0.0)
-    return DeviationReport(max_abs=worst, argmax=arg, samples=samples)
+    return _worst(lambda p: abs(lambda_mode_kernel(p)),
+                  product(grid.lambdas, grid.times, (0.0,), (0.0,)))
 
 
 def verify_not_feel_boundary(lam: float, y: float,

@@ -25,11 +25,12 @@ Conventions baked into the container:
   hashing are those of the object; validation errors name the first
   offending record or rank,
 * the first read of ``floor_analysis`` keeps a FloorAnalysis of scalars in
-  the instance dict, the first read of ``modes`` keeps two read-only
-  float64 arrays there, |lambda| and erfc (16 bytes a mode), and
-  ``collar_free`` keeps the sums that no collar changes as Python scalars,
-  each made by the first query that needs it; fields, arrays, equality and
-  hashing stay as they are.
+  the instance dict, the first read of ``abs_lams`` keeps one read-only
+  float64 array there, |lambda| (8 bytes a mode), and ``collar_free`` keeps
+  the sums that no collar changes as Python scalars, each made by the
+  first query that needs it; no erfc array is kept, since eta's one erfc
+  pass ends in the kept sums; fields, arrays, equality and hashing stay as
+  they are.
 """
 
 from __future__ import annotations
@@ -39,13 +40,14 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from numbers import Real
 from pathlib import Path
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, Union
 
 import numpy as np
 
 from ._json import JsonFields
-from ._special import erfc, gammaincc
+from ._special import gammaincc
 from .errors import DomainError, InvalidSpectrumError, InvalidTraceError
 
 __all__ = [
@@ -182,10 +184,12 @@ class BoundarySpectrum:
         return _analyse_floor(self)
 
     @cached_property
-    def modes(self) -> _Modes:
-        """The per-mode arrays of eta and the collar integrals, made on the
-        first read and kept, so that every query shares one erfc pass."""
-        return _mode_arrays(self)
+    def abs_lams(self) -> np.ndarray:
+        """|lambda| as a read-only float64 array, made on the first read and
+        kept: every collar query searches its sorted values."""
+        abs_l = np.abs(self.lams)
+        abs_l.flags.writeable = False
+        return abs_l
 
     @cached_property
     def collar_free(self) -> dict:
@@ -196,7 +200,7 @@ class BoundarySpectrum:
 
     def rank_below(self, cutoff: float) -> int:
         """Number of modes with |lambda| <= cutoff."""
-        return int(self.modes.abs_l.searchsorted(cutoff, side="right"))
+        return int(self.abs_lams.searchsorted(cutoff, side="right"))
 
     def __len__(self) -> int:
         return self.lams.size
@@ -243,25 +247,6 @@ def _kept(spectrum: BoundarySpectrum, name: str, compute):
     if name not in store:
         store[name] = compute(spectrum)
     return store[name]
-
-
-class _Modes(NamedTuple):
-    """|lam| and erfc(|lam| sqrt(s_f)) at the resolved floor s_f, or None
-    for erfc when the floor is refused; read-only arrays, and the only
-    per-mode ones a spectrum keeps beside its own three."""
-
-    abs_l: np.ndarray
-    erfc: np.ndarray | None
-
-
-def _mode_arrays(spectrum: BoundarySpectrum) -> _Modes:
-    """The _Modes of a spectrum, from one erfc pass."""
-    floor, abs_l = spectrum.floor_analysis.floor, np.abs(spectrum.lams)
-    modes = _Modes(abs_l, None if floor is None else erfc(abs_l * math.sqrt(floor)))
-    for array in modes:
-        if array is not None:
-            array.flags.writeable = False
-    return modes
 
 
 @dataclass(frozen=True)
@@ -373,10 +358,14 @@ def _row_columns(rows: list):
     except (TypeError, ValueError):
         return ("must be (lambda, multiplicity, trace_re, trace_im), "
                 f"got {rows[0]!r}")
+    if not _only(lam, Real):
+        return f"lambda must be a number, got {lam[0]!r}"
     if not _only(mult, int):
         return f"multiplicity must be a positive integer, got {mult[0]!r}"
     if not all(map(_INT64.__contains__, mult)):
         return f"multiplicity must fit in 64 bits, got {mult[0]!r}"
+    if not _only(re + im, Real):
+        return f"trace parts must be numbers, got {(re[0], im[0])!r}"
     return _doubles(lam, mult, tuple(zip(re, im)))
 
 

@@ -176,12 +176,6 @@ def vanishing_term_detailed(spectrum: BoundarySpectrum, a_prime: float,
                                partials=tuple(partials))
 
 
-def _mode_envelopes(lams: np.ndarray, a_prime: float, t: float) -> np.ndarray:
-    """Overflow-free upper bounds for |lam * d(t, lam)|, from the closed form."""
-    expo = -(lams * lams) * t - a_prime * a_prime / t
-    return np.where(expo < -745.0, 0.0, _SQRT_PI * np.exp(expo))
-
-
 @functools.cache
 def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights of order n on [-1, 1], read-only."""
@@ -377,11 +371,11 @@ def verify_vanishing(spectrum: BoundarySpectrum,
     Every d is computed by the quadrature route of per_mode_difference, one
     modes x nodes array per t, so the report is an independent check on
     the closed-form evaluation in vanishing_term_detailed. Modes whose
-    analytic envelope is negligible against the spectrum scale are
-    skipped; the envelope bound, not the closed-form value, justifies the
-    skip. The summability certificate evaluates the dominated series' term
-    at the cutoff rank for each t and records any that exceed the Cauchy
-    threshold.
+    envelope sqrt(pi) e^{-lam^2 t - a'^2/t} >= |lam d(t, lam)| is negligible
+    against the spectrum scale, or zero, are skipped; the envelope, not the
+    closed-form value, justifies the skip. The summability certificate
+    evaluates the dominated series' term at the cutoff rank for each t and
+    records any that exceed the Cauchy threshold.
     """
     if not isinstance(cfg, VanishingTermConfig):
         raise DomainError("cfg must be a VanishingTermConfig")
@@ -392,10 +386,11 @@ def verify_vanishing(spectrum: BoundarySpectrum,
 
     rows: list[tuple[float, complex]] = []
     for t in cfg.t_sequence:
-        kept = _mode_envelopes(lams, a_prime, t) * weights \
-            > _NEGLIGIBLE * scale
-        d, _ = _differences(lams[kept], a_prime, t)
-        rows.append((t, complex((lams[kept] * traces[kept] * d).sum())))
+        damp = _collar_damping(spectrum.abs_lams, a_prime, t)
+        kept = _SQRT_PI * damp * weights[:damp.size] > _NEGLIGIBLE * scale
+        lam, trace = lams[:damp.size][kept], traces[:damp.size][kept]
+        d, _ = _differences(lam, a_prime, t)
+        rows.append((t, complex((lam * trace * d).sum())))
 
     failures: list[CertificateFailure] = []
     sample_rank = min(cfg.cutoff_rank, len(lams))

@@ -222,16 +222,16 @@ def test_partial_prefixes_match_full_arrays():
     # of this circle; 2 a' |lam| = 746 at |lam| = 1000 splits it too.
     spectrum = circle_spectrum(0.3, 0.7, 2000)
     floor = spectrum.floor_analysis.floor
-    modes = spectrum.modes
+    abs_l = spectrum.abs_lams
     a_prime = math.sqrt(720.0 * floor)
-    live = _collar_damping(modes.abs_l, a_prime, floor).size
+    live = _collar_damping(abs_l, a_prime, floor).size
     assert 0 < live < len(spectrum)
     _check_tails(spectrum, a_prime, floor)
     _check_public(spectrum, a_prime)
     _check_gap(spectrum, a_prime)
 
     a_prime = 0.373
-    assert 0 < _dirichlet_damping(modes.abs_l, a_prime).size < len(spectrum)
+    assert 0 < _dirichlet_damping(abs_l, a_prime).size < len(spectrum)
     _check_tails(spectrum, a_prime, floor)
     _check_public(spectrum, a_prime)
     _check_gap(spectrum, a_prime)
@@ -245,7 +245,7 @@ def test_partial_prefixes_match_full_arrays():
     cut = dataclasses.replace(spectrum, truncated_at=100.7)
     floor = cut.floor_analysis.floor
     a_prime = math.sqrt(10.0 * floor)
-    assert _collar_damping(cut.modes.abs_l, a_prime, floor).size == 864
+    assert _collar_damping(cut.abs_lams, a_prime, floor).size == 864
     report = contribution(cut, a_prime)
     assert abs(report.direct_value - report.decomposed_value) > 1e-6
     _check_tails(cut, a_prime, floor)

@@ -113,9 +113,8 @@ def test_the_record_leaves_identity_hashing_and_arrays_alone():
 
 def _check_only_scalars_are_kept(spectrum, dirichlet_collars):
     """Every query, the Dirichlet variant at the given collars included,
-    keeps nothing but the floor analysis, the mode arrays and scalar
+    keeps nothing but the floor analysis, the |lam| array and scalar
     collar-free sums."""
-    floor = spectrum.floor_analysis.floor
     eta_invariant(spectrum)
     contribution(spectrum, 0.5)
     contribution(spectrum, 5.0)  # no collar factor lives: eta's kept sum
@@ -123,7 +122,7 @@ def _check_only_scalars_are_kept(spectrum, dirichlet_collars):
     for a_prime in dirichlet_collars:
         dirichlet_variant_contribution(spectrum, a_prime)
     kept = set(vars(spectrum)) - {f.name for f in dataclasses.fields(spectrum)}
-    assert kept == {"floor_analysis", "modes", "collar_free"}
+    assert kept == {"floor_analysis", "abs_lams", "collar_free"}
     values = dataclasses.astuple(spectrum.floor_analysis)
     assert all(type(v) is float for v in values if v is not None)
     sums = spectrum.collar_free
@@ -132,15 +131,15 @@ def _check_only_scalars_are_kept(spectrum, dirichlet_collars):
                for v in (value if isinstance(value, tuple) else (value,))]
     assert {type(v) for v in scalars} <= {float, complex, bool}
     assert not any(isinstance(v, np.ndarray) for v in scalars)
-    assert spectrum.modes._fields == ("abs_l", "erfc")
-    assert (spectrum.modes.erfc is None) == (floor is None)
-    for array in spectrum.modes:
-        if array is not None:
-            assert type(array) is np.ndarray and array.dtype == np.float64
-            assert array.shape == (len(spectrum),)
-            assert not array.flags.writeable
+    # |lam| is the one per-mode array kept beside lams, multiplicity and
+    # traces: eta's erfc pass, refused floor or not, keeps no array.
+    array = spectrum.abs_lams
+    assert type(array) is np.ndarray and array.dtype == np.float64
+    assert array.shape == (len(spectrum),)
+    assert not array.flags.writeable
+    assert np.array_equal(array, np.abs(spectrum.lams))
     with pytest.raises(dataclasses.FrozenInstanceError):
-        spectrum.modes = None
+        spectrum.abs_lams = None
 
 
 def test_only_scalars_and_the_mode_arrays_are_kept():

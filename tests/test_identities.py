@@ -10,7 +10,10 @@ from cyleta import (
     DECOMPOSITION_GRID,
     DomainError,
     KernelGrid,
+    ModePoint,
     VerificationError,
+    dirichlet_lambda_combination,
+    lambda_mode_kernel,
     verify_boundary_vanish,
     verify_decomposition,
     verify_not_feel_boundary,
@@ -106,3 +109,47 @@ def test_identity_checks_are_deterministic():
     a = verify_decomposition()
     b = verify_decomposition()
     assert a.max_abs == b.max_abs and a.argmax == b.argmax
+
+
+def _decomposition_scan(grid):
+    """Every deviation verify_decomposition sees, with its point, in the
+    order lambdas, times, y, y'."""
+    return [((lam, s, y, yp),
+             abs(lambda_mode_kernel(ModePoint(lam, s, y, yp))
+                 - dirichlet_lambda_combination(ModePoint(lam, s, y, yp))))
+            for lam in grid.lambdas for s in grid.times
+            for y in grid.coords for yp in grid.coords]
+
+
+def _boundary_scan(grid):
+    """Every deviation verify_boundary_vanish sees: the corner y = y' = 0
+    of each (lam, s) pair, in the order lambdas, times."""
+    return [((lam, s, 0.0, 0.0),
+             abs(lambda_mode_kernel(ModePoint(lam, s, 0.0, 0.0))))
+            for lam in grid.lambdas for s in grid.times]
+
+
+# On the small decomposition grid the largest deviation, 2**-53, is reached
+# at two points, on the default boundary grid 2**-55 is, and on the
+# one-signed grid every deviation is 0, so the first argmax is checked on
+# ties as well.
+@pytest.mark.parametrize("verify, scan, grid, ties", [
+    (verify_decomposition, _decomposition_scan, DECOMPOSITION_GRID, False),
+    (verify_decomposition, _decomposition_scan,
+     KernelGrid(lambdas=(-2.0, 0.5), times=(0.2, 2.0), coords=(0.1, 1.0)),
+     True),
+    (verify_boundary_vanish, _boundary_scan, BOUNDARY_GRID, True),
+    (verify_boundary_vanish, _boundary_scan,
+     KernelGrid(lambdas=(0.5, 1.0, 2.5), times=(0.1, 1.0), coords=(0.0,)),
+     True),
+])
+def test_reports_equal_a_brute_force_scan_of_the_grid(verify, scan, grid,
+                                                      ties):
+    scanned = scan(grid)
+    worst = max(dev for _, dev in scanned)
+    first = next(point for point, dev in scanned if dev == worst)
+    assert (sum(dev == worst for _, dev in scanned) > 1) == ties
+    report = verify(grid)
+    assert report.max_abs == worst
+    assert report.argmax == first
+    assert report.samples == len(scanned)

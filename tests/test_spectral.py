@@ -2,7 +2,9 @@
 
 import json
 import math
+import re
 
+import numpy as np
 import pytest
 
 from cyleta import (
@@ -172,6 +174,26 @@ def test_from_records_rejects_malformed_rows():
     with pytest.raises(InvalidSpectrumError,
                        match="record 1: multiplicity must fit in 64 bits"):
         from_records([(1.0, 1, 1.0, 0.0), (2.0, -2**64, 1.0, 0.0)])
+    # A lambda or trace part that is not an int or a float is refused by
+    # type, as both JSON forms refuse it, before numpy could read a str,
+    # a bool or None as a number or as NaN.
+    for row, why in [
+            (("1.5", 1, 1.0, 0.0), "lambda must be a number, got '1.5'"),
+            ((True, 1, 1.0, 0.0), "lambda must be a number, got True"),
+            (("x", 1, 1.0, 0.0), "lambda must be a number, got 'x'"),
+            ((None, 1, 1.0, 0.0), "lambda must be a number, got None"),
+            ((3.0, 1, None, 0.0), "trace parts must be numbers, got (None, 0.0)"),
+            ((3.0, 1, 1.0, "0"), "trace parts must be numbers, got (1.0, '0')"),
+            ((3.0, 1, True, 0.0), "trace parts must be numbers, got (True, 0.0)")]:
+        with pytest.raises(InvalidSpectrumError,
+                           match="^" + re.escape(f"record 2: {why}") + "$"):
+            from_records([(1.0, 1, 1.0, 0.0), (2.0, 1, 1.0, 0.0), row])
+    # ints and floats, numpy's real scalars among them, stay accepted in
+    # every column but the multiplicity
+    spectrum = from_records([(1, 1, 1, 0), (-2.5, 2, 0.5, -1),
+                             (np.int64(3), 1, np.float32(0.5), np.float64(0))])
+    assert spectrum.lams.tolist() == [1.0, -2.5, 3.0]
+    assert spectrum.traces.tolist() == [1 + 0j, 0.5 - 1j, 0.5 + 0j]
 
 
 def test_from_records_names_the_first_bad_record():

@@ -29,8 +29,8 @@ from cyleta import (
 )
 from cyleta._special import erfcx as cyleta_erfcx
 from cyleta.cli import main
-from cyleta.vanishing import (_NEGLIGIBLE, _differences,
-                              _dominator_integrals, _mode_envelopes)
+from cyleta.contribution import _collar_damping
+from cyleta.vanishing import _NEGLIGIBLE, _differences, _dominator_integrals
 
 from oracles import (closed_form_partial, dominator_integrals_by_quad,
                      per_mode_difference_by_quad)
@@ -232,12 +232,15 @@ def test_dominator_refuses_collars_past_double_range():
 
 
 def _kept_lams(twist, angle, a_prime, t):
-    """The modes verify_vanishing evaluates on a 4001-mode circle."""
+    """The modes verify_vanishing evaluates on a 4001-mode circle: those of
+    the live prefix of e^{-lam^2 t - a'^2/t} whose envelope
+    sqrt(pi) e^{-lam^2 t - a'^2/t} |a| is not negligible."""
     spectrum = circle_spectrum(twist, angle, 2000)
+    damp = _collar_damping(spectrum.abs_lams, a_prime, t)
     weights = np.abs(spectrum.traces)
-    kept = _mode_envelopes(spectrum.lams, a_prime, t) * weights \
+    kept = math.sqrt(math.pi) * damp * weights[:damp.size] \
         > _NEGLIGIBLE * weights.sum()
-    return spectrum.lams[kept]
+    return spectrum.lams[:damp.size][kept]
 
 
 def test_rule_estimate_covers_its_gap_to_the_closed_form():

@@ -1,0 +1,147 @@
+"""Print one sha256 per cyleta quantity over a fixed grid of inputs.
+
+    PYTHONPATH=src python tools/output_digest.py
+
+Two trees that print the same lines return the same values, bit for bit,
+on the grid below: every result is hashed through its repr, whose floats
+are the shortest decimals that round-trip, so a value that moves by one
+ulp moves its digest. The CLI documents are hashed as the text
+cyleta.cli.main writes, with the exit status. Each line reads
+"<quantity> <cases> <sha256>". Uses the standard library and cyleta only.
+
+The grid: circles at four twists, rotation angles 0, 0.7 and 2.3 and
+n_max 5 to 2000, and five from_records spectra (a single negative mode, a
+symmetric pair, a one-signed list whose floor is refused, a mixed list
+with complex traces, and a 401-mode circle read back row by row); collars
+a' from 0.003 to 40. Each CLI subcommand runs on flags and on spectrum
+files, once with a request that fails.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import tempfile
+from itertools import product
+
+from cyleta import (aps_index, circle_spectrum, contribution,
+                    dirichlet_variant_contribution, dump_spectrum,
+                    eta_invariant, from_records, relative_index_check)
+from cyleta.cli import main as cli_main
+
+TWISTS = (0.1, 0.25, 0.5, 0.83)
+ANGLES = (0.0, 0.7, 2.3)
+N_MAX = (5, 40, 300, 2000)
+COLLARS = (0.003, 0.01, 0.05, 0.2, 0.5, 1.0, 3.0, 10.0, 40.0)
+F1 = (1.0, 1.3, -0.7)
+AS_TERMS = (0j, 0.5 + 0.25j)
+
+
+def _spectra() -> list:
+    circles = [circle_spectrum(twist, angle, n_max)
+               for twist, angle, n_max in product(TWISTS, ANGLES, N_MAX)]
+    rows = circle_spectrum(0.3, 0.7, 200)
+    records = [
+        [(-1.0, 1, 1.0, 0.0)],
+        [(-2.0, 1, 1.0, 0.0), (2.0, 1, 1.0, 0.0)],
+        [(j + 0.5, 1, 1.0, 0.0) for j in range(300)],
+        [(-0.5, 1, 1.0, 0.0), (2.0, 1, 0.5, 0.5), (-5.0, 2, 1.5, 0.0),
+         (-12.0, 1, 0.0, 1.0), (-26.9, 1, 1.0, 0.0), (-27.1, 1, -1.0, 0.0),
+         (30.0, 1, 1.0, 0.0)],
+        list(zip(rows.lams.tolist(), rows.multiplicity.tolist(),
+                 rows.traces.real.tolist(), rows.traces.imag.tolist())),
+    ]
+    return circles + [from_records(r) for r in records]
+
+
+def _cli_requests() -> dict:
+    circle = ["--twist", "0.25", "--rotation-angle", "0.7", "--n-max", "2000"]
+    small = ["--twist", "0.3", "--n-max", "200"]
+    files = ["--spectrum", "one.json", "--spectrum", "two.json"]
+    collars = [arg for a in COLLARS for arg in ("--a-prime", str(a))]
+    return {
+        "eta": [["eta", *circle], ["eta", "--spectrum", "one.json"],
+                ["eta", "--twist", "1.0", "--n-max", "5"]],
+        "contribution": [["contribution", *circle, *collars],
+                         ["contribution", *circle, "--f1", "-0.7", *collars],
+                         ["contribution", "--spectrum", "two.json", *collars],
+                         ["contribution", *circle, "--a-prime", "-1"]],
+        "dirichlet-variant": [["dirichlet-variant", *circle, *collars],
+                              ["dirichlet-variant", "--spectrum", "one.json",
+                               *collars],
+                              ["dirichlet-variant", *circle, "--a-prime", "0"]],
+        "verify-identities": [["verify-identities"]],
+        "verify-vanishing": [["verify-vanishing", *small, "--a-prime", "0.5"],
+                             ["verify-vanishing", "--spectrum", "one.json",
+                              "--a-prime", "2.0", "--t", "0.5", "--t", "0.05"],
+                             ["verify-vanishing", *small, "--a-prime", "0.5",
+                              "--cutoff-rank", "3"],
+                             ["verify-vanishing", *small, "--a-prime", "0.5",
+                              "--a-prime", "1"]],
+        "index": [["index", *circle, "--as-term", "0.5,0"],
+                  ["index", *circle, "--as-term", "0.5,0.25", *collars],
+                  ["index", "--twist", "0.5", "--n-max", "300", "--g-identity"],
+                  ["index", "--spectrum", "two.json", "--as-term", "1,-1",
+                   "--a-prime", "0.5", "--g-identity"]],
+        "relative": [["relative", *files, "--a-prime", "0.5"],
+                     ["relative", *files, "--a-prime", "0.05", "--as-term",
+                      "1,0", "--as-term", "0.25,-1"],
+                     ["relative", "--spectrum", "one.json", "--a-prime", "1"]],
+    }
+
+
+def _cli_documents() -> dict:
+    """Each subcommand's requests as the text cyleta.cli.main writes, with
+    its exit status, run in process from a scratch directory that holds
+    the spectrum files one.json and two.json."""
+    documents = {}
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        try:
+            dump_spectrum(circle_spectrum(0.25, 0.7, 400), "one.json")
+            dump_spectrum(circle_spectrum(0.3, 0.7, 400), "two.json")
+            for command, requests in _cli_requests().items():
+                documents[f"cli {command}"] = [_run_cli(argv) for argv in requests]
+        finally:
+            os.chdir(cwd)
+    return documents
+
+
+def _run_cli(argv: list) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = cli_main(argv)
+    return f"{argv!r} exit {status}\n{out.getvalue()}"
+
+
+def digests() -> dict:
+    """Every quantity's cases, each a str, by quantity name."""
+    spectra = _spectra()
+    cases = {"eta": [repr(eta_invariant(s)) for s in spectra]}
+    for f1 in F1:
+        cases[f"contribution f1={f1!r}"] = [
+            repr(contribution(s, a, f1)) for s in spectra for a in COLLARS]
+    cases["dirichlet_variant_contribution"] = [
+        repr(dirichlet_variant_contribution(s, a))
+        for s in spectra for a in COLLARS]
+    cases["aps_index"] = [repr(aps_index(s, z, identity))
+                          for s in spectra for z in AS_TERMS
+                          for identity in (None, True, False)]
+    cases["relative_index_check"] = [
+        repr(relative_index_check(s1, AS_TERMS[1], s2, 0.75, a))
+        for s1, s2 in zip(spectra, spectra[1:] + spectra[:1])
+        for a in COLLARS[::2]]
+    return {**cases, **_cli_documents()}
+
+
+def main() -> None:
+    for name, items in digests().items():
+        sha = hashlib.sha256("\n".join(items).encode()).hexdigest()
+        print(f"{name} {len(items)} {sha}")
+
+
+if __name__ == "__main__":
+    main()
