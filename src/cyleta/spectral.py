@@ -10,12 +10,16 @@ constructors (an explicit twisted-circle model, raw record lists, JSON
 files of four columns or of records), a direct sum, and the truncation-tail
 estimator that turns the growth metadata into a quantitative bound on
 everything the omitted modes could contribute. Constructors build and check
-whole arrays; no per-mode record object exists.
+whole arrays; no per-mode record object exists. Rows, record-form data and
+format-2 columns are only reshaped into the columns lambda, multiplicity,
+trace_re and trace_im, which one function types: real numbers within the
+double range, an int64 multiplicity, no bools. A bad shape is named first,
+then the lowest row with a bad entry, then the first invalid mode.
 
 Conventions baked into the container:
 
 * eigenvalues are nonzero (data describes an invertible operator; there is
-  no spectral-shift fallback),
+  no spectral-shift fallback), and the cutoff leaves a floor 40/cutoff**2 > 0,
 * modes are sorted by |lambda| non-decreasing, ties broken negative first,
   so serialized output is deterministic,
 * growth metadata (c1, c2, c3, c4) asserts |lambda_j| >= c1 * j**c2 and
@@ -23,7 +27,7 @@ Conventions baked into the container:
   bounds, never to synthesize eigenvalues,
 * the arrays are private copies that cannot be written, and equality and
   hashing are those of the object; validation errors name the first
-  offending record or rank,
+  offending row or rank,
 * the first read of ``floor_analysis`` keeps a FloorAnalysis of scalars in
   the instance dict, the first read of ``abs_lams`` keeps one read-only
   float64 array there, |lambda| (8 bytes a mode), and ``collar_free`` keeps
@@ -39,7 +43,6 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from numbers import Real
 from pathlib import Path
 from typing import Iterable, Union
@@ -75,8 +78,8 @@ _COALESCE_TOL = 1e-12
 # boundary dimensions 1 through 4.
 _C2_CANDIDATES = (1.0, 0.5, 1.0 / 3.0, 0.25)
 
-# Multiplicities are stored as int64.
-_INT64 = range(-2**63, 2**63)
+# Every spectrum input is reshaped into these columns, in this order.
+_COLUMNS = ("lambda", "multiplicity", "trace_re", "trace_im")
 
 # The resolved floor s_f = _FLOOR_SCALE / Lambda^2 is used only at or below
 # _FLOOR_MAX, where |trace| <= _RESOLVED_RATIO * envelope must hold too.
@@ -155,8 +158,10 @@ class BoundarySpectrum:
             raise InvalidSpectrumError("growth constants c1, c2 must be positive")
         if not (c3 > 0 and c4 >= 0):
             raise InvalidSpectrumError("trace bound constants need c3 > 0, c4 >= 0")
-        if not (self.truncated_at > 0):
-            raise InvalidSpectrumError("truncation cutoff must be positive")
+        cutoff = self.truncated_at
+        if not (cutoff > 0 and _FLOOR_SCALE / (cutoff * cutoff) > 0):
+            raise InvalidSpectrumError("truncation cutoff must be positive, with a "
+                                       f"floor 40/cutoff**2 above 0, got {cutoff!r}")
         abs_l, rank = np.abs(lams), np.arange(1.0, lams.size + 1.0)
         _raise_first([  # by rank; the pair i is ranks i + 1 and i + 2
             ((abs_l[1:] < abs_l[:-1]) | ((abs_l[1:] == abs_l[:-1])
@@ -284,7 +289,7 @@ def circle_spectrum(twist: float, rotation_angle: float, n_max: int) -> Boundary
         raise InvalidSpectrumError(
             f"twist must lie strictly inside (0, 1), got {twist!r}; the endpoints "
             "produce a zero eigenvalue")
-    if not isinstance(n_max, int) or n_max < 1:
+    if not _only((n_max,), int) or n_max < 1:
         raise DomainError(f"n_max must be a positive integer, got {n_max!r}")
     n = np.arange(-n_max, n_max + 1)
     lams, mult, traces = _sorted(n + twist, np.ones(n.size, dtype=np.int64),
@@ -317,56 +322,59 @@ def _only(values, kinds) -> bool:
                for t in set(map(type, values)))
 
 
-def _read(items: list, columns, label) -> tuple[np.ndarray, ...]:
-    """The (lams, multiplicity, traces) arrays of items, in their order.
+def _array(values, k: int) -> np.ndarray | None:
+    """values as column k of _COLUMNS: an int64 array of ints for the
+    multiplicity (k = 1), else a float64 array of real numbers; None unless
+    every value is of that kind, bools excluded, and fits."""
+    try:
+        return np.array(values, dtype=np.int64 if k == 1 else np.float64) \
+            if _only(values, int if k == 1 else Real) else None
+    except OverflowError:
+        return None
 
-    columns(items) returns the lambda, multiplicity, trace_re and trace_im
-    columns, or, when some item is malformed, a message that says why the
-    first one of a single-item list is. The first malformed item or invalid
-    mode is reported, named by label(index).
+
+def _modes(cols, row: str, entry: str, names=_COLUMNS) -> tuple[np.ndarray, ...]:
+    """The (lams, multiplicity, traces) arrays of the four columns cols, in
+    the order of _COLUMNS; every spectrum input is read here.
+
+    The first entry that _array refuses, at the lowest row i and then the
+    first column k, is named entry.format(i, names[k]); else the first
+    invalid mode is named row.format(i).
     """
-    cols, why = columns(items), None
-    if isinstance(cols, str):  # bisect for the first malformed item
-        lo, hi = 0, len(items) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if isinstance(columns(items[:mid + 1]), str) \
-                else (mid + 1, hi)
-        cols, why = columns(items[:lo]), columns(items[lo:lo + 1])
-    lams, mult = np.array(cols[0], dtype=np.float64), np.array(cols[1], dtype=np.int64)
+    arrays = [_array(col, k) for k, col in enumerate(cols)]
+    refused = [(next(i for i, v in enumerate(col) if _array((v,), k) is None), k)
+               for k, col in enumerate(cols) if arrays[k] is None]
+    if refused:
+        i, k = min(refused)
+        v = cols[k][i]
+        want = "a 64-bit integer" if k == 1 else \
+            "within the double range" if type(v) is int else "a number"
+        raise InvalidSpectrumError(f"{entry.format(i, names[k])}: "
+                                   f"must be {want}, got {v!r}")
+    lams, mult, re, im = arrays
     traces = np.empty(lams.size, dtype=np.complex128)
-    traces.real, traces.imag = cols[2], cols[3]  # bit for bit complex(re, im)
-    _raise_first(_record_checks(lams, mult, traces), label)
-    if why is not None:
-        raise InvalidSpectrumError(f"{label(lams.size)}: {why}")
+    traces.real, traces.imag = re, im  # bit for bit complex(re, im)
+    _raise_first(_record_checks(lams, mult, traces), row.format)
     return lams, mult, traces
 
 
-def _doubles(lam, mult, trace):
-    """lam, mult and the re and im columns of the (re, im) pairs of trace,
-    all but mult as float64 arrays; or why not: an int past the double range."""
-    try:
-        return (np.array(lam, dtype=np.float64), mult,
-                *np.array(trace, dtype=np.float64).reshape(-1, 2).T)
-    except OverflowError:
-        return "lambda and trace must lie within the double range"
+def _shaped(items: list, fields, row: str):
+    """fields(items), the four columns of items; when fields says why not,
+    the first item that fields refuses alone is named row.format(index)."""
+    cols = fields(items)
+    if isinstance(cols, str):
+        i, why = next((i, why) for i, why in enumerate(fields([item]) for item in items)
+                      if isinstance(why, str))
+        raise InvalidSpectrumError(f"{row.format(i)}: {why}")
+    return cols
 
 
-def _row_columns(rows: list):
+def _row_fields(rows: list):
     try:
-        lam, mult, re, im = zip(*rows, strict=True) if rows else [()] * 4
+        lam, mult, re, im = zip(*rows, strict=True)
     except (TypeError, ValueError):
-        return ("must be (lambda, multiplicity, trace_re, trace_im), "
-                f"got {rows[0]!r}")
-    if not _only(lam, Real):
-        return f"lambda must be a number, got {lam[0]!r}"
-    if not _only(mult, int):
-        return f"multiplicity must be a positive integer, got {mult[0]!r}"
-    if not all(map(_INT64.__contains__, mult)):
-        return f"multiplicity must fit in 64 bits, got {mult[0]!r}"
-    if not _only(re + im, Real):
-        return f"trace parts must be numbers, got {(re[0], im[0])!r}"
-    return _doubles(lam, mult, tuple(zip(re, im)))
+        return f"must be (lambda, multiplicity, trace_re, trace_im), got {rows[0]!r}"
+    return lam, mult, re, im
 
 
 def from_records(records: Iterable[tuple]) -> BoundarySpectrum:
@@ -379,7 +387,8 @@ def from_records(records: Iterable[tuple]) -> BoundarySpectrum:
     rows = list(records)
     if not rows:
         raise InvalidSpectrumError("records must be non-empty")
-    lams, mult, traces = _read(rows, _row_columns, lambda i: f"record {i}")
+    lams, mult, traces = _modes(_shaped(rows, _row_fields, "record {}"),
+                                "record {}", "record {} {}")
     return _fitted(lams, mult, traces, float(np.abs(lams).max()))
 
 
@@ -476,7 +485,7 @@ def tail_bound(spectrum: BoundarySpectrum, s_min: float,
 # Both take "weyl": {"c1": r, "c2": r, "c3": r, "c4": r}, fitted from the
 # data when absent, and "truncated_at": r, the largest |lambda| when absent.
 
-def _json_columns(raw: list):
+def _record_fields(raw: list):
     if not _only(raw, dict):
         return "record must be an object"
     try:
@@ -484,49 +493,22 @@ def _json_columns(raw: list):
                             for key in ("lambda", "multiplicity", "trace"))
     except KeyError as missing:
         return f"missing key {missing}"
-    if not _only(lam, (int, float)):
-        return "lambda must be a number"
-    if not _only(mult, int):
-        return "multiplicity must be an integer"
-    if not all(map(_INT64.__contains__, mult)):
-        return "multiplicity must fit in 64 bits"
-    if not (_only(trace, list) and set(map(len, trace)) <= {2}
-            and _only(chain.from_iterable(trace), (int, float))):
+    if not (_only(trace, list) and set(map(len, trace)) <= {2}):
         return "trace must be [re, im]"
-    return _doubles(lam, mult, trace)
+    return lam, mult, [t[0] for t in trace], [t[1] for t in trace]
 
 
-_COLUMNS = {"lambda": (int, float), "multiplicity": int,
-            "trace_re": (int, float), "trace_im": (int, float)}
-
-
-def _array(values, kinds) -> np.ndarray | None:
-    """values as an int64 array if kinds is int, else as a float64 one; None
-    unless every value is an instance of kinds, bools excluded, that fits."""
-    try:
-        return np.array(values, dtype=np.int64 if kinds is int else np.float64) \
-            if _only(values, kinds) else None
-    except OverflowError:
-        return None
-
-
-def _column_arrays(data) -> tuple[np.ndarray, ...]:
-    """The arrays of a format-2 "data" object: the first malformed entry is
-    named data.<column>[index], else _read names the first invalid mode."""
+def _column_lists(data) -> list:
+    """The four columns of a format-2 "data" object, of one nonzero length;
+    else the first missing entry is named data.<column>[index]."""
     data = data if isinstance(data, dict) else {}
     cols = [data[name] if isinstance(data.get(name), list) else [] for name in _COLUMNS]
-    n, arrays = max(map(len, cols)), []
-    for (name, kinds), col in zip(_COLUMNS.items(), cols):
+    n = max(map(len, cols))
+    for name, col in zip(_COLUMNS, cols):
         if len(col) < n or not n:
             raise InvalidSpectrumError(f"data.{name}[{len(col)}]: no entry; the four "
                                        "columns must be non-empty arrays of one length")
-        arrays.append(_array(col, kinds))
-        if arrays[-1] is None:
-            i = next(i for i, v in enumerate(col) if _array((v,), kinds) is None)
-            want = "a 64-bit integer" if kinds is int else \
-                "within the double range" if type(col[i]) is int else "a number"
-            raise InvalidSpectrumError(f"data.{name}[{i}]: must be {want}, got {col[i]!r}")
-    return _read(arrays, lambda cols: cols, lambda i: f"data[{i}]")
+    return cols
 
 
 def spectrum_from_json_dict(doc: dict) -> BoundarySpectrum:
@@ -536,21 +518,27 @@ def spectrum_from_json_dict(doc: dict) -> BoundarySpectrum:
         raw = doc["data"]
         if not isinstance(raw, list) or not raw:
             raise InvalidSpectrumError('"data" must be a non-empty array')
-        lams, mult, traces = _read(raw, _json_columns, lambda i: f"data[{i}]")
+        lams, mult, traces = _modes(_shaped(raw, _record_fields, "data[{}]"), "data[{}]",
+                                    "data[{}].{}", ("lambda", "multiplicity",
+                                                    "trace[0]", "trace[1]"))
     elif doc["format"] == 2 and type(doc["format"]) is int:
-        lams, mult, traces = _column_arrays(doc["data"])
+        lams, mult, traces = _modes(_column_lists(doc["data"]), "data[{}]", "data.{1}[{0}]")
     else:
         raise InvalidSpectrumError(f'"format" must be 2 or absent, got {doc["format"]!r}')
     cutoff, weyl = doc.get("truncated_at"), doc.get("weyl")
-    try:
-        cutoff = float(np.abs(lams).max() if cutoff is None else cutoff)
-        if weyl is not None:
-            c1, c2, c3, c4 = (float(weyl[k]) for k in ("c1", "c2", "c3", "c4"))
-    except (KeyError, TypeError, ValueError, OverflowError):
+    try:  # by the type rule of the lambda column
+        meta = _array([np.abs(lams).max() if cutoff is None else cutoff,
+                       *(weyl[k] for k in (() if weyl is None else
+                                           ("c1", "c2", "c3", "c4")))], 0)
+    except (KeyError, TypeError):
+        meta = None
+    if meta is None:
         raise InvalidSpectrumError('"truncated_at" must be a number and "weyl" an '
-                                   'object with numeric c1, c2, c3, c4') from None
-    if weyl is None:
+                                   'object with numeric c1, c2, c3, c4')
+    cutoff, *growth = meta.tolist()
+    if not growth:
         return _fitted(lams, mult, traces, cutoff)
+    c1, c2, c3, c4 = growth
     return BoundarySpectrum(*_sorted(lams, mult, traces), weyl_c1=c1,
                             weyl_c2=c2, trace_bound_c3=c3, trace_bound_c4=c4,
                             truncated_at=cutoff)

@@ -167,26 +167,27 @@ def test_from_records_rejects_malformed_rows():
     with pytest.raises(InvalidSpectrumError, match="record 1"):
         from_records([(1.0, 1, 1.0, 0.0), (2.0, 1)])
     with pytest.raises(InvalidSpectrumError,
-                       match="record 2: multiplicity must be a positive "
+                       match="record 2 multiplicity: must be a 64-bit "
                              "integer, got 1.5"):
         from_records([(1.0, 1, 1.0, 0.0), (2.0, 1, 1.0, 0.0),
                       (3.0, 1.5, 1.0, 0.0)])
     with pytest.raises(InvalidSpectrumError,
-                       match="record 1: multiplicity must fit in 64 bits"):
+                       match="record 1 multiplicity: must be a 64-bit "
+                             "integer, got -18446744073709551616"):
         from_records([(1.0, 1, 1.0, 0.0), (2.0, -2**64, 1.0, 0.0)])
     # A lambda or trace part that is not an int or a float is refused by
     # type, as both JSON forms refuse it, before numpy could read a str,
     # a bool or None as a number or as NaN.
     for row, why in [
-            (("1.5", 1, 1.0, 0.0), "lambda must be a number, got '1.5'"),
-            ((True, 1, 1.0, 0.0), "lambda must be a number, got True"),
-            (("x", 1, 1.0, 0.0), "lambda must be a number, got 'x'"),
-            ((None, 1, 1.0, 0.0), "lambda must be a number, got None"),
-            ((3.0, 1, None, 0.0), "trace parts must be numbers, got (None, 0.0)"),
-            ((3.0, 1, 1.0, "0"), "trace parts must be numbers, got (1.0, '0')"),
-            ((3.0, 1, True, 0.0), "trace parts must be numbers, got (True, 0.0)")]:
+            (("1.5", 1, 1.0, 0.0), "lambda: must be a number, got '1.5'"),
+            ((True, 1, 1.0, 0.0), "lambda: must be a number, got True"),
+            (("x", 1, 1.0, 0.0), "lambda: must be a number, got 'x'"),
+            ((None, 1, 1.0, 0.0), "lambda: must be a number, got None"),
+            ((3.0, 1, None, 0.0), "trace_re: must be a number, got None"),
+            ((3.0, 1, 1.0, "0"), "trace_im: must be a number, got '0'"),
+            ((3.0, 1, True, 0.0), "trace_re: must be a number, got True")]:
         with pytest.raises(InvalidSpectrumError,
-                           match="^" + re.escape(f"record 2: {why}") + "$"):
+                           match="^" + re.escape(f"record 2 {why}") + "$"):
             from_records([(1.0, 1, 1.0, 0.0), (2.0, 1, 1.0, 0.0), row])
     # ints and floats, numpy's real scalars among them, stay accepted in
     # every column but the multiplicity
@@ -197,10 +198,20 @@ def test_from_records_rejects_malformed_rows():
 
 
 def test_from_records_names_the_first_bad_record():
-    # record 1 holds a zero eigenvalue, record 3 cannot be read at all
-    with pytest.raises(InvalidSpectrumError, match="record 1: zero eigenvalue"):
-        from_records([(1.0, 1, 1.0, 0.0), (0.0, 1, 1.0, 0.0),
-                      (2.0, 1, 1.0, 0.0), (3.0, 1)])
+    # As in format 2, a malformed row comes first, then an entry of the
+    # wrong type, then an invalid mode: record 1 holds a zero eigenvalue,
+    # record 2 a str lambda and record 3 cannot be read at all.
+    rows = [(1.0, 1, 1.0, 0.0), (0.0, 1, 1.0, 0.0), ("2.0", 1, 1.0, 0.0),
+            (3.0, 1)]
+    with pytest.raises(InvalidSpectrumError,
+                       match=r"^record 3: must be \(lambda, multiplicity, "
+                             r"trace_re, trace_im\), got \(3\.0, 1\)$"):
+        from_records(rows)
+    with pytest.raises(InvalidSpectrumError,
+                       match="^record 2 lambda: must be a number, got '2.0'$"):
+        from_records(rows[:3])
+    with pytest.raises(InvalidSpectrumError, match="^record 1: zero eigenvalue"):
+        from_records(rows[:2])
     with pytest.raises(InvalidTraceError, match="record 2: .* exceeds"):
         from_records([(1.0, 1, 1.0, 0.0), (2.0, 1, 1.0, 0.0),
                       (3.0, 1, 0.0, 1.5)])
@@ -240,7 +251,7 @@ def test_circle_rejects_twist_outside_open_interval(twist):
         circle_spectrum(twist, 0.0, 5)
 
 
-@pytest.mark.parametrize("n_max", [0, -3, 2.0])
+@pytest.mark.parametrize("n_max", [0, -3, 2.0, True])
 def test_circle_rejects_bad_n_max(n_max):
     with pytest.raises(DomainError):
         circle_spectrum(0.25, 0.0, n_max)
@@ -368,7 +379,16 @@ def test_json_weyl_fitted_when_absent():
     ({"data": [{"lambda": 1.0, "multiplicity": 1, "trace": [1, 0]}],
       "weyl": {"c1": 0.5}}, "weyl"),
     ({"data": [{"lambda": 1.0, "multiplicity": 2**70, "trace": [1, 0]}]},
-     "64 bits"),
+     "data[0].multiplicity: must be a 64-bit integer"),
+    # metadata follows the type rule of the lambda column
+    ({"data": [{"lambda": 1.0, "multiplicity": 1, "trace": [1, 0]}],
+      "truncated_at": "3.5"}, '"truncated_at" must be a number'),
+    ({"data": [{"lambda": 1.0, "multiplicity": 1, "trace": [1, 0]}],
+      "truncated_at": True}, '"truncated_at" must be a number'),
+    ({"data": [{"lambda": 1.0, "multiplicity": 1, "trace": [1, 0]}],
+      "weyl": {"c1": "0.5", "c2": 1, "c3": 1, "c4": 0}}, '"weyl" an object'),
+    ({"data": [{"lambda": 1.0, "multiplicity": 1, "trace": [1, 0]}],
+      "weyl": {"c1": 0.5, "c2": True, "c3": 1, "c4": 0}}, '"weyl" an object'),
 ])
 def test_json_rejects_malformed_documents(doc, fragment):
     with pytest.raises(InvalidSpectrumError, match=None) as err:
@@ -410,17 +430,18 @@ def test_json_names_an_overlarge_trace_at_its_record():
 
 
 def test_json_reports_whichever_bad_record_comes_first():
-    # an invalid value before a malformed record, and the other way round
+    # As in format 2, a malformed record is named before an earlier invalid
+    # value; among invalid values the first record wins.
     doc = {"data": _records(6)}
     doc["data"][1]["lambda"] = math.nan
     del doc["data"][4]["trace"]
     with pytest.raises(InvalidSpectrumError,
-                       match=r"^data\[1\]: eigenvalue must be finite"):
+                       match=r"^data\[4\]: missing key 'trace'"):
         spectrum_from_json_dict(doc)
-    doc["data"][1]["lambda"] = 2.0
+    doc["data"][4]["trace"] = [1.0, 0.0]
     doc["data"][5]["multiplicity"] = 0
     with pytest.raises(InvalidSpectrumError,
-                       match=r"^data\[4\]: missing key 'trace'"):
+                       match=r"^data\[1\]: eigenvalue must be finite"):
         spectrum_from_json_dict(doc)
 
 

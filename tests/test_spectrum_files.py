@@ -5,12 +5,14 @@ spectrum bit for bit, and a malformed column names the column and the first
 bad index."""
 
 import json
+import math
 import re
 
 import numpy as np
 import pytest
 
-from cyleta import (InvalidSpectrumError, InvalidTraceError, circle_spectrum,
+from cyleta import (BoundarySpectrum, InvalidSpectrumError, InvalidTraceError,
+                    circle_spectrum,
                     direct_sum, dump_spectrum, eta_invariant, from_records,
                     load_spectrum, spectrum_from_json_dict,
                     spectrum_to_json_dict)
@@ -284,9 +286,10 @@ def test_the_record_form_names_an_int_past_the_double_range(key, part):
             doc["data"][i][key] = HUGE
         else:
             doc["data"][i][key][part] = HUGE
+    name = key if part is None else f"{key}[{part}]"
     with pytest.raises(InvalidSpectrumError,
-                       match=r"^data\[2\]: lambda and trace must lie within "
-                             r"the double range"):
+                       match=rf"^data\[2\]\.{re.escape(name)}: must be within "
+                             r"the double range, got 1000"):
         spectrum_from_json_dict(doc)
 
 
@@ -295,18 +298,25 @@ def test_the_record_form_names_an_int_past_the_double_range(key, part):
 def test_from_records_names_an_int_past_the_double_range(column):
     rows = [[float(k + 1), 1, 1.0, 0.0] for k in range(8)]
     rows[4][column] = rows[6][column] = HUGE
+    name = ("lambda", "multiplicity", "trace_re", "trace_im")[column]
     with pytest.raises(InvalidSpectrumError,
-                       match=r"^record 4: lambda and trace must lie within "
-                             r"the double range"):
+                       match=rf"^record 4 {name}: must be within the double "
+                             r"range, got 1000"):
         from_records(map(tuple, rows))
 
 
 def test_the_largest_double_as_an_int_still_reads():
     # 2**1024 - 2**970 is the midpoint above the largest double, and rounds
     # up to an overflow; every int below it rounds to a finite double.
+    # from_records reads the largest double, then refuses it as its cutoff.
     largest = int(np.finfo(float).max)
-    assert from_records([(largest, 1, 1.0, 0.0)]).lams[0] == largest
+    with pytest.raises(InvalidSpectrumError,
+                       match=r"^truncation cutoff must be positive, with a "
+                             r"floor 40/cutoff\*\*2 above 0, got "
+                             r"1\.7976931348623157e\+308$"):
+        from_records([(largest, 1, 1.0, 0.0)])
     doc = _columns(1)
+    doc["truncated_at"] = 1.0
     doc["data"]["lambda"][0] = 2**1024 - 2**970 - 1
     assert spectrum_from_json_dict(doc).lams[0] == np.finfo(float).max
     doc["data"]["lambda"][0] = 2**1024 - 2**970
@@ -365,3 +375,108 @@ def test_cli_reports_a_huge_int_as_an_input_error(capsys, tmp_path, form,
     assert doc["result"] is None
     assert len(doc["errors"]) == 1
     assert doc["errors"][0].startswith(f"spectrum file {path}: ")
+
+
+# ---------------------------------------------------------------------------
+# one reader: from_records rows, the record form and format 2 name a defect
+# at one row with one tail, each by its own name for the entry
+
+ROW = {"rows": "record 3", "records": "data[3]", "columns": "data[3]"}
+ENTRY = {"rows": ("record 3 lambda", "record 3 multiplicity",
+                  "record 3 trace_re"),
+         "records": ("data[3].lambda", "data[3].multiplicity",
+                     "data[3].trace[0]"),
+         "columns": ("data.lambda[3]", "data.multiplicity[3]",
+                     "data.trace_re[3]")}
+SHAPE = {"rows": "record 3: must be (lambda, multiplicity, trace_re, "
+                 "trace_im), got (4.0, 1, 1.0)",
+         "records": "data[3]: missing key 'trace'",
+         "columns": "data.trace_im[3]: no entry; the four columns must be "
+                    "non-empty arrays of one length"}
+# defect: (column, value, tail); a zero eigenvalue is named by its row
+DEFECTS = {"str-lambda": (0, "4.0", "must be a number, got '4.0'"),
+           "bool-multiplicity": (1, True, "must be a 64-bit integer, got True"),
+           "huge-trace": (2, HUGE, f"must be within the double range, got {HUGE}"),
+           "zero-eigenvalue": (0, 0.0, "zero eigenvalue: the data must "
+                                       "describe an invertible operator")}
+
+
+def _read_as(form, rows, short):
+    """rows read through the given form, with row 3 cut short if short."""
+    if form == "rows":
+        if short:
+            rows[3] = rows[3][:3]
+        return from_records(map(tuple, rows))
+    if form == "records":
+        doc = {"data": [{"lambda": lam, "multiplicity": mult, "trace": [re, im]}
+                        for lam, mult, re, im in rows]}
+        if short:
+            del doc["data"][3]["trace"]
+    else:
+        names = ("lambda", "multiplicity", "trace_re", "trace_im")
+        doc = {"format": 2, "data": dict(zip(names, map(list, zip(*rows))))}
+        if short:
+            del doc["data"]["trace_im"][3:]
+    return spectrum_from_json_dict(doc)
+
+
+@pytest.mark.parametrize("defect", [*DEFECTS, "shape"])
+@pytest.mark.parametrize("form", ["rows", "records", "columns"])
+def test_every_form_names_a_defect_at_its_row_with_one_tail(form, defect):
+    rows = [[float(k + 1), 1, 1.0, 0.0] for k in range(8)]
+    short = defect == "shape"
+    if short:
+        want = SHAPE[form]
+    else:
+        column, value, tail = DEFECTS[defect]
+        rows[3][column] = rows[6][column] = value
+        name = ROW[form] if defect == "zero-eigenvalue" else ENTRY[form][column]
+        want = f"{name}: {tail}"
+    with pytest.raises(InvalidSpectrumError) as err:
+        _read_as(form, rows, short)
+    assert str(err.value) == want
+
+
+# ---------------------------------------------------------------------------
+# a cutoff past about 1.3e154 leaves no floor: 40/cutoff**2 is 0
+
+
+def _floorless(cutoff):
+    return ("^" + re.escape("truncation cutoff must be positive, with a floor "
+                            f"40/cutoff**2 above 0, got {cutoff!r}") + "$")
+
+
+@pytest.mark.parametrize("cutoff", [2e154, 1e200, math.inf])
+def test_a_cutoff_with_no_floor_is_refused(cutoff):
+    spectrum = circle_spectrum(0.25, 0.7, 3)
+    with pytest.raises(InvalidSpectrumError, match=_floorless(cutoff)):
+        BoundarySpectrum(spectrum.lams, spectrum.multiplicity, spectrum.traces,
+                         weyl_c1=spectrum.weyl_c1, weyl_c2=spectrum.weyl_c2,
+                         trace_bound_c3=1.0, trace_bound_c4=0.0,
+                         truncated_at=cutoff)
+    for doc in (spectrum_to_json_dict(spectrum), _record_doc(spectrum)):
+        doc["truncated_at"] = cutoff
+        with pytest.raises(InvalidSpectrumError, match=_floorless(cutoff)):
+            spectrum_from_json_dict(doc)
+
+
+def test_a_cutoff_just_below_the_limit_still_reads():
+    doc = spectrum_to_json_dict(circle_spectrum(0.25, 0.7, 3))
+    doc["truncated_at"] = 1e154
+    assert spectrum_from_json_dict(doc).truncated_at == 1e154
+
+
+@pytest.mark.parametrize("form", ["records", "columns"])
+def test_cli_refuses_a_file_cutoff_with_no_floor(capsys, tmp_path, form):
+    spectrum = circle_spectrum(0.25, 0.7, 3)
+    doc = _record_doc(spectrum) if form == "records" \
+        else spectrum_to_json_dict(spectrum)
+    path = tmp_path / f"{form}.json"
+    for text, cutoff in (("1e200", 1e200), ("1e400", math.inf)):
+        doc["truncated_at"] = "CUTOFF"
+        path.write_text(json.dumps(doc).replace('"CUTOFF"', text))
+        assert main(["eta", "--spectrum", str(path)]) == 1
+        errors = json.loads(capsys.readouterr().out)["errors"]
+        assert errors == [f"spectrum file {path}: truncation cutoff must be "
+                          f"positive, with a floor 40/cutoff**2 above 0, got "
+                          f"{cutoff!r}"]

@@ -14,7 +14,12 @@ n_max 5 to 2000, and five from_records spectra (a single negative mode, a
 symmetric pair, a one-signed list whose floor is refused, a mixed list
 with complex traces, and a 401-mode circle read back row by row); collars
 a' from 0.003 to 40. Each CLI subcommand runs on flags and on spectrum
-files, once with a request that fails.
+files, once with a request that fails. The "inputs" line hashes the
+message of each malformed input: a str lambda, a bool multiplicity, 10**400
+in a trace part, a zero eigenvalue, and a short row, a missing key or a
+short column, each at row 3 of an 8-mode spectrum, read as from_records
+rows, record-form data and format-2 columns; and the document that
+`cyleta eta` writes on one malformed file.
 """
 
 from __future__ import annotations
@@ -22,13 +27,15 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import tempfile
 from itertools import product
 
-from cyleta import (aps_index, circle_spectrum, contribution,
+from cyleta import (CyletaError, aps_index, circle_spectrum, contribution,
                     dirichlet_variant_contribution, dump_spectrum,
-                    eta_invariant, from_records, relative_index_check)
+                    eta_invariant, from_records, relative_index_check,
+                    spectrum_from_json_dict)
 from cyleta.cli import main as cli_main
 
 TWISTS = (0.1, 0.25, 0.5, 0.83)
@@ -37,6 +44,8 @@ N_MAX = (5, 40, 300, 2000)
 COLLARS = (0.003, 0.01, 0.05, 0.2, 0.5, 1.0, 3.0, 10.0, 40.0)
 F1 = (1.0, 1.3, -0.7)
 AS_TERMS = (0j, 0.5 + 0.25j)
+# (column, value) put at row 3; None cuts row 3 short in the form's own way
+DEFECTS = ((0, "4.0"), (1, True), (2, 10**400), (0, 0.0), None)
 
 
 def _spectra() -> list:
@@ -92,22 +101,74 @@ def _cli_requests() -> dict:
     }
 
 
+@contextlib.contextmanager
+def _in_scratch():
+    """Run the block from a new scratch directory, so that file names in
+    the documents stay relative."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        try:
+            yield
+        finally:
+            os.chdir(cwd)
+
+
 def _cli_documents() -> dict:
     """Each subcommand's requests as the text cyleta.cli.main writes, with
     its exit status, run in process from a scratch directory that holds
     the spectrum files one.json and two.json."""
     documents = {}
-    cwd = os.getcwd()
-    with tempfile.TemporaryDirectory() as scratch:
-        os.chdir(scratch)
-        try:
-            dump_spectrum(circle_spectrum(0.25, 0.7, 400), "one.json")
-            dump_spectrum(circle_spectrum(0.3, 0.7, 400), "two.json")
-            for command, requests in _cli_requests().items():
-                documents[f"cli {command}"] = [_run_cli(argv) for argv in requests]
-        finally:
-            os.chdir(cwd)
+    with _in_scratch():
+        dump_spectrum(circle_spectrum(0.25, 0.7, 400), "one.json")
+        dump_spectrum(circle_spectrum(0.3, 0.7, 400), "two.json")
+        for command, requests in _cli_requests().items():
+            documents[f"cli {command}"] = [_run_cli(argv) for argv in requests]
     return documents
+
+
+def _malformed(form: str, defect) -> object:
+    """An 8-mode spectrum with the defect at row 3, as from_records rows,
+    a record-form document or a format-2 document."""
+    rows = [[float(k + 1), 1, 1.0, 0.0] for k in range(8)]
+    if defect is not None:
+        column, value = defect
+        rows[3][column] = value
+    if form == "rows":
+        if defect is None:
+            rows[3] = rows[3][:3]
+        return [tuple(row) for row in rows]
+    if form == "records":
+        doc = {"data": [{"lambda": lam, "multiplicity": mult, "trace": [re, im]}
+                        for lam, mult, re, im in rows]}
+        if defect is None:
+            del doc["data"][3]["trace"]
+        return doc
+    names = ("lambda", "multiplicity", "trace_re", "trace_im")
+    doc = {"format": 2, "data": dict(zip(names, map(list, zip(*rows))))}
+    if defect is None:
+        del doc["data"]["trace_im"][3:]
+    return doc
+
+
+def _refusal(form: str, defect) -> str:
+    """The error that reading the malformed input raises, or "accepted"."""
+    value = _malformed(form, defect)
+    try:
+        from_records(value) if form == "rows" else spectrum_from_json_dict(value)
+    except CyletaError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return "accepted"
+
+
+def _input_cases() -> list:
+    cases = [_refusal(form, defect) for form in ("rows", "records", "columns")
+             for defect in DEFECTS]
+    with _in_scratch():
+        with open("malformed.json", "w") as fh:
+            json.dump(_malformed("records", DEFECTS[0]), fh)
+        cases.append(_run_cli(["eta", "--spectrum", "malformed.json"]))
+    return cases
 
 
 def _run_cli(argv: list) -> str:
@@ -134,7 +195,7 @@ def digests() -> dict:
         repr(relative_index_check(s1, AS_TERMS[1], s2, 0.75, a))
         for s1, s2 in zip(spectra, spectra[1:] + spectra[:1])
         for a in COLLARS[::2]]
-    return {**cases, **_cli_documents()}
+    return {**cases, **_cli_documents(), "inputs": _input_cases()}
 
 
 def main() -> None:
