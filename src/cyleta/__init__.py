@@ -2,12 +2,16 @@
 
 The package models the boundary data of a Dirac-type operator on a
 manifold with a cylindrical end by its spectrum with equivariant trace
-weights, evaluates the half-line heat kernels of the flat cylinder in
-closed form, and computes from them the delocalised eta invariant and the
-contribution from infinity that enters index formulas. Verification
-entry points check the kernel identities, the vanishing integral with its
-dominated-convergence certificate, and the agreement of the two index
-assembly routes.
+weights, and computes from it, one closed-form heat-time integral per
+mode, the delocalised eta invariant, the contribution from infinity that
+enters index formulas, its Dirichlet variant and the index. Each quantity
+has one public function, which returns it with its error budget.
+Verification entry points check the half-line heat-kernel identities on
+compiled-in grids, the vanishing integral with its dominated-convergence
+certificate, and the agreement of the two index assembly routes. Helpers
+that a caller need not name (the kernels, the vanishing dominator, the
+certificate-failure and truncation-bound records) stay in their modules
+and are not exported here.
 """
 
 from ._version import __version__
@@ -17,19 +21,13 @@ from .contribution import (ContributionReport, Estimate, contribution,
 from .errors import (CyletaError, DomainError, InvalidSpectrumError,
                      InvalidTraceError, VerificationError)
 from .eta import EtaResult, eta_invariant
-from .identities import (BOUNDARY_GRID, DECOMPOSITION_GRID, DeviationReport,
-                         KernelGrid, verify_boundary_vanish,
+from .identities import (DeviationReport, verify_boundary_vanish,
                          verify_decomposition, verify_not_feel_boundary)
-from .kernels import (ModePoint, aps_mode_kernel, dirichlet_lambda_combination,
-                      dirichlet_mode_kernel, full_line_mode_kernel,
-                      lambda_mode_kernel)
-from .spectral import (BoundarySpectrum, FloorAnalysis,
-                       TruncationBound, circle_spectrum, direct_sum,
-                       dump_spectrum, from_records, load_spectrum,
+from .spectral import (BoundarySpectrum, FloorAnalysis, circle_spectrum,
+                       direct_sum, dump_spectrum, from_records, load_spectrum,
                        spectrum_from_json_dict, spectrum_to_json_dict,
                        tail_bound)
-from .vanishing import (CertificateFailure, VanishingReport,
-                        VanishingTermConfig, dominator, per_mode_difference,
+from .vanishing import (VanishingReport, VanishingTermConfig,
                         vanishing_term_detailed, verify_vanishing)
 
 __all__ = [
@@ -41,7 +39,6 @@ __all__ = [
     "VerificationError",
     "BoundarySpectrum",
     "FloorAnalysis",
-    "TruncationBound",
     "circle_spectrum",
     "from_records",
     "direct_sum",
@@ -50,16 +47,7 @@ __all__ = [
     "spectrum_to_json_dict",
     "load_spectrum",
     "dump_spectrum",
-    "ModePoint",
-    "full_line_mode_kernel",
-    "dirichlet_mode_kernel",
-    "aps_mode_kernel",
-    "lambda_mode_kernel",
-    "dirichlet_lambda_combination",
-    "KernelGrid",
     "DeviationReport",
-    "DECOMPOSITION_GRID",
-    "BOUNDARY_GRID",
     "verify_decomposition",
     "verify_boundary_vanish",
     "verify_not_feel_boundary",
@@ -67,10 +55,7 @@ __all__ = [
     "eta_invariant",
     "VanishingTermConfig",
     "VanishingReport",
-    "CertificateFailure",
     "vanishing_term_detailed",
-    "per_mode_difference",
-    "dominator",
     "verify_vanishing",
     "Estimate",
     "ContributionReport",

@@ -26,8 +26,7 @@ from .assembly import aps_index, assemble_index, relative_index_check
 from .contribution import contribution, dirichlet_variant_contribution
 from .errors import CyletaError
 from .eta import eta_invariant
-from .identities import (BOUNDARY_GRID, DECOMPOSITION_GRID,
-                         verify_boundary_vanish, verify_decomposition)
+from .identities import verify_boundary_vanish, verify_decomposition
 from .spectral import BoundarySpectrum, circle_spectrum, load_spectrum
 from .vanishing import VanishingTermConfig, verify_vanishing
 
@@ -235,8 +234,8 @@ def _run_dirichlet(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _run_verify_identities(args: argparse.Namespace) -> tuple[dict, int]:
-    decomposition = verify_decomposition(DECOMPOSITION_GRID)
-    boundary = verify_boundary_vanish(BOUNDARY_GRID)
+    decomposition = verify_decomposition()
+    boundary = verify_boundary_vanish()
     passed = (decomposition.max_abs <= _DECOMPOSITION_TOL
               and boundary.max_abs <= _BOUNDARY_TOL)
     result = {

@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+__all__ = ["CyletaError", "InvalidSpectrumError", "InvalidTraceError",
+           "DomainError", "VerificationError"]
+
 
 class CyletaError(Exception):
     """Base class for all package-specific errors."""

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from numbers import Real
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 import numpy as np
 
@@ -384,7 +384,8 @@ def from_records(records: Iterable[tuple]) -> BoundarySpectrum:
     c2 drawn from {1, 1/2, 1/3, 1/4}), and the truncation cutoff is the
     largest |lambda| present.
     """
-    rows = list(records)
+    # zip(*rows) drains a one-shot row before _shaped re-reads it
+    rows = [tuple(row) if isinstance(row, Iterator) else row for row in records]
     if not rows:
         raise InvalidSpectrumError("records must be non-empty")
     lams, mult, traces = _modes(_shaped(rows, _row_fields, "record {}"),

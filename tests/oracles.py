@@ -16,6 +16,9 @@ Contents:
   eigendecomposition of the symmetrized finite-difference operator.
 * ``erfc_defining_integral``: erfc evaluated by adaptive quadrature of
   its defining Gaussian integral.
+* ``aps_mode_kernel``: the closed-form mixed-condition (APS) heat kernel
+  on one mode, which no runtime quantity reads; the tests check it
+  against ``cn_solve`` and ``robin_expm_corner``.
 * ``contribution_by_double_quadrature``: brute-force double integral for
   the per-mode boundary contribution, composing two half-time image
   kernels through the semigroup identity instead of using any
@@ -144,6 +147,31 @@ def erfc_defining_integral(x: float) -> float:
     val, _ = quad(lambda xi: 2.0 / math.sqrt(math.pi) * math.exp(-xi * xi),
                   x, np.inf, epsabs=1e-13)
     return val
+
+
+def aps_mode_kernel(lam: float, s: float, y: float, yp: float) -> float:
+    """Mixed-condition kernel: the positive and negative eigenvalue branches
+    see different boundary conditions.
+
+    lam > 0: the Dirichlet kernel N (G- - G+), with N = e^{-lam^2 s}
+    (4 pi s)^{-1/2} and G-+ = exp(-(y -+ yp)^2 / 4s). lam < 0, where
+    u'(0) + lam u(0) = 0:
+    N (G- + G+) + lam e^{-lam(y+yp)} erfc((y+yp)/(2 sqrt s) - lam sqrt s),
+    evaluated via erfcx with the combined exponent
+    -lam^2 s - (y+yp)^2/(4s) (exact identity, no overflow).
+    """
+    if lam == 0.0:
+        raise ValueError("mixed-condition kernel needs lam != 0")
+    n = math.exp(-lam * lam * s) / math.sqrt(4.0 * math.pi * s)
+    gm = math.exp(-((y - yp) ** 2) / (4.0 * s))
+    gp = math.exp(-((y + yp) ** 2) / (4.0 * s))
+    if lam > 0:
+        return n * (gm - gp)
+    sq = math.sqrt(s)
+    z = (y + yp) / (2.0 * sq) - lam * sq
+    tail = lam * float(erfcx(z)) * math.exp(
+        -lam * lam * s - (y + yp) ** 2 / (4.0 * s))
+    return n * (gm + gp) + tail
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +373,9 @@ def contribution_integrand(lams, traces, a_prime: float, s: float
     e^{-a'^2/s} (a'/s - |lam_j|)] at heat time s.
 
     On the diagonal y = y' = a' this collapsed bracket is algebraically
-    sum_j a_j lambda_mode_kernel(lam_j, s, a', a'); it is the integrand
-    whose per-mode heat-time integrals the contribution evaluates in
-    closed form.
+    sum_j a_j K(lam_j, s, a', a'), with K the first-order mode kernel; it
+    is the integrand whose per-mode heat-time integrals the contribution
+    evaluates in closed form.
     """
     lams, traces = np.asarray(lams), np.asarray(traces)
     expo = -(a_prime * a_prime) / s

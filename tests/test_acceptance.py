@@ -17,27 +17,23 @@ import mpmath as mp
 import pytest
 
 from cyleta import (
-    DECOMPOSITION_GRID,
-    ModePoint,
     VanishingTermConfig,
     aps_index,
     assemble_index,
     circle_spectrum,
     contribution,
-    dirichlet_mode_kernel,
     dirichlet_variant_contribution,
-    dominator,
     eta_invariant,
     from_records,
-    full_line_mode_kernel,
-    lambda_mode_kernel,
-    per_mode_difference,
     relative_index_check,
     tail_bound,
     verify_decomposition,
     verify_not_feel_boundary,
     verify_vanishing,
 )
+from cyleta.identities import (_dirichlet_kernel, _full_line_kernel,
+                               _lambda_kernel)
+from cyleta.vanishing import dominator, per_mode_difference
 
 from oracles import contribution_by_double_quadrature
 
@@ -53,7 +49,7 @@ def circle_quarter():
 
 def test_criterion_01_kernel_decomposition():
     start = time.perf_counter()
-    report = verify_decomposition(DECOMPOSITION_GRID)
+    report = verify_decomposition()
     elapsed = time.perf_counter() - start
     ok = report.max_abs <= 1e-11 and elapsed < 1.0
     _verdict(1, "kernel-decomposition", ok,
@@ -67,7 +63,7 @@ def test_criterion_02_boundary_vanishing():
     worst = 0.0
     for lam in (0.5, -0.5, 1.0, -1.0, 2.5, -2.5):
         for s in (0.1, 1.0, 10.0):
-            value = abs(lambda_mode_kernel(ModePoint(lam, s, 0.0, 0.0)))
+            value = abs(_lambda_kernel(lam, s, 0.0, 0.0))
             worst = max(worst, value)
     ok = worst <= 1e-12
     _verdict(2, "boundary-vanishing", ok, f"max {worst:.3e} <= 1e-12")
@@ -249,8 +245,8 @@ def test_criterion_09_boundary_decay():
     # still carries significant bits.
     worst_float = 0.0
     for s in (1.0, 0.5):
-        point = ModePoint(1.0, s, 1.0, 1.0)
-        gap = abs(dirichlet_mode_kernel(point) - full_line_mode_kernel(point))
+        point = (1.0, s, 1.0, 1.0)
+        gap = abs(_dirichlet_kernel(*point) - _full_line_kernel(*point))
         target = math.exp(-s) / math.sqrt(4.0 * math.pi * s) \
             * math.exp(-1.0 / s)
         worst_float = max(worst_float, abs(gap - target) / target)

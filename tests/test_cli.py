@@ -1,6 +1,7 @@
 """Command-line interface: JSON envelopes, exit codes, file output."""
 
 import ast
+import importlib
 import json
 import subprocess
 import sys
@@ -294,6 +295,30 @@ def test_no_module_of_the_package_imports_scipy():
     assert imported == {}
 
 
+# cyleta.__all__: one public function per quantity, its records, the
+# verifiers and their reports, the spectrum I/O and the error types
+PUBLIC = {
+    "__version__", "CyletaError", "InvalidSpectrumError", "InvalidTraceError",
+    "DomainError", "VerificationError", "BoundarySpectrum", "FloorAnalysis",
+    "circle_spectrum", "from_records", "direct_sum", "tail_bound",
+    "spectrum_from_json_dict", "spectrum_to_json_dict", "load_spectrum",
+    "dump_spectrum", "DeviationReport", "verify_decomposition",
+    "verify_boundary_vanish", "verify_not_feel_boundary", "EtaResult",
+    "eta_invariant", "VanishingTermConfig", "VanishingReport",
+    "vanishing_term_detailed", "verify_vanishing", "Estimate",
+    "ContributionReport", "contribution", "dirichlet_variant_contribution",
+    "IndexReport", "assemble_index", "aps_index", "relative_index_check",
+}
+
+
+def test_the_package_exports_34_names_and_each_resolves():
+    assert len(cyleta.__all__) == len(set(cyleta.__all__)) == 34
+    assert set(cyleta.__all__) == PUBLIC
+    namespace = {}
+    exec("from cyleta import *", namespace)
+    assert all(namespace[name] is getattr(cyleta, name) for name in PUBLIC)
+
+
 def _cyleta_imports(path):
     """(module, name) for each name the file imports from another cyleta
     module, with name None where it imports the module itself."""
@@ -309,13 +334,23 @@ def _cyleta_imports(path):
                 yield (module, alias.name) if module else (alias.name, None)
 
 
+def _is_public(module, name):
+    """A dunder such as __version__, a module whose name has no leading
+    underscore, or a name in the __all__ of such a module."""
+    if name and name.startswith("__") and name.endswith("__"):
+        return True
+    if module.startswith("_"):
+        return False
+    return name is None or name in importlib.import_module(
+        f"cyleta.{module}").__all__
+
+
 def test_the_cli_imports_public_names_and_the_runtime_no_verifier():
     package = Path(cyleta.__file__).parent
-    private = [(module, name) for module, name
-               in _cyleta_imports(package / "cli.py")
-               if name and name.startswith("_") and not name.endswith("__")]
-    assert private == []
-    verifiers = {"vanishing", "identities", "kernels"}
+    imported = list(_cyleta_imports(package / "cli.py"))
+    private = [pair for pair in imported if not _is_public(*pair)]
+    assert imported and private == []
+    verifiers = {"vanishing", "identities"}
     reached = [(runtime, module)
                for runtime in ("spectral", "eta", "contribution", "assembly")
                for module, _ in _cyleta_imports(package / f"{runtime}.py")

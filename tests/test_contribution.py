@@ -6,16 +6,15 @@ import pytest
 
 from cyleta import (
     DomainError,
-    ModePoint,
     circle_spectrum,
     contribution,
     dirichlet_variant_contribution,
     eta_invariant,
     from_records,
-    lambda_mode_kernel,
 )
 
 from cyleta.contribution import _check_a_prime
+from cyleta.identities import _lambda_kernel
 
 from oracles import contribution_by_double_quadrature, contribution_integrand
 
@@ -45,8 +44,7 @@ def test_integrand_matches_per_mode_kernel_sum(s):
     a_prime = 0.6
     expected = 0j
     for lam, trace in zip(MIXED.lams.tolist(), MIXED.traces.tolist()):
-        point = ModePoint(lam, s, a_prime, a_prime)
-        expected += trace * lambda_mode_kernel(point)
+        expected += trace * _lambda_kernel(lam, s, a_prime, a_prime)
     got = contribution_integrand(MIXED.lams, MIXED.traces, a_prime, s)
     assert got == pytest.approx(expected, abs=1e-14)
 

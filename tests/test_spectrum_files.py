@@ -402,11 +402,13 @@ DEFECTS = {"str-lambda": (0, "4.0", "must be a number, got '4.0'"),
 
 
 def _read_as(form, rows, short):
-    """rows read through the given form, with row 3 cut short if short."""
-    if form == "rows":
+    """rows read through the given form, with row 3 cut short if short;
+    "iterators" passes from_records each row as a one-shot iterator."""
+    if form in ("rows", "iterators"):
         if short:
             rows[3] = rows[3][:3]
-        return from_records(map(tuple, rows))
+        one_shot = form == "iterators"
+        return from_records(iter(row) if one_shot else tuple(row) for row in rows)
     if form == "records":
         doc = {"data": [{"lambda": lam, "multiplicity": mult, "trace": [re, im]}
                         for lam, mult, re, im in rows]}
@@ -421,16 +423,17 @@ def _read_as(form, rows, short):
 
 
 @pytest.mark.parametrize("defect", [*DEFECTS, "shape"])
-@pytest.mark.parametrize("form", ["rows", "records", "columns"])
+@pytest.mark.parametrize("form", ["rows", "records", "columns", "iterators"])
 def test_every_form_names_a_defect_at_its_row_with_one_tail(form, defect):
     rows = [[float(k + 1), 1, 1.0, 0.0] for k in range(8)]
     short = defect == "shape"
+    names = "rows" if form == "iterators" else form
     if short:
-        want = SHAPE[form]
+        want = SHAPE[names]
     else:
         column, value, tail = DEFECTS[defect]
         rows[3][column] = rows[6][column] = value
-        name = ROW[form] if defect == "zero-eigenvalue" else ENTRY[form][column]
+        name = ROW[names] if defect == "zero-eigenvalue" else ENTRY[names][column]
         want = f"{name}: {tail}"
     with pytest.raises(InvalidSpectrumError) as err:
         _read_as(form, rows, short)

@@ -12,17 +12,14 @@ from hypothesis import given, strategies as st
 from scipy.special import erfcx
 
 from cyleta import (
-    CertificateFailure,
     DomainError,
     VanishingTermConfig,
     aps_index,
     assemble_index,
     circle_spectrum,
     contribution,
-    dominator,
     dump_spectrum,
     from_records,
-    per_mode_difference,
     relative_index_check,
     vanishing_term_detailed,
     verify_vanishing,
@@ -30,7 +27,9 @@ from cyleta import (
 from cyleta._special import erfcx as cyleta_erfcx
 from cyleta.cli import main
 from cyleta.contribution import _collar_damping
-from cyleta.vanishing import _NEGLIGIBLE, _differences, _dominator_integrals
+from cyleta.vanishing import (_NEGLIGIBLE, CertificateFailure, _differences,
+                              _dominator_integrals, dominator,
+                              per_mode_difference)
 
 from oracles import (closed_form_partial, dominator_integrals_by_quad,
                      per_mode_difference_by_quad)

@@ -19,7 +19,9 @@ message of each malformed input: a str lambda, a bool multiplicity, 10**400
 in a trace part, a zero eigenvalue, and a short row, a missing key or a
 short column, each at row 3 of an 8-mode spectrum, read as from_records
 rows, record-form data and format-2 columns; and the document that
-`cyleta eta` writes on one malformed file.
+`cyleta eta` writes on one malformed file. The "verify_not_feel_boundary"
+line hashes its rows at four eigenvalues, three distances and two time
+lists, and the error it raises on times that increase.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from itertools import product
 from cyleta import (CyletaError, aps_index, circle_spectrum, contribution,
                     dirichlet_variant_contribution, dump_spectrum,
                     eta_invariant, from_records, relative_index_check,
-                    spectrum_from_json_dict)
+                    spectrum_from_json_dict, verify_not_feel_boundary)
 from cyleta.cli import main as cli_main
 
 TWISTS = (0.1, 0.25, 0.5, 0.83)
@@ -46,6 +48,10 @@ F1 = (1.0, 1.3, -0.7)
 AS_TERMS = (0j, 0.5 + 0.25j)
 # (column, value) put at row 3; None cuts row 3 short in the form's own way
 DEFECTS = ((0, "4.0"), (1, True), (2, 10**400), (0, 0.0), None)
+# (lam, y, times) of verify_not_feel_boundary; the last is refused
+DECAY = (*product((-2.5, -0.5, 0.5, 3.0), (0.3, 1.0, 2.0),
+                  ((1.0, 0.5, 0.1, 0.05, 0.01), (10.0, 1.0, 0.1, 0.001))),
+         (1.0, 1.0, (0.5, 1.0)))
 
 
 def _spectra() -> list:
@@ -161,6 +167,14 @@ def _refusal(form: str, defect) -> str:
     return "accepted"
 
 
+def _decay(lam: float, y: float, times: tuple) -> str:
+    """verify_not_feel_boundary's rows, or the error it raises."""
+    try:
+        return repr(verify_not_feel_boundary(lam, y, times))
+    except CyletaError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
 def _input_cases() -> list:
     cases = [_refusal(form, defect) for form in ("rows", "records", "columns")
              for defect in DEFECTS]
@@ -195,6 +209,7 @@ def digests() -> dict:
         repr(relative_index_check(s1, AS_TERMS[1], s2, 0.75, a))
         for s1, s2 in zip(spectra, spectra[1:] + spectra[:1])
         for a in COLLARS[::2]]
+    cases["verify_not_feel_boundary"] = [_decay(*case) for case in DECAY]
     return {**cases, **_cli_documents(), "inputs": _input_cases()}
 
 
