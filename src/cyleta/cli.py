@@ -5,7 +5,8 @@ JSON document {"request": ..., "result": ..., "errors": [...], "version":
 ...} with sorted keys and fixed indentation, so identical requests produce
 byte-identical output. Exit status is 0 on success, 1 on input or
 computation errors (bad flags, unreadable or malformed spectrum files,
-domain violations), and 2 when a verification command finds a violation
+domain violations, an unwritable --output path, whose error document
+goes to stdout), and 2 when a verification command finds a violation
 beyond tolerance; the evidence is embedded in the document either way.
 
 The spectrum comes from --spectrum PATH (the JSON format of the spectral
@@ -48,11 +49,9 @@ class _Parser(argparse.ArgumentParser):
         raise _InputError(message)
 
 
-def _add_spectrum_flags(p: argparse.ArgumentParser, repeatable: bool = False) -> None:
+def _add_spectrum_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--spectrum", action="append", default=None,
-                   metavar="PATH",
-                   help="spectrum JSON file" + (" (repeat for each operator)"
-                                                if repeatable else ""))
+                   metavar="PATH", help="spectrum JSON file")
     p.add_argument("--twist", type=float, default=None,
                    help="circle holonomy twist in (0, 1)")
     p.add_argument("--rotation-angle", type=float, default=0.0,
@@ -300,20 +299,21 @@ _RUNNERS = {"eta": _run_eta, "contribution": _run_contribution,
             "verify-vanishing": _run_verify_vanishing, "relative": _run_relative}
 
 
+def _failure(request: dict, message: str) -> dict:
+    """The document of a request that failed before it had a result."""
+    return {"request": request, "result": None, "errors": [message],
+            "version": __version__}
+
+
 def run(args: argparse.Namespace) -> tuple[dict, int]:
     """Dispatch a parsed request; returns (document, exit_status)."""
-    doc = {"request": _request_echo(args), "errors": [],
-           "version": __version__}
+    request = _request_echo(args)
     try:
         result, status = _RUNNERS[args.command](args)
-    except _InputError:
-        raise
     except CyletaError as exc:
-        doc["result"] = None
-        doc["errors"] = [f"{type(exc).__name__}: {exc}"]
-        return doc, 1
-    doc["result"] = result
-    return doc, status
+        return _failure(request, f"{type(exc).__name__}: {exc}"), 1
+    return {"request": request, "result": result, "errors": [],
+            "version": __version__}, status
 
 
 def _emit(doc: dict, output: str | None) -> None:
@@ -338,19 +338,19 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except _InputError as exc:
-        doc = {"request": {"argv": list(argv) if argv is not None
-                           else sys.argv[1:]},
-               "result": None, "errors": [str(exc)], "version": __version__}
-        _emit(doc, None)
+        argv = list(argv) if argv is not None else sys.argv[1:]
+        _emit(_failure({"argv": argv}, str(exc)), None)
         return 1
     try:
         doc, status = run(args)
     except _InputError as exc:
-        doc = {"request": {"command": getattr(args, "command", None)},
-               "result": None, "errors": [str(exc)], "version": __version__}
-        _emit(doc, getattr(args, "output", None))
+        doc, status = _failure({"command": args.command}, str(exc)), 1
+    try:
+        _emit(doc, args.output)
+    except OSError as exc:
+        _emit(_failure(doc["request"], f"cannot write output file "
+                                       f"{args.output}: {exc.strerror}"), None)
         return 1
-    _emit(doc, args.output)
     return status
 
 

@@ -41,19 +41,19 @@ dirichlet_variant_contribution returns an Estimate, the value with its
 error budget. It swaps the per-mode factor (a'/s - |lam|) in the
 vanishing piece for (sgn(lam) a'/s - |lam|), which is what imposing a
 Dirichlet instead of a spectral boundary condition does to the kernel.
-The two brackets differ only on lam < 0 modes, by
-e^{-lam^2 s - a'^2/s} (4 pi s)^{-1/2} 2 a'/s, whose integral from s_f is
-the closed-form shift
+The two brackets differ only on lam < 0 modes, where the Dirichlet
+integral from s_f is
 
-    [e^{-2 a' |lam|} erfc(v) - erfcx(w) e^{-lam^2 s_f - a'^2/s_f}] / 2,
-    v, w = |lam| sqrt(s_f) -+ a'/sqrt(s_f),
+    [e^{-2 a' |lam|} erfc(v) - erfc(|lam| sqrt(s_f))] / 2,
+    v = |lam| sqrt(s_f) - a'/sqrt(s_f):
 
-with the s_f -> 0 limit e^{-2 a' |lam|}, used when the floor is refused.
-So the variant is the spectral integral above plus the shift summed over
-the lam < 0 modes where e^{-2 a' |lam|} is not an exact 0.0
-(|lam| <= 373/a'). No mode past that prefix is lost: by AM-GM
-lam^2 s_f + a'^2/s_f >= 2 a' |lam|, so the spectral collar factor
-underflows no later than the Dirichlet one.
+the collar piece of the spectral integral cancels there. So the variant
+is -(eta/2 + sum_j a_j h_j), read from eta's kept sum, with the half-term
+h_j = -c_j / 2 on the lam > 0 modes of the live prefix and
+e^{-2 a' |lam_j|} erfc(v_j) / 2 on the lam < 0 modes where
+e^{-2 a' |lam|} is not an exact 0.0 (|lam| <= 373/a'); no collar piece
+is computed on a lam < 0 mode. When the floor is refused the integrals
+start at 0, where h_j is e^{-2 a' |lam_j|} on lam < 0 and 0 on lam > 0.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from ._json import JsonFields
 from ._special import erfc as _erfc_arr, erfcx as _erfcx_arr
 from .errors import DomainError
 from .eta import _roundoff, eta_invariant
-from .spectral import BoundarySpectrum
+from .spectral import BoundarySpectrum, FloorAnalysis
 
 __all__ = [
     "Estimate",
@@ -154,26 +154,15 @@ def _collar_piece(abs_l: np.ndarray, a_prime: float, T: float) -> np.ndarray:
     return _erfcx_arr(abs_l[:expo.size] * sqrt_T + a_prime / sqrt_T) * expo
 
 
-def _dirichlet_shift(spectrum: BoundarySpectrum, a_prime: float,
-                     T: float | None) -> tuple[complex, float]:
-    """sum_{lam_j < 0} a_j shift_j, the Dirichlet minus the spectral
-    integral from T (the shift of the module docstring, or its T -> 0 limit
-    e^{-2 a' |lam|} when T is None), over the lam < 0 modes where
-    e^{-2 a' |lam|} lives, with its roundoff, priced on the two pieces
-    before they cancel."""
-    damp = _dirichlet_damping(spectrum.abs_lams, a_prime)
-    neg = spectrum.lams[:damp.size] < 0.0
-    traces, damp = spectrum.traces[:damp.size][neg], damp[neg]
-    second = np.zeros(damp.size)
-    if T is None:  # erfc(v) -> 2 and the collar factor -> 0
-        first = 2.0 * damp
-    else:
-        sqrt_T, abs_l = math.sqrt(T), spectrum.abs_lams[:neg.size][neg]
-        first = damp * _erfc_arr(abs_l * sqrt_T - a_prime / sqrt_T)
-        piece = _collar_piece(abs_l, a_prime, T)
-        second[:piece.size] = piece
-    return (complex((traces * (0.5 * (first - second))).sum()),
-            0.5 * _roundoff(traces * (first + second)))
+def _collar_cut(analysis: FloorAnalysis, a_prime: float) -> float:
+    """A bound on the collar-dependent part of the integrals over [0, s_f],
+    which the cut at the resolved floor s_f removes too although it has no
+    truncation artifact: per mode at most [erfc(a'/sqrt(s_f))
+    + e^{-a'^2/s_f}] / 2, from the a'/s and |lam| terms of the bracket,
+    whose Dirichlet form differs only in the sign of the a'/s term."""
+    floor = analysis.floor
+    return 0.5 * (math.erfc(a_prime / math.sqrt(floor))
+                  + math.exp(-a_prime * a_prime / floor)) * analysis.trace_mass
 
 
 def _collar_part(spectrum: BoundarySpectrum,
@@ -181,17 +170,12 @@ def _collar_part(spectrum: BoundarySpectrum,
     """-sum_j a_j sgn(lam_j) c_j / 2 over the live prefix, 0 when it is empty
     or the floor is refused, with its error budget: what the collar piece
     adds to the integral of the direct value, whose rest is eta/2. The
-    budget holds the piece's roundoff and a bound on the collar-dependent
-    part over [0, s_f], which the cut removes too although it has no
-    truncation artifact: per mode at most [erfc(a'/sqrt(s_f))
-    + e^{-a'^2/s_f}] / 2, from the a'/s and |lam| terms of the bracket,
-    whose Dirichlet form differs only in the sign of the a'/s term."""
+    budget holds the piece's roundoff and the collar cut."""
     analysis, abs_l = spectrum.floor_analysis, spectrum.abs_lams
     floor = analysis.floor
     if floor is None:
         return 0j, 0.0
-    est = 0.5 * (math.erfc(a_prime / math.sqrt(floor))
-                 + math.exp(-a_prime * a_prime / floor)) * analysis.trace_mass
+    est = _collar_cut(analysis, a_prime)
     if not _collar_reach(abs_l, a_prime, floor):  # no array is built
         return 0j, est
     piece = _collar_piece(abs_l, a_prime, floor)
@@ -229,20 +213,29 @@ def contribution(spectrum: BoundarySpectrum, a_prime: float,
 def dirichlet_variant_contribution(spectrum: BoundarySpectrum,
                                    a_prime: float) -> Estimate:
     """A_g^F(a'), the contribution computed with the Dirichlet kernel, with
-    its error budget.
-
-    The spectral integral of contribution()'s direct value plus the
-    closed-form shift of the lam < 0 modes where e^{-2 a' |lam|} lives.
-    No collar-independence holds here: each lam < 0 mode leaves an extra
-    -e^{-2 a' |lam|} behind, the shift's s_f -> 0 limit, so the value is
+    its error budget: -(eta/2 + sum_j a_j h_j), h_j the half-terms of the
+    module docstring. No collar-independence holds here: each lam < 0 mode
+    leaves an extra -e^{-2 a' |lam|} behind, so the value is
     -eta/2 - sum_{lam_j < 0} a_j e^{-2 a' |lam_j|}: exactly -eta/2 on a
     spectrum with only positive modes such as {2}, and -eta/2 - e^{-4 a'}
     on the symmetric pair {-2, 2}.
     """
     a_prime = _check_a_prime(a_prime)
     eta_res = eta_invariant(spectrum)
-    piece, piece_err = _collar_part(spectrum, a_prime)
-    shift, shift_err = _dirichlet_shift(spectrum, a_prime,
-                                        spectrum.floor_analysis.floor)
-    return Estimate(value=-(0.5 * eta_res.value + piece + shift),
-                    est_error=0.5 * eta_res.est_error + piece_err + shift_err)
+    analysis, abs_l = spectrum.floor_analysis, spectrum.abs_lams
+    lams, traces = spectrum.lams, spectrum.traces
+    damp = _dirichlet_damping(abs_l, a_prime)
+    neg = lams[:damp.size] < 0.0
+    floor, cut, neg_traces = analysis.floor, 0.0, traces[:damp.size][neg]
+    if floor is None:  # erfc(v) -> 2 and the collar piece -> 0
+        terms = neg_traces * damp[neg]
+    else:
+        sqrt_T = math.sqrt(floor)
+        pos = lams[:_collar_reach(abs_l, a_prime, floor)] > 0.0
+        piece = _collar_piece(abs_l[:pos.size][pos], a_prime, floor)
+        erfc_v = _erfc_arr(abs_l[:damp.size][neg] * sqrt_T - a_prime / sqrt_T)
+        terms = 0.5 * np.concatenate((neg_traces * (damp[neg] * erfc_v),
+                                      traces[:pos.size][pos] * -piece))
+        cut = _collar_cut(analysis, a_prime)
+    return Estimate(value=-(0.5 * eta_res.value + complex(terms.sum())),
+                    est_error=0.5 * eta_res.est_error + cut + _roundoff(terms))

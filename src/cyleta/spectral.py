@@ -43,7 +43,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Real
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Iterable, Iterator, Union
 
@@ -323,12 +323,12 @@ def _only(values, kinds) -> bool:
 
 
 def _array(values, k: int) -> np.ndarray | None:
-    """values as column k of _COLUMNS: an int64 array of ints for the
+    """values as column k of _COLUMNS: an int64 array of integers for the
     multiplicity (k = 1), else a float64 array of real numbers; None unless
     every value is of that kind, bools excluded, and fits."""
     try:
         return np.array(values, dtype=np.int64 if k == 1 else np.float64) \
-            if _only(values, int if k == 1 else Real) else None
+            if _only(values, Integral if k == 1 else Real) else None
     except OverflowError:
         return None
 

@@ -45,8 +45,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ._json import JsonFields
-from ._special import erfcx as _erfcx_arr
-from .contribution import _UNDERFLOW, _check_a_prime, _collar_damping
+from .contribution import (_UNDERFLOW, _check_a_prime, _collar_damping,
+                           _collar_piece)
 from .errors import DomainError
 from .spectral import BoundarySpectrum
 
@@ -116,20 +116,18 @@ def _closed_form_partial(lams: np.ndarray, traces: np.ndarray,
                          a_prime: float, t: float) -> complex:
     """sum_j lam_j a_j d(t, lam_j) via the closed form of d.
 
-    lam * d(t, lam) = -sqrt(pi) sgn(lam) erfcx(|lam| sqrt(t) + a'/sqrt(t))
-    e^{-lam^2 t - a'^2 / t}; the erfcx form never overflows and the combined
-    exponent is exact, so this is accurate for every mode at every t. The
-    modes are sorted by |lam|, so the terms are evaluated only on the prefix
-    whose exponent stays above -_UNDERFLOW (one searchsorted); every later
-    term is an exact 0 and is summed as one, so the sum is the full-array
-    evaluation's bit for bit.
+    lam * d(t, lam) = -sqrt(pi) sgn(lam) times the collar piece
+    erfcx(|lam| sqrt(t) + a'/sqrt(t)) e^{-lam^2 t - a'^2 / t} of the
+    contribution at heat time t; the erfcx form never overflows and the
+    combined exponent is exact, so this is accurate for every mode at every
+    t. The piece lives only on the prefix of modes whose exponent stays
+    above -_UNDERFLOW (one searchsorted); every later term is an exact 0
+    and is summed as one, so the sum is the full-array evaluation's bit for
+    bit.
     """
-    abs_l, sqrt_t = np.abs(lams), math.sqrt(t)
-    damp = _collar_damping(abs_l, a_prime, t)
-    n = damp.size
-    z = abs_l[:n] * sqrt_t + a_prime / sqrt_t
-    terms = traces[:n] * (-_SQRT_PI) * np.sign(lams[:n]) * _erfcx_arr(z) \
-        * damp
+    piece = _collar_piece(np.abs(lams), a_prime, t)
+    n = piece.size
+    terms = traces[:n] * (-_SQRT_PI) * np.sign(lams[:n]) * piece
     return complex(np.concatenate([terms, np.zeros(lams.size - n)]).sum())
 
 

@@ -34,21 +34,22 @@ Contents:
   variant for a whole list of modes, by adaptive quadrature of the
   spectral sums over every heat time from a given lower limit, with no
   erfc-type antiderivative anywhere.
-* ``spectral_tails``, ``collar_piece``, ``dirichlet_tails`` and
-  ``dirichlet_shift``: the per-mode closed forms of the same collar
-  integrals, of the collar part of the spectral one and of their
-  difference, every factor evaluated on every mode. The runtime
-  evaluates the collar factors only where they do not underflow. Given
-  the runtime's own erfc and erfcx in place of scipy's, it must match
-  collar_piece and dirichlet_shift bit for bit; spectral_tails is eta's
-  term, halved, less the signed half piece, and dirichlet_tails is the
-  spectral tail plus the shift to a few ulp of the larger piece.
+* ``spectral_tails``, ``dirichlet_tails``, ``collar_piece`` and
+  ``dirichlet_piece``: the per-mode closed forms of the same collar
+  integrals from a heat time T, and the two pieces that depend on the
+  collar, every factor evaluated on every mode. A tail is eta's term,
+  halved, plus half a per-mode term t: -collar_piece on lam > 0 for
+  either condition, collar_piece on lam < 0 for the spectral one and
+  dirichlet_piece on lam < 0 for the Dirichlet one (to a few ulp of the
+  larger part). The runtime evaluates the collar factors only where they
+  do not underflow. Given the runtime's own erfc and erfcx in place of
+  scipy's, it must match both pieces bit for bit.
 * ``per_mode_difference_by_quad`` and ``dominator_integrals_by_quad``:
   the integrals behind the vanishing verifier, by adaptive quadrature in
   s, each with quad's error estimate.
 * ``closed_form_partial``: the closed-form regularized vanishing sum at
-  one t, every factor evaluated on every mode; the same bit-for-bit role
-  as the tails above.
+  one t, composed from collar_piece on every mode in the runtime's order
+  of operations; the same bit-for-bit role as the pieces above.
 """
 
 from __future__ import annotations
@@ -437,25 +438,19 @@ def dirichlet_tails(lams, a_prime: float, T: float, erfc=erfc,
     return np.where(lams > 0.0, pos, neg)
 
 
-def dirichlet_shift(lams, a_prime: float, T: float | None, erfc=erfc,
-                    erfcx=erfcx) -> np.ndarray:
-    """Per-mode Dirichlet minus spectral tail from T, in closed form.
-
-    On lam < 0: [e^{-2 a' |lam|} erfc(v) - erfcx(w) e^{-lam^2 T - a'^2/T}]
-    / 2 with v, w = |lam| sqrt(T) -+ a'/sqrt(T), or the T -> 0 limit
-    e^{-2 a' |lam|} when T is None; 0 on lam > 0. erfc and erfcx are
-    scipy's unless others are given.
-    """
-    lams = np.asarray(lams, dtype=float)
-    abs_l = np.abs(lams)
-    first = np.exp(-2.0 * a_prime * abs_l)
+def dirichlet_piece(lams, a_prime: float, T: float | None,
+                    erfc=erfc) -> np.ndarray:
+    """Per-mode e^{-2 a' |lam|} erfc(|lam| sqrt(T) - a'/sqrt(T)) on every
+    mode, or its T -> 0 limit 2 e^{-2 a' |lam|} when T is None: the
+    Dirichlet part of dirichlet_tails, each lam < 0 tail being
+    [piece - erfc(|lam| sqrt(T))] / 2. erfc is scipy's unless another is
+    given."""
+    abs_l = np.abs(np.asarray(lams, dtype=float))
+    damp = np.exp(-2.0 * a_prime * abs_l)
     if T is None:
-        return np.where(lams < 0.0, first, 0.0)
+        return 2.0 * damp
     sqrt_T = math.sqrt(T)
-    expo = np.exp(-(lams * lams) * T - (a_prime * a_prime) / T)
-    shift = 0.5 * (first * erfc(abs_l * sqrt_T - a_prime / sqrt_T)
-                   - erfcx(abs_l * sqrt_T + a_prime / sqrt_T) * expo)
-    return np.where(lams < 0.0, shift, 0.0)
+    return damp * erfc(abs_l * sqrt_T - a_prime / sqrt_T)
 
 
 # ---------------------------------------------------------------------------
@@ -517,13 +512,9 @@ def closed_form_partial(lams, traces, a_prime: float, t: float,
                         erfcx=erfcx) -> complex:
     """sum_j lam_j a_j d(t, lam_j) from the closed form of d.
 
-    lam d(t, lam) = -sqrt(pi) sgn(lam) erfcx(|lam| sqrt(t) + a'/sqrt(t))
-    e^{-lam^2 t - a'^2/t}, with the given erfcx, scipy's by default.
+    lam d(t, lam) = -sqrt(pi) sgn(lam) collar_piece(lam, a', t), with the
+    given erfcx, scipy's by default.
     """
-    abs_l = np.abs(lams)
-    sqrt_t = math.sqrt(t)
-    z = abs_l * sqrt_t + a_prime / sqrt_t
-    expo = -(lams * lams) * t - (a_prime * a_prime) / t
-    terms = traces * (-math.sqrt(math.pi)) * np.sign(lams) * erfcx(z) \
-        * np.exp(expo)
+    terms = traces * (-math.sqrt(math.pi)) * np.sign(lams) \
+        * collar_piece(lams, a_prime, t, erfcx)
     return complex(terms.sum())

@@ -169,6 +169,28 @@ def test_output_flag_writes_file_and_keeps_stdout_clean(capsys, tmp_path):
     assert leftovers == []
 
 
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_unwritable_output_is_one_document_on_stdout(capsys, tmp_path,
+                                                     target):
+    # A missing directory fails in mkstemp, a directory as the target in
+    # os.replace; either way one error document names the path, with no
+    # traceback and no temporary file left behind.
+    out_path = tmp_path / "missing" / "out.json" if target == "missing" \
+        else tmp_path
+    status = main(["eta", "--twist", "0.25", "--n-max", "10",
+                   "--output", str(out_path)])
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert status == 1
+    assert doc["result"] is None
+    assert doc["request"]["output"] == str(out_path)
+    assert doc["errors"] == [f"cannot write output file {out_path}: "
+                             + ("No such file or directory"
+                                if target == "missing" else "Is a directory")]
+    assert captured.err == ""
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 # ---------------------------------------------------------------------------
 # error handling
 

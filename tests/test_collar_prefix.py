@@ -10,21 +10,26 @@ tests the prefix and not the kernels. Each mode's spectral tail is eta's
 term, halved, less sgn(lam) times the collar piece, halved, so the direct
 value is checked exactly against eta/2 less the oracle piece terms summed
 over the runtime's modes in its order, and where no collar factor lives it
-is -f1 eta/2 bit for bit. The Dirichlet variant adds the shift summed over
-the lam < 0 modes of the e^{-2 a' |lam|} prefix, so it is checked exactly
-against that composition of oracles, and the composition against the
-full-array Dirichlet tails per mode. The public values are also checked
-against the full-array oracles with cyleta's and with scipy's kernels,
-within their est_error. Collars are drawn so that a'^2/T lands below 700
-(every mode live on a spectrum that ends near 1/sqrt(T)), in (700, 746)
-(a partial prefix) and above 746 (an empty prefix), and so that
-2 a' |lam| crosses 746 inside the spectrum.
+is -f1 eta/2 bit for bit. Each mode's Dirichlet tail is eta's term,
+halved, plus t/2, with t the negated collar piece on lam > 0 and the
+Dirichlet piece e^{-2 a' |lam|} erfc(v) on lam < 0, so the Dirichlet
+variant is checked exactly against -(eta + sum_j a_j t_j) / 2 composed
+from the oracle pieces over the runtime's modes in its order, both at a
+given heat time and with the floor refused, where it is
+-(eta/2 + sum_{lam < 0} a e^{-2 a' |lam|}) bit for bit; and each t_j
+against the full-array Dirichlet tails per mode. The public values are
+also checked against the full-array oracles with cyleta's and with
+scipy's kernels, within their est_error. Collars are drawn so that
+a'^2/T lands below 700 (every mode live on a spectrum that ends near
+1/sqrt(T)), in (700, 746) (a partial prefix) and above 746 (an empty
+prefix), and so that 2 a' |lam| crosses 746 inside the spectrum.
 """
 
 import dataclasses
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import erfc as scipy_erfc, erfcx as scipy_erfcx
 
@@ -33,9 +38,9 @@ from cyleta import (circle_spectrum, contribution,
                     from_records)
 from cyleta._special import erfc, erfcx
 from cyleta.contribution import (_collar_damping, _collar_piece,
-                                 _dirichlet_damping, _dirichlet_shift)
+                                 _dirichlet_damping)
 
-from oracles import (collar_piece, dirichlet_shift, dirichlet_tails,
+from oracles import (collar_piece, dirichlet_piece, dirichlet_tails,
                      spectral_tails)
 from test_closed_forms import circles, finite_spectra
 
@@ -74,34 +79,64 @@ def _check_prefixes(abs_l, a_prime, T):
     assert not np.exp(-2.0 * a_prime * abs_l)[reach:].any()
 
 
-def _shift_sum(spectrum, a_prime, T, kernels):
-    """The oracle shift summed over the modes the runtime sums, in the same
-    order: the lam < 0 modes of the e^{-2 a' |lam|} prefix."""
+def _at_floor(spectrum, floor):
+    """A copy of spectrum whose floor decision is floor, a heat time or None
+    for a refused one, so that the runtime's sums can be checked there."""
+    twin = dataclasses.replace(spectrum)
+    twin.__dict__["floor_analysis"] = dataclasses.replace(
+        spectrum.floor_analysis, floor=floor)
+    return twin
+
+
+def _dirichlet_value(spectrum, a_prime):
+    """-(eta + sum_j a_j t_j) / 2 from the oracle pieces with cyleta's
+    kernels, over the modes the runtime sums, in its order: the lam < 0
+    modes of the e^{-2 a' |lam|} prefix, then, at a resolved floor, the
+    lam > 0 modes of the live prefix. Each a_j t_j is halved before the
+    sum, as the runtime does; halving is exact but for subnormals. With
+    the floor refused t_j / 2 is e^{-2 a' |lam_j|} on lam < 0 and 0 on
+    lam > 0, and the value -(eta/2 + sum_{lam < 0} a e^{-2 a' |lam|})."""
     lams, traces = spectrum.lams, spectrum.traces
-    reach = _dirichlet_damping(np.abs(lams), a_prime).size
+    eta, floor = eta_invariant(spectrum).value, spectrum.floor_analysis.floor
+    abs_l = np.abs(lams)
+    reach = _dirichlet_damping(abs_l, a_prime).size
     neg = lams[:reach] < 0.0
-    shift = dirichlet_shift(lams, a_prime, T, *kernels)[:reach][neg]
-    return complex((traces[:reach][neg] * shift).sum())
+    dirichlet = dirichlet_piece(lams, a_prime, floor, erfc)[:reach]
+    if floor is None:
+        half = 0.5 * dirichlet
+        assert np.array_equal(half, np.exp(-2.0 * a_prime * abs_l[:reach]))
+        terms = traces[:reach][neg] * half[neg]
+    else:
+        live = _collar_damping(abs_l, a_prime, floor).size
+        pos = lams[:live] > 0.0
+        piece = collar_piece(lams, a_prime, floor, erfcx)[:live][pos]
+        terms = 0.5 * np.concatenate((traces[:reach][neg] * dirichlet[neg],
+                                      traces[:live][pos] * -piece))
+    return -(0.5 * eta + complex(terms.sum()))
 
 
-def _check_shift_identity(lams, a_prime, T):
-    """Per mode, spectral tail plus shift is the Dirichlet tail, to 4 ulp
-    of the largest piece. Where v >= 0 the Dirichlet tail has
+def _check_dirichlet_terms(lams, a_prime, T):
+    """Per mode, the Dirichlet tail is eta's term, halved, plus t/2: on
+    lam > 0 it is the spectral tail bit for bit, and on lam < 0
+    [dirichlet_piece - erfc(|lam| sqrt(T))] / 2 to 4 ulp of the larger
+    part. Where v >= 0 the Dirichlet tail has
     erfcx(v) e^{-lam^2 T - a'^2/T} for e^{-2 a' |lam|} erfc(v), whose
     exponent is rounded to its own ulp, so that piece gets 4 ulp per unit
-    of the exponent. cyleta's kernels keep erfc(v) subnormal where
-    scipy's flush it to 0."""
+    of the exponent. cyleta's kernels keep erfc(v) subnormal where scipy's
+    flush it to 0."""
     abs_l, sqrt_T = np.abs(lams), math.sqrt(T)
     v = abs_l * sqrt_T - a_prime / sqrt_T
     exponent = (lams * lams) * T + (a_prime * a_prime) / T
-    first = np.exp(-2.0 * a_prime * abs_l) * erfc(v)
-    second = erfcx(abs_l * sqrt_T + a_prime / sqrt_T) * np.exp(-exponent)
-    largest = np.max([erfc(abs_l * sqrt_T), first, second], axis=0)
-    gap = np.abs(spectral_tails(lams, a_prime, T, erfc, erfcx)
-                 + dirichlet_shift(lams, a_prime, T, erfc, erfcx)
-                 - dirichlet_tails(lams, a_prime, T, erfc, erfcx))
-    assert np.all(gap <= 4.0 * (np.spacing(largest) + np.spacing(first)
-                                * np.where(v >= 0.0, exponent, 0.0)))
+    erfc_T = erfc(abs_l * sqrt_T)
+    piece = dirichlet_piece(lams, a_prime, T, erfc)
+    tails = dirichlet_tails(lams, a_prime, T, erfc, erfcx)
+    pos = lams > 0.0
+    assert np.array_equal(tails[pos],
+                          spectral_tails(lams, a_prime, T, erfc, erfcx)[pos])
+    gap = np.abs(0.5 * (piece - erfc_T) - tails)
+    tol = 4.0 * (np.spacing(np.maximum(erfc_T, piece))
+                 + np.spacing(piece) * np.where(v >= 0.0, exponent, 0.0))
+    assert np.all(gap[~pos] <= tol[~pos])
 
 
 def _check_piece(lams, a_prime, T):
@@ -123,11 +158,11 @@ def _check_tails(spectrum, a_prime, T):
     lams = spectrum.lams
     _check_prefixes(np.abs(lams), a_prime, T)
     _check_piece(lams, a_prime, T)
-    for heat_time in (T, None):
-        shift, _ = _dirichlet_shift(spectrum, a_prime, heat_time)
-        assert shift == _shift_sum(spectrum, a_prime, heat_time,
-                                   (erfc, erfcx))
-    _check_shift_identity(lams, a_prime, T)
+    for floor in (T, None):
+        twin = _at_floor(spectrum, floor)
+        assert dirichlet_variant_contribution(twin, a_prime).value \
+            == _dirichlet_value(twin, a_prime)
+    _check_dirichlet_terms(lams, a_prime, T)
 
 
 def _piece_sum(spectrum, a_prime):
@@ -152,7 +187,8 @@ def _full_arrays(spectrum, a_prime, kernels):
     floor = spectrum.floor_analysis.floor
     if floor is None:
         spectral = 0.5 * traces * np.sign(lams)
-        dirichlet = spectral + traces * dirichlet_shift(lams, a_prime, None)
+        dirichlet = spectral + traces * np.where(
+            lams < 0.0, 0.5 * dirichlet_piece(lams, a_prime, None), 0.0)
     else:
         spectral = traces * spectral_tails(lams, a_prime, floor, *kernels)
         dirichlet = traces * dirichlet_tails(lams, a_prime, floor, *kernels)
@@ -161,16 +197,13 @@ def _full_arrays(spectrum, a_prime, kernels):
 
 def _check_public(spectrum, a_prime):
     """contribution and the Dirichlet variant: exactly eta/2 plus the
-    oracle piece sum, and that plus the oracle shift sum; within est_error
-    of the full-array forms with either kernels."""
+    oracle piece sum, and the composition of _dirichlet_value; within
+    est_error of the full-array forms with either kernels."""
     eta = eta_invariant(spectrum).value
     report = contribution(spectrum, a_prime)
     dirichlet = dirichlet_variant_contribution(spectrum, a_prime)
-    integral = 0.5 * eta + _piece_sum(spectrum, a_prime)
-    shift_sum = _shift_sum(spectrum, a_prime, spectrum.floor_analysis.floor,
-                           (erfc, erfcx))
-    assert report.direct_value == -integral
-    assert dirichlet.value == -(integral + shift_sum)
+    assert report.direct_value == -(0.5 * eta + _piece_sum(spectrum, a_prime))
+    assert dirichlet.value == _dirichlet_value(spectrum, a_prime)
     for kernels in ((erfc, erfcx), (scipy_erfc, scipy_erfcx)):
         spectral_sum, dirichlet_sum = _full_arrays(spectrum, a_prime, kernels)
         assert abs(report.direct_value + spectral_sum) <= report.est_error
@@ -240,8 +273,8 @@ def test_partial_prefixes_match_full_arrays():
     # as well. Cut at Lambda = 100.7, the same modes get the resolved floor
     # s_f = 3.9e-3, and a'^2/s_f = 10 leaves the 864 modes with
     # |lam| < 432 live; their pieces move the direct value 1e-5 away from
-    # the collar-free -eta/2, in the direct value and in the Dirichlet
-    # variant alike.
+    # the collar-free -eta/2, and those of the lam > 0 modes move the
+    # Dirichlet variant too.
     cut = dataclasses.replace(spectrum, truncated_at=100.7)
     floor = cut.floor_analysis.floor
     a_prime = math.sqrt(10.0 * floor)
@@ -251,6 +284,23 @@ def test_partial_prefixes_match_full_arrays():
     _check_tails(cut, a_prime, floor)
     _check_public(cut, a_prime)
     _check_gap(cut, a_prime)
+
+
+@pytest.mark.parametrize("regime", sorted(REGIMES))
+def test_the_variant_is_within_est_error_of_the_dirichlet_tails(regime):
+    # A resolved circle, the same circle with its floor refused, and a
+    # circle whose floor is refused (n_max 20, ROADMAP baseline), at three
+    # collars inside the regime's range of a'^2/T, T the floor or, where
+    # it is refused, the candidate.
+    resolved = circle_spectrum(0.3, 2.3, 2000)
+    spectra = (resolved, _at_floor(resolved, None),
+               circle_spectrum(0.3, 0.7, 20))
+    assert [s.floor_analysis.floor is None for s in spectra] \
+        == [False, True, True]
+    for spectrum in spectra:
+        T = spectrum.floor_analysis.candidate
+        for offset in np.geomspace(*REGIMES[regime], 5)[1:-1]:
+            _check_public(spectrum, math.sqrt(offset * T))
 
 
 def test_the_shift_holds_for_either_sign_of_v_and_a_subnormal_erfc():

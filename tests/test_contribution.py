@@ -205,6 +205,24 @@ def test_dirichlet_variant_on_circle_spectrum():
     assert value == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize("twist, n_max, a_prime",
+                         [(0.5, 200, 0.05), (0.3, 2000, 0.01),
+                          (0.3, 2000, 0.003)])
+def test_dirichlet_budget_covers_a_narrow_collar(twist, n_max, a_prime):
+    # At a'^2/s_f from 0.9 to 10 the variant from the resolved floor
+    # misses the collar-dependent part of [0, s_f], 2e-3 to 68 away from
+    # the infinite circle's -(1 - 2 twist)/2 - e^{2 a' twist}/(e^{2 a'} - 1).
+    # Only the priced cut of that part covers the gap; the rest of the
+    # budget is roundoff, below 1e-12.
+    spectrum = circle_spectrum(twist, 0.0, n_max)
+    floor = spectrum.floor_analysis.floor
+    assert 0.5 < a_prime * a_prime / floor < 11.0
+    result = dirichlet_variant_contribution(spectrum, a_prime)
+    gap = abs(result.value + 0.5 * (1.0 - 2.0 * twist)
+              + math.exp(2.0 * a_prime * twist) / math.expm1(2.0 * a_prime))
+    assert 1e-3 < gap <= result.est_error
+
+
 def test_dirichlet_variant_reads_as_its_value():
     result = dirichlet_variant_contribution(_single(-2.0), 0.5)
     assert complex(result) == result.value

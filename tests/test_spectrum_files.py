@@ -440,6 +440,23 @@ def test_every_form_names_a_defect_at_its_row_with_one_tail(form, defect):
     assert str(err.value) == want
 
 
+def test_a_spectrum_is_rebuilt_from_its_own_arrays_row_by_row():
+    # The rows hold numpy scalars: an int64 multiplicity is an integer, but
+    # a numpy bool, a float and an unsigned value past int64 are refused as
+    # their Python counterparts are.
+    spectrum = direct_sum(circle_spectrum(0.3, 0.7, 50),
+                          from_records([(0.45, 2, 1.0, 0.5)]))
+    rebuilt = from_records(zip(spectrum.lams, spectrum.multiplicity,
+                               spectrum.traces.real, spectrum.traces.imag))
+    for got, want in zip(_arrays_of(rebuilt), _arrays_of(spectrum)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    for value in (np.bool_(True), np.float64(1.0), np.uint64(2**63)):
+        want = f"record 0 multiplicity: must be a 64-bit integer, got {value!r}"
+        with pytest.raises(InvalidSpectrumError, match=f"^{re.escape(want)}$"):
+            from_records([(1.0, value, 1.0, 0.0)])
+
+
 # ---------------------------------------------------------------------------
 # a cutoff past about 1.3e154 leaves no floor: 40/cutoff**2 is 0
 

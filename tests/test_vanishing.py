@@ -288,7 +288,9 @@ def test_quadrature_route_never_calls_erfcx(monkeypatch):
     def erfcx(*args):
         raise AssertionError("the quadrature route used the closed form")
 
-    monkeypatch.setattr("cyleta.vanishing._erfcx_arr", erfcx)
+    # Every call of cyleta's erfcx, the one the closed route reaches
+    # through the collar piece included, runs this block kernel.
+    monkeypatch.setattr("cyleta._special._erfcx_block", erfcx)
     spectrum = circle_spectrum(0.25, 0.7, 200)
     verify_vanishing(spectrum, VanishingTermConfig(a_prime=0.5))
     per_mode_difference(2.0, 0.5, 0.25)
