@@ -1,10 +1,10 @@
 """The contribution from infinity: direct integral vs decomposition.
 
 A_g(a') is the heat-time integral of a spectral kernel sum evaluated at
-distance a' down the cylinder. Computed directly, it does not depend on
-a' at all and equals -eta/2. Computed by decomposition, it splits into
--eta/2 plus a vanishing term whose regularized partial sums the package
-drives to zero and certifies by domination.
+distance a' down the cylinder. It splits into -eta/2 plus a vanishing
+term, so it does not depend on a' at all: contribution() returns the
+closed form -eta/2, and verify_vanishing checks the zero separately, by
+regularized partial sums it drives to zero and certifies by domination.
 
 The same integral with the Dirichlet kernel in place of the spectral one
 is NOT a'-independent: every negative eigenvalue leaves a defect of

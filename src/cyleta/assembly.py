@@ -3,17 +3,17 @@
 The index of an operator that is invertible outside a compact set splits as
 ind = (interior characteristic-form integral) + (contribution from
 infinity). The interior term needs geometric data this model does not
-carry, so it enters as a caller-supplied number; everything
-boundary-spectral is computed here. Two assembly routes exist:
+carry, so it enters as a caller-supplied number, which every route
+refuses unless it is finite; everything boundary-spectral is computed
+here. Two assembly routes exist:
 
 * assemble_index adds the caller's interior term to a computed
   ContributionReport;
-* aps_index bypasses the collar integral and uses ind = as_term - eta/2
-  directly.
+* aps_index uses ind = as_term - eta/2 directly.
 
-Their agreement, within the reported error budgets, is the cylinder case
-of the index identity the rest of the package verifies piecewise.
-relative_index_check returns the relative index defect of two spectra as
+They give the same value, since the contribution is -f1 eta/2; the
+acceptance tests check both against quadrature oracles that share no code
+with eta. relative_index_check returns the relative index defect of two spectra as
 an Estimate, with the two contributions' budgets summed.
 
 Indices are reported as complex numbers and never rounded: for a
@@ -62,6 +62,13 @@ class IndexReport(JsonFields):
     integrality_residual: float | None
 
 
+def _check_as_term(as_term: complex) -> complex:
+    as_term = complex(as_term)
+    if not (math.isfinite(as_term.real) and math.isfinite(as_term.imag)):
+        raise DomainError(f"as_term must be finite, got {as_term!r}")
+    return as_term
+
+
 def _gaussian_integer_distance(z: complex) -> float:
     return math.hypot(z.real - round(z.real), z.imag - round(z.imag))
 
@@ -71,7 +78,7 @@ def assemble_index(as_term: complex, report: ContributionReport,
     """ind = as_term + A_g(a') from an already-computed contribution."""
     if not isinstance(report, ContributionReport):
         raise DomainError("report must be a ContributionReport")
-    as_term = complex(as_term)
+    as_term = _check_as_term(as_term)
     index_value = as_term + report.direct_value
     residual = _gaussian_integer_distance(index_value) if g_is_identity \
         else None
@@ -97,7 +104,7 @@ def aps_index(spectrum: BoundarySpectrum, as_term: complex,
     spectrum: every stored trace equal to its multiplicity. Both eta and
     that flag are kept with the spectrum, so a repeated call is O(1).
     """
-    as_term = complex(as_term)
+    as_term = _check_as_term(as_term)
     eta_res = eta_invariant(spectrum)
     eta_half = 0.5 * eta_res.value
     contribution_value = -eta_half
@@ -126,7 +133,7 @@ def relative_index_check(spec1: BoundarySpectrum, as1: complex,
     function returns the defect of that cancellation, with the sum of the
     two contributions' est_error as its own.
     """
-    as1, as2 = complex(as1), complex(as2)
+    as1, as2 = _check_as_term(as1), _check_as_term(as2)
     r1, r2 = contribution(spec1, a_prime), contribution(spec2, a_prime)
     ind1, ind2 = as1 + r1.direct_value, as2 + r2.direct_value
     return Estimate(value=(ind1 - ind2) - (as1 - as2),

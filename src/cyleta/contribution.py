@@ -15,39 +15,37 @@ vanishing piece (integrating to exactly zero mode by mode). Hence
 A_g(a') = -f1(a') eta_g / 2 for every a' > 0: the contribution does not
 depend on where the collar is cut.
 
-contribution() computes both sides separately. Per mode, the integral of
-the whole bracket from the resolved floor s_f of the eta invariant is
+contribution() uses that closed form: direct_value and decomposed_value
+are both -f1 eta/2, read from the sums the spectrum keeps, and est_error
+is |f1| times eta's. No per-mode array is built and no erfc is evaluated;
+the vanishing piece is zero mode by mode, so vanishing_residual is an
+exact 0, kept for the JSON contract. The check of the zero lives in
+verify-vanishing, by a quadrature that shares no code with eta, and the
+per-mode quadrature of the whole bracket lives in the test oracles.
 
-    sgn(lam) [erfc(|lam| sqrt(s_f)) - c] / 2,
-    c = erfcx(|lam| sqrt(s_f) + a'/sqrt(s_f)) e^{-lam^2 s_f - a'^2/s_f},
-
-whose first part is eta's own term, halved. So direct_value is -f1 times
-eta/2 less the collar piece sum_j a_j sgn(lam_j) c_j / 2, with eta read
-from the sums the spectrum keeps, and decomposed_value is -f1 eta/2: the
-gap between them is the collar piece. When the floor is refused the
-integrals start at 0, where each mode gives sgn(lam)/2. The vanishing
-piece is zero mode by mode, so it is not evaluated: vanishing_residual is
-an exact 0, kept for the JSON contract, and the vanishing module verifies
-the zero. The quadrature route of these integrals lives in the test oracles.
-
-Only the collar factors e^{-lam^2 s_f - a'^2/s_f} and e^{-2 a' |lam|}
-depend on a'. They fall with |lam|, by which the modes are sorted, so each
-lives only on the prefix where its exponent stays above -746 (one
-searchsorted); past it the factor, and so c, is an exact 0.0. The piece is
-summed over that prefix only. When it is empty (a'^2/s_f > 746) or the
-floor is refused, direct_value is decomposed_value and no array is built.
+Only the collar factors e^{-lam^2 s_f - a'^2/s_f} and e^{-2 a' |lam|} of
+the Dirichlet variant depend on a'. They fall with |lam|, by which the
+modes are sorted, so each lives only on the prefix where its exponent
+stays above -746 (one searchsorted); past it the factor is an exact 0.0,
+and the variant sums over that prefix only.
 
 dirichlet_variant_contribution returns an Estimate, the value with its
 error budget. It swaps the per-mode factor (a'/s - |lam|) in the
 vanishing piece for (sgn(lam) a'/s - |lam|), which is what imposing a
 Dirichlet instead of a spectral boundary condition does to the kernel.
-The two brackets differ only on lam < 0 modes, where the Dirichlet
-integral from s_f is
+Per mode, the integral of the spectral bracket from the resolved floor
+s_f of the eta invariant is
+
+    sgn(lam) [erfc(|lam| sqrt(s_f)) - c] / 2,
+    c = erfcx(|lam| sqrt(s_f) + a'/sqrt(s_f)) e^{-lam^2 s_f - a'^2/s_f},
+
+eta's own term, halved, less the collar piece c. The Dirichlet bracket
+is the same on lam > 0 modes; on lam < 0 its integral from s_f is
 
     [e^{-2 a' |lam|} erfc(v) - erfc(|lam| sqrt(s_f))] / 2,
-    v = |lam| sqrt(s_f) - a'/sqrt(s_f):
+    v = |lam| sqrt(s_f) - a'/sqrt(s_f),
 
-the collar piece of the spectral integral cancels there. So the variant
+with no collar piece. So the variant
 is -(eta/2 + sum_j a_j h_j), read from eta's kept sum, with the half-term
 h_j = -c_j / 2 on the lam > 0 modes of the live prefix and
 e^{-2 a' |lam_j|} erfc(v_j) / 2 on the lam < 0 modes where
@@ -105,15 +103,14 @@ class Estimate(JsonFields):
 
 @dataclass(frozen=True)
 class ContributionReport(JsonFields):
-    """Both evaluations of A_g(a') and the bookkeeping between them.
+    """A_g(a') and its eta bookkeeping.
 
-    decomposed_value == -(1/2) eta_reference + vanishing_residual holds
-    exactly. vanishing_residual is an exact 0, because the vanishing
-    integral is zero mode by mode; it is kept for the JSON contract.
-    eta_reference is the eta invariant scaled by f1_at_aprime, so with the
-    default f1 = 1 it is the eta invariant itself. est_error bounds the
-    numerical error of direct_value and dominates
-    |direct_value - decomposed_value|.
+    direct_value == decomposed_value == -(1/2) eta_reference bit for bit:
+    the contribution is -f1 eta/2 for every collar. vanishing_residual is
+    an exact 0, because the vanishing integral is zero mode by mode; it
+    and the two values are kept for the JSON contract. eta_reference is
+    the eta invariant scaled by f1_at_aprime, so with the default f1 = 1
+    it is the eta invariant itself. est_error is |f1| times eta's.
     """
 
     a_prime: float
@@ -165,33 +162,14 @@ def _collar_cut(analysis: FloorAnalysis, a_prime: float) -> float:
                   + math.exp(-a_prime * a_prime / floor)) * analysis.trace_mass
 
 
-def _collar_part(spectrum: BoundarySpectrum,
-                 a_prime: float) -> tuple[complex, float]:
-    """-sum_j a_j sgn(lam_j) c_j / 2 over the live prefix, 0 when it is empty
-    or the floor is refused, with its error budget: what the collar piece
-    adds to the integral of the direct value, whose rest is eta/2. The
-    budget holds the piece's roundoff and the collar cut."""
-    analysis, abs_l = spectrum.floor_analysis, spectrum.abs_lams
-    floor = analysis.floor
-    if floor is None:
-        return 0j, 0.0
-    est = _collar_cut(analysis, a_prime)
-    if not _collar_reach(abs_l, a_prime, floor):  # no array is built
-        return 0j, est
-    piece = _collar_piece(abs_l, a_prime, floor)
-    terms = spectrum.traces[:piece.size] * np.copysign(
-        piece, spectrum.lams[:piece.size])
-    return -0.5 * complex(terms.sum()), est + 0.5 * _roundoff(terms)
-
-
 def contribution(spectrum: BoundarySpectrum, a_prime: float,
                  f1_at_aprime: float = 1.0) -> ContributionReport:
-    """Compute A_g(a') directly and via the eta/vanishing decomposition.
+    """A_g(a') = -f1 eta/2, from eta's kept sum.
 
-    direct_value = -f1 sum_j a_j (closed-form integral of mode j from the
-    resolved floor). decomposed_value = -f1 eta/2, because V(a') = 0.
-    Both sides read eta's kept sum; they differ by the collar piece of
-    the live prefix, and not at all where no collar factor lives.
+    The contribution does not depend on the collar, so a_prime is only
+    checked and reported: direct_value and decomposed_value are both
+    -f1 eta/2, vanishing_residual is an exact 0, and est_error is |f1|
+    times eta's.
     """
     a_prime = _check_a_prime(a_prime)
     f1 = float(f1_at_aprime)
@@ -199,15 +177,13 @@ def contribution(spectrum: BoundarySpectrum, a_prime: float,
         raise DomainError(f"f1_at_aprime must be finite, got {f1_at_aprime!r}")
 
     eta_res = eta_invariant(spectrum)
-    piece, piece_err = _collar_part(spectrum, a_prime)
     eta_reference = f1 * eta_res.value
-    decomposed, half_err = -0.5 * eta_reference, 0.5 * eta_res.est_error
+    value = -0.5 * eta_reference
     return ContributionReport(
         a_prime=a_prime, f1_at_aprime=f1,
-        direct_value=decomposed - f1 * piece if piece else decomposed,
-        decomposed_value=decomposed, vanishing_residual=0j,
+        direct_value=value, decomposed_value=value, vanishing_residual=0j,
         eta_reference=eta_reference,
-        est_error=abs(f1) * (half_err + piece_err + half_err))
+        est_error=abs(f1) * eta_res.est_error)
 
 
 def dirichlet_variant_contribution(spectrum: BoundarySpectrum,

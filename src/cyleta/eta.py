@@ -26,8 +26,9 @@ prices the skipped segment, and that FloorAnalysis serves every query. eta
 does not depend on any collar, so its sum, the roundoff of that sum and
 truncation_error are made by the spectrum's first eta query and kept as
 three scalars in spectrum.collar_free; every later eta_invariant,
-aps_index, contribution or Dirichlet variant reads them in O(1), the last
-two as eta/2 less their collar pieces. The erfc(|lam_j| sqrt(s_f)) array
+aps_index, contribution or Dirichlet variant reads them in O(1), the
+contribution as -f1 eta/2 and the Dirichlet variant with one per-mode sum
+added. The erfc(|lam_j| sqrt(s_f)) array
 of that first query is made once per spectrum and not kept.
 """
 

@@ -191,7 +191,7 @@ class BoundarySpectrum:
     @cached_property
     def abs_lams(self) -> np.ndarray:
         """|lambda| as a read-only float64 array, made on the first read and
-        kept: every collar query searches its sorted values."""
+        kept: every Dirichlet query searches its sorted values."""
         abs_l = np.abs(self.lams)
         abs_l.flags.writeable = False
         return abs_l
@@ -291,6 +291,10 @@ def circle_spectrum(twist: float, rotation_angle: float, n_max: int) -> Boundary
             "produce a zero eigenvalue")
     if not _only((n_max,), int) or n_max < 1:
         raise DomainError(f"n_max must be a positive integer, got {n_max!r}")
+    rotation_angle = float(rotation_angle)
+    if not math.isfinite(rotation_angle):
+        raise DomainError(
+            f"rotation_angle must be finite, got {rotation_angle!r}")
     n = np.arange(-n_max, n_max + 1)
     lams, mult, traces = _sorted(n + twist, np.ones(n.size, dtype=np.int64),
                                  np.exp(-1j * n * rotation_angle))

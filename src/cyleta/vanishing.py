@@ -190,17 +190,22 @@ def _log_rule(integrand, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     """int_lo^hi of a nonnegative integrand for each row of limits, with errors.
 
     integrand(s) returns (x, p) for the integrand p e^x at s, an array
-    whose last axis runs over the nodes; lo and hi broadcast to the rows,
-    and a row with hi <= lo gives 0. After s = e^u, Gauss-Legendre runs on
-    [ln lo, ln hi] at both _ORDERS, with lo raised to the smallest normal
-    double. The error is the difference of the two, plus 16 eps (1 + |x|)
-    per sample of the finer one (e^x of a rounded x carries a relative
-    error of eps |x|), plus the smallest normal double, below which
-    rounding is no longer relative.
+    whose last axis runs over the nodes; lo is one lower limit for every
+    row, hi broadcasts to the rows, and a row with hi <= lo gives an exact
+    0. After s = e^u, Gauss-Legendre runs on [ln lo, ln hi] at both
+    _ORDERS, with lo raised to the smallest normal double. The error is
+    the difference of the two, plus 16 eps (1 + |x|) per sample of the
+    finer one (e^x of a rounded x carries a relative error of eps |x|),
+    plus the smallest normal double, below which rounding is no longer
+    relative. When every row is empty, as when lo has overflowed to inf,
+    the integrand is not evaluated.
     """
-    lo = np.maximum(lo, _TINY)
+    lo = max(float(lo), _TINY)
+    hi = np.maximum(hi, lo)
+    if not (hi > lo).any():
+        return np.zeros(hi.shape), np.full(hi.shape, _TINY)
     u_lo = np.log(lo)
-    u_hi = np.log(np.maximum(hi, lo))
+    u_hi = np.log(hi)
     half = (0.5 * (u_hi - u_lo))[..., None]
     mid = (0.5 * (u_hi + u_lo))[..., None]
     sums = []

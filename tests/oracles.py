@@ -33,7 +33,8 @@ Contents:
   heat-time integrals behind eta, the contribution and its Dirichlet
   variant for a whole list of modes, by adaptive quadrature of the
   spectral sums over every heat time from a given lower limit, with no
-  erfc-type antiderivative anywhere.
+  erfc-type antiderivative anywhere; the second can integrate the collar
+  part of the bracket alone.
 * ``spectral_tails``, ``dirichlet_tails``, ``collar_piece`` and
   ``dirichlet_piece``: the per-mode closed forms of the same collar
   integrals from a heat time T, and the two pieces that depend on the
@@ -340,27 +341,31 @@ def eta_by_quadrature(lams, traces, s_lo: float = 0.0
 
 
 def collar_integral_by_quadrature(lams, traces, a_prime: float,
-                                  s_lo: float = 0.0, dirichlet: bool = False
+                                  s_lo: float = 0.0, dirichlet: bool = False,
+                                  collar_only: bool = False
                                   ) -> tuple[complex, float]:
     """int_{s_lo}^inf of the diagonal collar bracket summed over the modes.
 
     The bracket is e^{-lam^2 s} (4 pi s)^{-1/2} [lam + e^{-a'^2/s} (c a'/s
     - |lam|) sgn(lam)] with c = 1 for the spectral condition and
     c = sgn(lam) for the Dirichlet condition; the contribution is minus
-    this integral. Returns (value, quadrature error estimate).
+    this integral. collar_only drops the leading lam, which leaves the
+    collar part: its spectral form integrates to 0 per mode from s_lo = 0.
+    Returns (value, quadrature error estimate).
     """
     lams = np.asarray(lams, dtype=float)
     traces = np.asarray(traces, dtype=complex)
     sgn = np.sign(lams)
     abs_l = np.abs(lams)
     c = sgn if dirichlet else np.ones_like(lams)
+    lead = np.zeros_like(lams) if collar_only else lams
 
     def integrand(u: float) -> complex:
         s = u * u
         if s == 0.0:
-            return complex((traces * lams).sum()) / math.sqrt(math.pi)
+            return complex((traces * lead).sum()) / math.sqrt(math.pi)
         damp = math.exp(-a_prime * a_prime / s)
-        bracket = lams + sgn * damp * (c * a_prime / s - abs_l)
+        bracket = lead + sgn * damp * (c * a_prime / s - abs_l)
         return 2.0 * u / math.sqrt(4.0 * math.pi * s) * complex(
             (traces * np.exp(-lams * lams * s) * bracket).sum())
 

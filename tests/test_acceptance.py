@@ -35,7 +35,7 @@ from cyleta.identities import (_dirichlet_kernel, _full_line_kernel,
                                _lambda_kernel)
 from cyleta.vanishing import dominator, per_mode_difference
 
-from oracles import contribution_by_double_quadrature
+from oracles import contribution_by_double_quadrature, eta_by_quadrature
 
 
 def _verdict(num, name, ok, detail):
@@ -92,24 +92,54 @@ def test_criterion_03_eta_circle_oracle():
     assert worst_time < 5.0
 
 
+def _eta_oracle(spectrum):
+    """eta by adaptive quadrature of the heat trace from the resolved floor
+    (0 when it is refused), with its error: no erfc-type sum anywhere."""
+    s_lo = spectrum.floor_analysis.floor or 0.0
+    return eta_by_quadrature(spectrum.lams, spectrum.traces, s_lo)
+
+
+def _contribution_oracle(spectrum):
+    """-sum_j a_j (per-mode contribution by double quadrature), with the
+    quadrature's accuracy of 1e-9 per mode (test_contribution.py pins it on
+    exactly known modes); "second" on lam > 0 and "first" on lam < 0."""
+    value = 0j
+    for lam, trace in zip(spectrum.lams.tolist(), spectrum.traces.tolist()):
+        side = "second" if lam > 0.0 else "first"
+        value += trace * contribution_by_double_quadrature(lam, 0.5, side)
+    return value, 1e-9 * float(abs(spectrum.traces).sum())
+
+
 def test_criterion_04_contribution_is_minus_half_eta(circle_quarter):
+    # a' = 0.02 on the 401-mode circle leaves the collar factor live
+    # (a'^2/s_f = 0.4): a collar term cut at the floor moves the value by
+    # 0.09 there.
+    cases = [(circle_quarter, ap) for ap in (0.2, 0.5, 1.0)]
+    cases.append((circle_spectrum(0.25, 0.0, 200), 0.02))
     start = time.perf_counter()
-    eta = eta_invariant(circle_quarter).value
-    reports = [contribution(circle_quarter, ap) for ap in (0.2, 0.5, 1.0)]
+    reports = [contribution(spec, ap) for spec, ap in cases]
     elapsed = time.perf_counter() - start
 
-    worst_dev = max(abs(r.direct_value + 0.5 * eta) for r in reports)
+    worst_dev, covered = 0.0, True
+    for (spec, _), report in zip(cases, reports):
+        eta, oracle_err = _eta_oracle(spec)
+        assert oracle_err <= 1e-9
+        dev = abs(report.direct_value + 0.5 * eta)
+        worst_dev = max(worst_dev, dev)
+        covered = covered and dev <= report.est_error + 0.5 * oracle_err
     pairwise_ok = True
     for i in range(3):
         for j in range(i + 1, 3):
             gap = abs(reports[i].direct_value - reports[j].direct_value)
             allowance = 2.0 * (reports[i].est_error + reports[j].est_error)
             pairwise_ok = pairwise_ok and gap <= allowance
-    ok = worst_dev <= 1e-6 and pairwise_ok and elapsed < 30.0
+    ok = worst_dev <= 1e-6 and covered and pairwise_ok and elapsed < 30.0
     _verdict(4, "contribution-eta-identity", ok,
-             f"max |A + eta/2| {worst_dev:.3e} <= 1e-6, pairwise within "
-             f"2x combined est, {elapsed:.2f} s < 30 s")
+             f"max |A + eta_quad/2| {worst_dev:.3e} <= 1e-6 and within "
+             f"est_error on {len(cases)} collars, pairwise within 2x "
+             f"combined est, {elapsed:.2f} s < 30 s")
     assert worst_dev <= 1e-6
+    assert covered
     assert pairwise_ok
     assert elapsed < 30.0
 
@@ -212,29 +242,38 @@ def test_criterion_07_relative_cancellation(circle_quarter):
 
 
 def test_criterion_08_route_equality():
-    spectra = [
+    # Both assembly routes against as_term plus an oracle contribution:
+    # the per-mode double quadrature on the small spectra, whose floors
+    # are refused, and -eta/2 by quadrature from the floor on the circles.
+    # The last case leaves the collar factor live (a'^2/s_f = 0.4).
+    finite = [
         from_records([(2.0, 1, 1.0, 0.0)]),
         from_records([(-1.25, 1, 1.0, 0.0)]),
         from_records([(-2.0, 1, 1.0, 0.0), (2.0, 1, 1.0, 0.0)]),
         from_records([(0.4, 1, 1.0, 0.0), (-0.9, 1, 0.7, 0.0),
                       (1.6, 2, -1.2, 0.3), (-2.5, 1, 0.5, -0.4)]),
-        circle_spectrum(0.25, 0.0, 200),
-        circle_spectrum(0.3, 0.7, 150),
     ]
+    cases = [(spec, 0.5, _contribution_oracle(spec)) for spec in finite]
+    for spec, a_prime in ((circle_spectrum(0.25, 0.0, 200), 0.5),
+                          (circle_spectrum(0.3, 0.7, 150), 0.5),
+                          (circle_spectrum(0.25, 0.0, 200), 0.02)):
+        eta, oracle_err = _eta_oracle(spec)
+        cases.append((spec, a_prime, (-0.5 * eta, 0.5 * oracle_err)))
+    as_term = 0.25 + 0.1j
     worst_dev = 0.0
     ok = True
-    for spec in spectra:
-        report = contribution(spec, 0.5)
-        eta_res = eta_invariant(spec)
-        via_contribution = assemble_index(0.25 + 0.1j, report)
-        via_eta = aps_index(spec, 0.25 + 0.1j)
-        dev = abs(via_contribution.index_value - via_eta.index_value)
-        allowance = report.est_error + 0.5 * eta_res.est_error + 1e-12
-        worst_dev = max(worst_dev, dev)
-        ok = ok and dev <= allowance
+    for spec, a_prime, (want, oracle_err) in cases:
+        assert oracle_err <= 1e-8
+        via_contribution = assemble_index(as_term, contribution(spec, a_prime))
+        via_eta = aps_index(spec, as_term)
+        for route in (via_contribution, via_eta):
+            dev = abs(route.index_value - (as_term + want))
+            worst_dev = max(worst_dev, dev)
+            ok = ok and dev <= route.est_error + oracle_err + 1e-12
+    ok = ok and worst_dev <= 1e-6
     _verdict(8, "route-equality", ok,
-             f"worst route gap {worst_dev:.3e} within combined est_error "
-             f"on {len(spectra)} spectra")
+             f"worst gap of either route to the oracle {worst_dev:.3e} "
+             f"<= 1e-6 and within est_error on {len(cases)} cases")
     assert ok
 
 

@@ -1,5 +1,7 @@
 """Index assembly: interior term plus boundary contribution."""
 
+import math
+
 import pytest
 
 from cyleta import (
@@ -136,3 +138,18 @@ def test_index_report_serialization():
 
     without_flag = assemble_index(1.0, report).to_json_dict()
     assert without_flag["integrality_residual"] is None
+
+
+@pytest.mark.parametrize("as_term", [math.nan, math.inf, complex(1.0, math.nan),
+                                     complex(0.0, -math.inf)])
+def test_every_route_refuses_a_non_finite_interior_term(as_term):
+    # The identity is auto-detected on this circle, so the aps route would
+    # otherwise round a NaN or an inf to the nearest Gaussian integer.
+    spec = circle_spectrum(0.25, 0.0, 10)
+    with pytest.raises(DomainError, match="as_term must be finite"):
+        aps_index(spec, as_term)
+    with pytest.raises(DomainError, match="as_term must be finite"):
+        assemble_index(as_term, contribution(spec, 0.5))
+    for pair in ((as_term, 0.0), (0.0, as_term)):
+        with pytest.raises(DomainError, match="as_term must be finite"):
+            relative_index_check(spec, pair[0], spec, pair[1], 0.5)

@@ -237,6 +237,38 @@ def test_quadrature_flags_are_refused(capsys, flags):
     assert "unrecognized arguments" in doc["errors"][0]
 
 
+@pytest.mark.parametrize("argv", [
+    ("index", "--twist", "0.25", "--n-max", "10", "--as-term", "nan"),
+    ("index", "--twist", "0.25", "--n-max", "10", "--as-term", "inf,0"),
+    ("index", "--twist", "0.25", "--n-max", "10", "--as-term", "0,nan",
+     "--a-prime", "0.5"),
+    ("eta", "--twist", "0.25", "--n-max", "5", "--rotation-angle", "inf"),
+    ("contribution", "--twist", "0.25", "--n-max", "5", "--rotation-angle",
+     "nan", "--a-prime", "0.5"),
+], ids=["aps-nan", "aps-inf", "contribution-nan", "eta-angle-inf",
+        "contribution-angle-nan"])
+def test_non_finite_arguments_are_refused_by_name(capsys, argv):
+    status = main(list(argv))
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    name = "rotation_angle" if "--rotation-angle" in argv else "as_term"
+    assert status == 1
+    assert captured.err == ""
+    assert doc["result"] is None
+    assert doc["errors"][0].startswith(f"DomainError: {name} must be finite")
+
+
+def test_a_collar_whose_square_overflows_is_certified_quietly(capsys):
+    status = main(["verify-vanishing", "--twist", "0.25", "--n-max", "10",
+                   "--a-prime", "1e200"])
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert status == 0
+    assert captured.err == ""
+    assert doc["result"]["certified"] and doc["result"]["passed"]
+    assert doc["result"]["final_abs"] == 0.0
+
+
 def test_bad_t_sequence_exits_one(capsys):
     status, doc = _run(capsys, "verify-vanishing", "--twist", "0.25",
                        "--n-max", "50", "--a-prime", "0.5",

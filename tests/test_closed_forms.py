@@ -3,7 +3,10 @@ adaptive-quadrature oracle.
 
 The runtime sums exact per-mode integrals; the oracle in oracles.py
 integrates the spectral sums numerically over every heat time from the
-same lower limit (the resolved floor, or 0 when it is refused). Inputs are
+same lower limit (the resolved floor, or 0 when it is refused). The
+contribution's collar part is integrated from 0 instead, because the
+contribution does not depend on the collar and the runtime does not cut
+that part at the floor. Inputs are
 random finite spectra with mixed signs, multiplicities and complex traces,
 and twisted circles large enough for the resolved floor to be used.
 The oracle's roundoff warning is an error here: its error estimate joins
@@ -88,11 +91,17 @@ def _check_against_oracle(spectrum, a_prime):
     assert oracle_err <= ORACLE_CAP
     assert abs(eta.value - want) <= eta.est_error + oracle_err
 
+    # The contribution is eta's integrand from s_lo, halved, plus the
+    # collar part of the bracket from 0, which the cut at s_lo must not
+    # drop: it integrates to 0 over all heat times, not over [s_lo, inf).
     report = contribution(spectrum, a_prime)
-    want, oracle_err = collar_integral_by_quadrature(lams, traces, a_prime,
-                                                     s_lo)
+    eta_part, eta_err = eta_by_quadrature(lams, traces, s_lo)
+    collar, collar_err = collar_integral_by_quadrature(
+        lams, traces, a_prime, collar_only=True)
+    oracle_err = 0.5 * eta_err + collar_err
     assert oracle_err <= ORACLE_CAP
-    assert abs(report.direct_value + want) <= report.est_error + oracle_err
+    assert abs(report.direct_value + 0.5 * eta_part + collar) \
+        <= report.est_error + oracle_err
 
     dirichlet = dirichlet_variant_contribution(spectrum, a_prime)
     want, oracle_err = collar_integral_by_quadrature(

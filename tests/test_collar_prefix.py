@@ -7,10 +7,12 @@ so dropping them changes nothing. The comparisons below use exact equality
 (np.array_equal and ==), which lets only the sign of a zero differ; the
 oracles are handed cyleta's own erfc and erfcx for them, so that equality
 tests the prefix and not the kernels. Each mode's spectral tail is eta's
-term, halved, less sgn(lam) times the collar piece, halved, so the direct
-value is checked exactly against eta/2 less the oracle piece terms summed
-over the runtime's modes in its order, and where no collar factor lives it
-is -f1 eta/2 bit for bit. Each mode's Dirichlet tail is eta's term,
+term, halved, less sgn(lam) times the collar piece, halved. The collar
+piece is the part of the vanishing integral that a cut at the floor
+drops, and the contribution does not cut it: its direct and decomposed
+values are -f1 eta/2 bit for bit at every collar, and within est_error of
+the full-array spectral tails with their collar pieces added back. Each
+mode's Dirichlet tail is eta's term,
 halved, plus t/2, with t the negated collar piece on lam > 0 and the
 Dirichlet piece e^{-2 a' |lam|} erfc(v) on lam < 0, so the Dirichlet
 variant is checked exactly against -(eta + sum_j a_j t_j) / 2 composed
@@ -166,10 +168,10 @@ def _check_tails(spectrum, a_prime, T):
 
 
 def _piece_sum(spectrum, a_prime):
-    """What the collar piece adds to the direct integral at the resolved
-    floor, -sum_j a_j sgn(lam_j) piece_j / 2, from the oracle piece over
-    the modes the runtime sums, in the same order; 0 when the floor is
-    refused, where the integrals start at 0 and the piece is gone."""
+    """-sum_j a_j sgn(lam_j) piece_j / 2, from the oracle piece over the
+    live prefix at the resolved floor: what a cut at the floor would take
+    from the direct integral. 0 when the floor is refused, where the
+    integrals start at 0."""
     lams, traces = spectrum.lams, spectrum.traces
     floor = spectrum.floor_analysis.floor
     if floor is None:
@@ -182,7 +184,9 @@ def _piece_sum(spectrum, a_prime):
 
 def _full_arrays(spectrum, a_prime, kernels):
     """The spectral and Dirichlet sums of the full-array forms at the
-    resolved floor, or of the s -> 0 limits when it is refused."""
+    resolved floor, or of the s -> 0 limits when it is refused. The
+    spectral tails get their collar pieces added back, which leaves eta's
+    terms, halved: the collar part integrates to 0 from s = 0."""
     lams, traces = spectrum.lams, spectrum.traces
     floor = spectrum.floor_analysis.floor
     if floor is None:
@@ -190,19 +194,21 @@ def _full_arrays(spectrum, a_prime, kernels):
         dirichlet = spectral + traces * np.where(
             lams < 0.0, 0.5 * dirichlet_piece(lams, a_prime, None), 0.0)
     else:
-        spectral = traces * spectral_tails(lams, a_prime, floor, *kernels)
+        piece = collar_piece(lams, a_prime, floor, kernels[1])
+        spectral = traces * (spectral_tails(lams, a_prime, floor, *kernels)
+                             + 0.5 * np.sign(lams) * piece)
         dirichlet = traces * dirichlet_tails(lams, a_prime, floor, *kernels)
     return complex(spectral.sum()), complex(dirichlet.sum())
 
 
 def _check_public(spectrum, a_prime):
-    """contribution and the Dirichlet variant: exactly eta/2 plus the
-    oracle piece sum, and the composition of _dirichlet_value; within
-    est_error of the full-array forms with either kernels."""
+    """contribution and the Dirichlet variant: exactly -eta/2 and the
+    composition of _dirichlet_value; within est_error of the full-array
+    forms with either kernels."""
     eta = eta_invariant(spectrum).value
     report = contribution(spectrum, a_prime)
     dirichlet = dirichlet_variant_contribution(spectrum, a_prime)
-    assert report.direct_value == -(0.5 * eta + _piece_sum(spectrum, a_prime))
+    assert report.direct_value == -0.5 * eta
     assert dirichlet.value == _dirichlet_value(spectrum, a_prime)
     for kernels in ((erfc, erfcx), (scipy_erfc, scipy_erfcx)):
         spectral_sum, dirichlet_sum = _full_arrays(spectrum, a_prime, kernels)
@@ -211,23 +217,16 @@ def _check_public(spectrum, a_prime):
 
 
 def _check_gap(spectrum, a_prime):
-    """direct_value - decomposed_value is -f1 times the oracle piece sum:
-    bit for bit 0 where no collar factor lives or the floor is refused, and
-    within the roundoff of forming the two values elsewhere."""
-    eta, piece = eta_invariant(spectrum).value, _piece_sum(spectrum, a_prime)
-    floor = spectrum.floor_analysis.floor
-    live = floor is not None \
-        and _collar_damping(np.abs(spectrum.lams), a_prime, floor).size
+    """For every f1 both values are -0.5 (f1 eta) bit for bit, whether or
+    not a collar factor lives, and est_error is |f1| times eta's: the
+    collar piece moves neither."""
+    eta = eta_invariant(spectrum)
     for f1 in F1:
         report = contribution(spectrum, a_prime, f1)
-        gap = report.direct_value - report.decomposed_value
-        if not live:
-            assert piece == 0.0
-            assert report.direct_value == report.decomposed_value
-        else:
-            slack = 8.0 * np.finfo(float).eps * abs(f1) \
-                * (abs(eta) + abs(piece))
-            assert abs(gap + f1 * piece) <= slack
+        assert report.direct_value == report.decomposed_value \
+            == -0.5 * (f1 * eta.value)
+        assert report.vanishing_residual == 0j
+        assert report.est_error == abs(f1) * eta.est_error
 
 
 @PROPERTY
@@ -269,18 +268,18 @@ def test_partial_prefixes_match_full_arrays():
     _check_public(spectrum, a_prime)
     _check_gap(spectrum, a_prime)
 
-    # The live pieces above are about 1e-313, so -eta/2 alone would pass
-    # as well. Cut at Lambda = 100.7, the same modes get the resolved floor
-    # s_f = 3.9e-3, and a'^2/s_f = 10 leaves the 864 modes with
-    # |lam| < 432 live; their pieces move the direct value 1e-5 away from
-    # the collar-free -eta/2, and those of the lam > 0 modes move the
-    # Dirichlet variant too.
+    # The live pieces above are about 1e-313, so a check that ignored them
+    # would pass as well. Cut at Lambda = 100.7, the same modes get the
+    # resolved floor s_f = 3.9e-3, and a'^2/s_f = 10 leaves the 864 modes
+    # with |lam| < 432 live; their pieces sum to 1e-5, which a cut of the
+    # direct integral at s_f would take from -eta/2 and which the
+    # contribution keeps out, while those of the lam > 0 modes move the
+    # Dirichlet variant.
     cut = dataclasses.replace(spectrum, truncated_at=100.7)
     floor = cut.floor_analysis.floor
     a_prime = math.sqrt(10.0 * floor)
     assert _collar_damping(cut.abs_lams, a_prime, floor).size == 864
-    report = contribution(cut, a_prime)
-    assert abs(report.direct_value - report.decomposed_value) > 1e-6
+    assert abs(_piece_sum(cut, a_prime)) > 1e-6
     _check_tails(cut, a_prime, floor)
     _check_public(cut, a_prime)
     _check_gap(cut, a_prime)

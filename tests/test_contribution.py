@@ -1,6 +1,7 @@
 """Contribution-from-infinity integrals, both boundary conditions."""
 
 import math
+import sys
 
 import pytest
 
@@ -79,6 +80,27 @@ def test_direct_route_agrees_with_composition_quadrature():
     report = contribution(_single(-1.25), 0.6)
     oracle = contribution_by_double_quadrature(-1.25, 0.6, derivative="first")
     assert report.direct_value.real == pytest.approx(oracle, abs=1e-9)
+
+
+def test_contribution_evaluates_no_mode(monkeypatch):
+    # Once eta's sum is kept, the contribution is -f1 eta/2 at every collar:
+    # no erfc or erfcx runs and no numpy call builds a per-mode array, also
+    # where the collar factor lives (a'^2/s_f = 0.4 at a' = 0.02 here).
+    spectrum = circle_spectrum(0.25, 0.0, 200)
+    eta = eta_invariant(spectrum)
+
+    def refuse(*args):
+        raise AssertionError("the contribution evaluated a per-mode kernel")
+
+    monkeypatch.setattr("cyleta._special._erfcx_block", refuse)
+    monkeypatch.setattr("cyleta._special._erfc_block", refuse)
+    monkeypatch.setattr(sys.modules["cyleta.contribution"], "np", None)
+    for a_prime in (0.02, 0.5, 5.0):
+        for f1 in (1.0, 1.3, -0.7):
+            report = contribution(spectrum, a_prime, f1)
+            assert report.direct_value == report.decomposed_value \
+                == -0.5 * (f1 * eta.value)
+            assert report.est_error == abs(f1) * eta.est_error
 
 
 def test_decomposition_identity_is_exact():

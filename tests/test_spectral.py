@@ -257,6 +257,13 @@ def test_circle_rejects_bad_n_max(n_max):
         circle_spectrum(0.25, 0.0, n_max)
 
 
+@pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])
+def test_circle_rejects_a_non_finite_rotation_angle(angle):
+    # Refused by name before any trace is formed, as n_max is.
+    with pytest.raises(DomainError, match="rotation_angle must be finite"):
+        circle_spectrum(0.25, angle, 5)
+
+
 def test_circle_growth_constant_shrinks_near_half_twist():
     # at twist 1/2 the rank-2 eigenvalue -1/2 sits below gap * sqrt(2),
     # so c1 must come from rank 2, not from the gap

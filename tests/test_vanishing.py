@@ -230,6 +230,18 @@ def test_dominator_refuses_collars_past_double_range():
         dominator(0.5, 1e9, 1e-170)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a_prime", [1e155, 1e300])
+def test_dominator_keeps_its_collar_free_term_past_the_square_overflow(
+        a_prime):
+    # a'^2 is inf, so the f3 head integral starts at inf: an empty row,
+    # an exact 0, which leaves f3's a'-free term 2 e^{-lam^2/2}/lam^2.
+    lam = 10.25
+    assert dominator(0.5, lam, a_prime) \
+        == 2.0 * math.exp(-lam * lam / 2.0) / (lam * lam)
+    assert per_mode_difference(lam, a_prime, 0.5) == 0.0
+
+
 def _kept_lams(twist, angle, a_prime, t):
     """The modes verify_vanishing evaluates on a 4001-mode circle: those of
     the live prefix of e^{-lam^2 t - a'^2/t} whose envelope
