@@ -32,7 +32,7 @@ from ._json import JsonFields
 from .contribution import ContributionReport, Estimate, contribution
 from .errors import DomainError
 from .eta import eta_invariant
-from .spectral import BoundarySpectrum, _kept
+from .spectral import BoundarySpectrum, _blocks, _kept
 
 __all__ = [
     "IndexReport",
@@ -93,7 +93,8 @@ def assemble_index(as_term: complex, report: ContributionReport,
 
 def _is_identity(spectrum: BoundarySpectrum) -> bool:
     """Whether every stored trace equals its multiplicity."""
-    return bool((spectrum.traces == spectrum.multiplicity).all())
+    traces, mult = spectrum.traces, spectrum.multiplicity
+    return all(bool((traces[b] == mult[b]).all()) for b in _blocks(mult.size))
 
 
 def aps_index(spectrum: BoundarySpectrum, as_term: complex,

@@ -26,7 +26,7 @@ per-mode quadrature of the whole bracket lives in the test oracles.
 Only the collar factors e^{-lam^2 s_f - a'^2/s_f} and e^{-2 a' |lam|} of
 the Dirichlet variant depend on a'. They fall with |lam|, by which the
 modes are sorted, so each lives only on the prefix where its exponent
-stays above -746 (one searchsorted); past it the factor is an exact 0.0,
+stays above -746 (one bisection); past it the factor is an exact 0.0,
 and the variant sums over that prefix only.
 
 dirichlet_variant_contribution returns an Estimate, the value with its
@@ -56,6 +56,7 @@ start at 0, where h_j is e^{-2 a' |lam_j|} on lam < 0 and 0 on lam > 0.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 import numpy as np
@@ -122,33 +123,33 @@ class ContributionReport(JsonFields):
     est_error: float
 
 
-def _collar_reach(abs_l: np.ndarray, a_prime: float, T: float) -> int:
+def _collar_reach(lams: np.ndarray, a_prime: float, T: float) -> int:
     """The number of leading modes whose e^{-lam^2 T - a'^2/T} is not an
     exact 0.0: its exponent stays above -_UNDERFLOW."""
     offset = (a_prime * a_prime) / T
     reach = math.sqrt(max(_UNDERFLOW - offset, 0.0) / T)
-    return int(abs_l.searchsorted(reach, side="right"))
+    return bisect.bisect_right(lams, reach, key=abs)
 
 
-def _collar_damping(abs_l: np.ndarray, a_prime: float, T: float) -> np.ndarray:
+def _collar_damping(lams: np.ndarray, a_prime: float, T: float) -> np.ndarray:
     """e^{-lam^2 T - a'^2/T} on the leading modes whose exponent stays
     above -_UNDERFLOW; on every later mode it is an exact 0.0."""
-    head = abs_l[:_collar_reach(abs_l, a_prime, T)]
+    head = lams[:_collar_reach(lams, a_prime, T)]
     return np.exp(-(head * head) * T - (a_prime * a_prime) / T)
 
 
-def _dirichlet_damping(abs_l: np.ndarray, a_prime: float) -> np.ndarray:
+def _dirichlet_damping(lams: np.ndarray, a_prime: float) -> np.ndarray:
     """e^{-2 a' |lam|} on the leading modes where it is not an exact 0.0."""
-    reach = int(abs_l.searchsorted(_UNDERFLOW / (2.0 * a_prime), side="right"))
-    return np.exp(-2.0 * a_prime * abs_l[:reach])
+    reach = bisect.bisect_right(lams, _UNDERFLOW / (2.0 * a_prime), key=abs)
+    return np.exp(-2.0 * a_prime * np.abs(lams[:reach]))
 
 
-def _collar_piece(abs_l: np.ndarray, a_prime: float, T: float) -> np.ndarray:
+def _collar_piece(lams: np.ndarray, a_prime: float, T: float) -> np.ndarray:
     """erfcx(|lam| sqrt(T) + a'/sqrt(T)) e^{-lam^2 T - a'^2/T}, exact and
     overflow-free for any lam, on the leading modes where the collar factor
     lives; on every later mode it is an exact 0.0."""
-    expo, sqrt_T = _collar_damping(abs_l, a_prime, T), math.sqrt(T)
-    return _erfcx_arr(abs_l[:expo.size] * sqrt_T + a_prime / sqrt_T) * expo
+    expo, sqrt_T = _collar_damping(lams, a_prime, T), math.sqrt(T)
+    return _erfcx_arr(np.abs(lams[:expo.size]) * sqrt_T + a_prime / sqrt_T) * expo
 
 
 def _collar_cut(analysis: FloorAnalysis, a_prime: float) -> float:
@@ -198,18 +199,18 @@ def dirichlet_variant_contribution(spectrum: BoundarySpectrum,
     """
     a_prime = _check_a_prime(a_prime)
     eta_res = eta_invariant(spectrum)
-    analysis, abs_l = spectrum.floor_analysis, spectrum.abs_lams
-    lams, traces = spectrum.lams, spectrum.traces
-    damp = _dirichlet_damping(abs_l, a_prime)
+    analysis, lams, traces = spectrum.floor_analysis, spectrum.lams, spectrum.traces
+    damp = _dirichlet_damping(lams, a_prime)
     neg = lams[:damp.size] < 0.0
     floor, cut, neg_traces = analysis.floor, 0.0, traces[:damp.size][neg]
     if floor is None:  # erfc(v) -> 2 and the collar piece -> 0
         terms = neg_traces * damp[neg]
     else:
         sqrt_T = math.sqrt(floor)
-        pos = lams[:_collar_reach(abs_l, a_prime, floor)] > 0.0
-        piece = _collar_piece(abs_l[:pos.size][pos], a_prime, floor)
-        erfc_v = _erfc_arr(abs_l[:damp.size][neg] * sqrt_T - a_prime / sqrt_T)
+        pos = lams[:_collar_reach(lams, a_prime, floor)] > 0.0
+        piece = _collar_piece(lams[:pos.size][pos], a_prime, floor)
+        # lam * -sqrt(T) is |lam| sqrt(T) exactly on lam < 0
+        erfc_v = _erfc_arr(lams[:damp.size][neg] * -sqrt_T - a_prime / sqrt_T)
         terms = 0.5 * np.concatenate((neg_traces * (damp[neg] * erfc_v),
                                       traces[:pos.size][pos] * -piece))
         cut = _collar_cut(analysis, a_prime)

@@ -28,8 +28,9 @@ truncation_error are made by the spectrum's first eta query and kept as
 three scalars in spectrum.collar_free; every later eta_invariant,
 aps_index, contribution or Dirichlet variant reads them in O(1), the
 contribution as -f1 eta/2 and the Dirichlet variant with one per-mode sum
-added. The erfc(|lam_j| sqrt(s_f)) array
-of that first query is made once per spectrum and not kept.
+added. The erfc(|lam_j| sqrt(s_f)) pass of that first query runs once
+per spectrum, one block of modes at a time with a partial sum per block,
+and no array of it is kept.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 
 from ._json import JsonFields
 from ._special import erfc
-from .spectral import BoundarySpectrum, _kept, tail_bound
+from .spectral import BoundarySpectrum, _blocks, _kept, tail_bound
 
 __all__ = [
     "EtaResult",
@@ -70,12 +71,17 @@ class EtaResult(JsonFields):
 
 def _eta_sums(spectrum: BoundarySpectrum) -> tuple[complex, float, float]:
     """eta's value, the roundoff of its sum and its truncation_error, from
-    the spectrum's one erfc pass, which is not kept."""
-    lams, floor = spectrum.lams, spectrum.floor_analysis.floor
-    terms = spectrum.traces * (np.sign(lams) if floor is None else np.copysign(
-        erfc(spectrum.abs_lams * math.sqrt(floor)), lams))
+    the spectrum's one erfc pass, block by block, which is not kept."""
+    lams, traces = spectrum.lams, spectrum.traces
+    floor, value, size = spectrum.floor_analysis.floor, 0j, 0.0
+    for b in _blocks(lams.size):
+        lam = lams[b]
+        terms = traces[b] * (np.sign(lam) if floor is None else np.copysign(
+            erfc(np.abs(lam) * math.sqrt(floor)), lam))
+        value += complex(terms.sum())
+        size += float(np.abs(terms).sum())
     trunc = tail_bound(spectrum, spectrum.floor_analysis.candidate, 0.0).bound
-    return complex(terms.sum()), _roundoff(terms), trunc
+    return value, _ROUNDOFF * size, trunc
 
 
 def eta_invariant(spectrum: BoundarySpectrum) -> EtaResult:

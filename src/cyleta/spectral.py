@@ -9,8 +9,8 @@ metadata and the truncation cutoff. This module defines the container,
 constructors (an explicit twisted-circle model, raw record lists, JSON
 files of four columns or of records), a direct sum, and the truncation-tail
 estimator that turns the growth metadata into a quantitative bound on
-everything the omitted modes could contribute. Constructors build and check
-whole arrays; no per-mode record object exists. Rows, record-form data and
+everything the omitted modes could contribute. Constructors build whole
+arrays; no per-mode record object exists. Rows, record-form data and
 format-2 columns are only reshaped into the columns lambda, multiplicity,
 trace_re and trace_im, which one function types: real numbers within the
 double range, an int64 multiplicity, no bools. A bad shape is named first,
@@ -25,32 +25,41 @@ Conventions baked into the container:
 * growth metadata (c1, c2, c3, c4) asserts |lambda_j| >= c1 * j**c2 and
   |trace_j| <= c3 * j**c4 for the 1-based rank j; it is used only for tail
   bounds, never to synthesize eigenvalues,
-* the arrays are private copies that cannot be written, and equality and
+* the arrays cannot be written: a caller's are copied, and those a
+  constructor here has just made are kept as they are; equality and
   hashing are those of the object; validation errors name the first
   offending row or rank,
 * the first read of ``floor_analysis`` keeps a FloorAnalysis of scalars in
-  the instance dict, the first read of ``abs_lams`` keeps one read-only
-  float64 array there, |lambda| (8 bytes a mode), and ``collar_free`` keeps
-  the sums that no collar changes as Python scalars, each made by the
-  first query that needs it; no erfc array is kept, since eta's one erfc
-  pass ends in the kept sums; fields, arrays, equality and hashing stay as
-  they are.
+  the instance dict, and ``collar_free`` keeps the sums that no collar
+  changes as Python scalars, each made by the first query that needs it;
+  nothing per mode is kept beyond the three arrays (32 bytes a mode):
+  |lambda| is read from lams, whose prefixes are bisected by abs, and
+  eta's one erfc pass ends in the kept sums; fields, arrays, equality and
+  hashing stay as they are,
+* every per-mode pass over the arrays once they exist (validation, the
+  circle's fill, the growth fit, the floor analysis, and downstream eta's
+  sum and the identity flag) runs on blocks of _BLOCK modes, so that no
+  temporary is longer than a block. That is for the resident set: once
+  numpy frees a full-length temporary, glibc serves later large arrays
+  from its heap and keeps the freed pages, so the temporary costs memory
+  for the rest of the process (README, "Mode arrays").
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Integral, Real
 from pathlib import Path
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 import numpy as np
 
 from ._json import JsonFields
-from ._special import gammaincc
+from ._special import _BLOCK, gammaincc
 from .errors import DomainError, InvalidSpectrumError, InvalidTraceError
 
 __all__ = [
@@ -88,6 +97,25 @@ _FLOOR_MAX = 0.25
 _RESOLVED_RATIO = 1e-6
 
 
+def _blocks(size: int) -> Iterator[slice]:
+    """The slices of successive blocks of _BLOCK modes that cover size
+    modes. Every per-mode pass over a spectrum's arrays runs over them, so
+    that no temporary is longer than one block."""
+    return (slice(lo, lo + _BLOCK) for lo in range(0, size, _BLOCK))
+
+
+class _Made(NamedTuple):
+    """An array that a constructor of this module has just made, of the
+    stored dtype; BoundarySpectrum keeps it instead of a copy."""
+
+    array: np.ndarray
+
+
+def _spectrum(lams, multiplicity, traces, **meta) -> BoundarySpectrum:
+    """A BoundarySpectrum of arrays made for it, kept without a copy."""
+    return BoundarySpectrum(_Made(lams), _Made(multiplicity), _Made(traces), **meta)
+
+
 def _raise_first(checks, label=None) -> None:
     """Raise error(i) for the lowest index i that a (mask, error) pair
     flags, the earlier pair on a tie; label(i) prefixes the message."""
@@ -97,6 +125,14 @@ def _raise_first(checks, label=None) -> None:
         i, k = min(flagged)
         exc = checks[k][1](i)
         raise type(exc)(f"{label(i)}: {exc}") if label else exc
+
+
+def _check_records(lams, multiplicity, traces, label) -> None:
+    """Raise for the lowest mode i that fails a check every single mode
+    must pass, the earlier check on a tie; label(i) prefixes the message."""
+    for b in _blocks(lams.size):
+        _raise_first(_record_checks(lams[b], multiplicity[b], traces[b]),
+                     lambda i: label(b.start + i))
 
 
 def _record_checks(lams, multiplicity, traces) -> list:
@@ -119,7 +155,7 @@ def _record_checks(lams, multiplicity, traces) -> list:
 
 @dataclass(frozen=True, eq=False)
 class BoundarySpectrum:
-    """Sorted modes as read-only copies of the given arrays, plus growth
+    """Sorted modes as read-only arrays, copies of a caller's, plus growth
     metadata and the truncation cutoff.
 
     truncated_at is the largest Lambda for which the list is complete: every
@@ -138,11 +174,13 @@ class BoundarySpectrum:
     truncated_at: float
 
     def __post_init__(self):
-        if np.asarray(self.multiplicity).dtype.kind not in "iu":
+        made = type(self.lams) is _Made
+        if not made and np.asarray(self.multiplicity).dtype.kind not in "iu":
             raise InvalidSpectrumError("multiplicity must hold integers")
         for name, dtype in (("lams", np.float64), ("multiplicity", np.int64),
                             ("traces", np.complex128)):
-            array = np.array(getattr(self, name), dtype=dtype)
+            value = getattr(self, name)
+            array = value.array if made else np.array(value, dtype=dtype)
             array.flags.writeable = False  # and its view cannot undo that
             object.__setattr__(self, name, array.view())
         lams, mult, traces = self.lams, self.multiplicity, self.traces
@@ -151,7 +189,7 @@ class BoundarySpectrum:
                                        "one-dimensional and of one length")
         if not lams.size:
             raise InvalidSpectrumError("spectrum must contain at least one record")
-        _raise_first(_record_checks(lams, mult, traces), lambda i: f"rank {i + 1}")
+        _check_records(lams, mult, traces, lambda i: f"rank {i + 1}")
         c1, c2 = self.weyl_c1, self.weyl_c2
         c3, c4 = self.trace_bound_c3, self.trace_bound_c4
         if not (c1 > 0 and c2 > 0):
@@ -162,21 +200,25 @@ class BoundarySpectrum:
         if not (cutoff > 0 and _FLOOR_SCALE / (cutoff * cutoff) > 0):
             raise InvalidSpectrumError("truncation cutoff must be positive, with a "
                                        f"floor 40/cutoff**2 above 0, got {cutoff!r}")
-        abs_l, rank = np.abs(lams), np.arange(1.0, lams.size + 1.0)
-        _raise_first([  # by rank; the pair i is ranks i + 1 and i + 2
-            ((abs_l[1:] < abs_l[:-1]) | ((abs_l[1:] == abs_l[:-1])
-                                        & (lams[:-1] > lams[1:])),
-             lambda i: InvalidSpectrumError(
-                 "records must be sorted by |lambda| non-decreasing, negative "
-                 f"eigenvalue first on ties; ranks {i + 1} and {i + 2} are not")),
-            (abs_l < c1 * rank**c2 * (1.0 - _SLACK), lambda i: InvalidSpectrumError(
-                f"growth bound violated at rank {i + 1}: |{float(lams[i])!r}| < "
-                f"{c1!r} * {i + 1}**{c2!r}")),
-            (np.abs(traces) > c3 * rank**c4 * (1.0 + _SLACK) + _SLACK,
-             lambda i: InvalidSpectrumError(
-                 f"trace bound violated at rank {i + 1}: "
-                 f"|{complex(traces[i])!r}| > {c3!r} * {i + 1}**{c4!r}")),
-        ])
+        for b in _blocks(lams.size):
+            lo, lam, after = b.start, lams[b], lams[b.start + 1:b.stop + 1]
+            abs_l, abs_after, m = np.abs(lam), np.abs(after), after.size
+            rank = np.arange(lo + 1.0, lo + 1.0 + lam.size)
+            _raise_first([  # by rank; the pair i is ranks lo + i + 1 and lo + i + 2
+                ((abs_after < abs_l[:m]) | ((abs_after == abs_l[:m])
+                                            & (lam[:m] > after)),
+                 lambda i: InvalidSpectrumError(
+                     "records must be sorted by |lambda| non-decreasing, negative "
+                     f"eigenvalue first on ties; ranks {lo + i + 1} and {lo + i + 2} "
+                     "are not")),
+                (abs_l < c1 * rank**c2 * (1.0 - _SLACK), lambda i: InvalidSpectrumError(
+                    f"growth bound violated at rank {lo + i + 1}: "
+                    f"|{float(lam[i])!r}| < {c1!r} * {lo + i + 1}**{c2!r}")),
+                (np.abs(traces[b]) > c3 * rank**c4 * (1.0 + _SLACK) + _SLACK,
+                 lambda i: InvalidSpectrumError(
+                     f"trace bound violated at rank {lo + i + 1}: "
+                     f"|{complex(traces[lo + i])!r}| > {c3!r} * {lo + i + 1}**{c4!r}")),
+            ])
 
     @property
     def gap(self) -> float:
@@ -189,14 +231,6 @@ class BoundarySpectrum:
         return _analyse_floor(self)
 
     @cached_property
-    def abs_lams(self) -> np.ndarray:
-        """|lambda| as a read-only float64 array, made on the first read and
-        kept: every Dirichlet query searches its sorted values."""
-        abs_l = np.abs(self.lams)
-        abs_l.flags.writeable = False
-        return abs_l
-
-    @cached_property
     def collar_free(self) -> dict:
         """eta's sums and the identity flag, which no collar changes, by
         name as Python scalars and tuples of them; each is made by the first
@@ -205,7 +239,7 @@ class BoundarySpectrum:
 
     def rank_below(self, cutoff: float) -> int:
         """Number of modes with |lambda| <= cutoff."""
-        return int(self.abs_lams.searchsorted(cutoff, side="right"))
+        return bisect.bisect_right(self.lams, cutoff, key=abs)
 
     def __len__(self) -> int:
         return self.lams.size
@@ -231,11 +265,16 @@ class FloorAnalysis(JsonFields):
 
 def _analyse_floor(spectrum: BoundarySpectrum) -> FloorAnalysis:
     """The FloorAnalysis of a spectrum, from one exp pass."""
-    lams, size = spectrum.lams, np.abs(spectrum.traces)
+    lams, traces = spectrum.lams, spectrum.traces
     candidate = _FLOOR_SCALE / (spectrum.truncated_at * spectrum.truncated_at)
-    damp = np.exp(-candidate * lams * lams)
-    trace = abs(complex((spectrum.traces * (lams * damp)).sum()))
-    envelope = float((size * np.abs(lams) * damp).sum())
+    trace, envelope, mass = 0j, 0.0, 0.0
+    for b in _blocks(lams.size):
+        lam, size = lams[b], np.abs(traces[b])
+        damp = np.exp(-candidate * lam * lam)
+        trace += complex((traces[b] * (lam * damp)).sum())
+        envelope += float((size * np.abs(lam) * damp).sum())
+        mass += float(size.sum())
+    trace = abs(trace)
     floor = candidate if candidate <= _FLOOR_MAX \
         and trace <= _RESOLVED_RATIO * envelope else None
     return FloorAnalysis(
@@ -243,7 +282,7 @@ def _analyse_floor(spectrum: BoundarySpectrum) -> FloorAnalysis:
         cancellation_ratio=trace / envelope if envelope else 0.0,
         skipped_segment=0.0 if floor is None
         else 2.0 / math.sqrt(math.pi) * trace * math.sqrt(floor),
-        trace_mass=float(size.sum()))
+        trace_mass=mass)
 
 
 def _kept(spectrum: BoundarySpectrum, name: str, compute):
@@ -295,29 +334,54 @@ def circle_spectrum(twist: float, rotation_angle: float, n_max: int) -> Boundary
     if not math.isfinite(rotation_angle):
         raise DomainError(
             f"rotation_angle must be finite, got {rotation_angle!r}")
-    n = np.arange(-n_max, n_max + 1)
-    lams, mult, traces = _sorted(n + twist, np.ones(n.size, dtype=np.int64),
-                                 np.exp(-1j * n * rotation_angle))
-    c1 = float((np.abs(lams) / np.sqrt(np.arange(1.0, n.size + 1.0))).min())
-    return BoundarySpectrum(lams, mult, traces, weyl_c1=c1, weyl_c2=0.5,
-                            trace_bound_c3=1.0, trace_bound_c4=0.0,
-                            truncated_at=n_max + 1 - twist)
+    # Stored order, filled in place: n = 0, -1, 1, -2, ..., -n_max, n_max
+    # below twist 1/2 and -1, 0, -2, 1, ..., n_max - 1, n_max from 1/2 on.
+    size, odd_first = 2 * n_max + 1, int(twist >= 0.5)
+    lams, traces = np.empty(size), np.empty(size, dtype=np.complex128)
+    for b in _blocks(size):
+        i = np.arange(b.start, min(b.stop, size))
+        n = np.where((i + odd_first) % 2, -1 - i // 2, i // 2)
+        n[n < -n_max] = n_max
+        lams[b] = n + twist
+        traces[b] = np.exp(-1j * n * rotation_angle)
+        # Near twist 1/2 (and 1), |k + twist| and |k + 1 - twist| (and
+        # |k + 2 - twist|) can round to one double, and the negative mode
+        # goes first on that tie. The pair is the last mode filled and
+        # this block's first, or two of this block's.
+        pair = slice(max(b.start - 1, 0), i[-1])
+        first, second = lams[pair], lams[pair.start + 1:pair.stop + 1]
+        j = pair.start + np.flatnonzero((first > 0.0) & (first == -second))
+        for array in (lams, traces):
+            array[j], array[j + 1] = array[j + 1], array[j]
+    return _spectrum(lams, np.ones(size, dtype=np.int64), traces,
+                     weyl_c1=_weyl_c1(lams, 0.5), weyl_c2=0.5,
+                     trace_bound_c3=1.0, trace_bound_c4=0.0,
+                     truncated_at=n_max + 1 - twist)
+
+
+def _weyl_c1(lams: np.ndarray, c2: float) -> float:
+    """The largest c1 with |lambda_j| >= c1 * j**c2 at every rank j."""
+    c1 = math.inf
+    for b in _blocks(lams.size):
+        abs_l = np.abs(lams[b])
+        rank = np.arange(b.start + 1.0, b.start + 1.0 + abs_l.size)
+        c1 = min(c1, float((abs_l / rank**c2).min()))
+    return c1
 
 
 def _fitted(lams, multiplicity, traces, truncated_at) -> BoundarySpectrum:
     """Sort the modes and fit growth metadata to them: the largest c1 over
     the candidate exponents c2, plus a flat trace bound."""
     lams, multiplicity, traces = _sorted(lams, multiplicity, traces)
-    abs_l, rank = np.abs(lams), np.arange(1.0, lams.size + 1.0)
     best_c1, best_c2 = -math.inf, _C2_CANDIDATES[0]
     for c2 in _C2_CANDIDATES:  # descending, so ties keep the larger exponent
-        c1 = float((abs_l / rank**c2).min())
+        c1 = _weyl_c1(lams, c2)
         if c1 > best_c1:
             best_c1, best_c2 = c1, c2
-    c3 = max(float(np.abs(traces).max()), 1e-12)
-    return BoundarySpectrum(lams, multiplicity, traces, weyl_c1=best_c1,
-                            weyl_c2=best_c2, trace_bound_c3=c3,
-                            trace_bound_c4=0.0, truncated_at=truncated_at)
+    c3 = max(1e-12, *(float(np.abs(traces[b]).max()) for b in _blocks(traces.size)))
+    return _spectrum(lams, multiplicity, traces, weyl_c1=best_c1,
+                     weyl_c2=best_c2, trace_bound_c3=c3,
+                     trace_bound_c4=0.0, truncated_at=truncated_at)
 
 
 def _only(values, kinds) -> bool:
@@ -358,7 +422,7 @@ def _modes(cols, row: str, entry: str, names=_COLUMNS) -> tuple[np.ndarray, ...]
     lams, mult, re, im = arrays
     traces = np.empty(lams.size, dtype=np.complex128)
     traces.real, traces.imag = re, im  # bit for bit complex(re, im)
-    _raise_first(_record_checks(lams, mult, traces), row.format)
+    _check_records(lams, mult, traces, row.format)
     return lams, mult, traces
 
 
@@ -544,9 +608,8 @@ def spectrum_from_json_dict(doc: dict) -> BoundarySpectrum:
     if not growth:
         return _fitted(lams, mult, traces, cutoff)
     c1, c2, c3, c4 = growth
-    return BoundarySpectrum(*_sorted(lams, mult, traces), weyl_c1=c1,
-                            weyl_c2=c2, trace_bound_c3=c3, trace_bound_c4=c4,
-                            truncated_at=cutoff)
+    return _spectrum(*_sorted(lams, mult, traces), weyl_c1=c1, weyl_c2=c2,
+                     trace_bound_c3=c3, trace_bound_c4=c4, truncated_at=cutoff)
 
 
 def spectrum_to_json_dict(spectrum: BoundarySpectrum) -> dict:

@@ -79,6 +79,10 @@ _TINY = sys.float_info.min
 _SMALLEST_LAM_COLLAR = 1e-145
 _SMALLEST_COLLAR = 1e-150
 
+# The quadrature route's domain: |lam| at least _SMALLEST_LAM keeps lam^2 a
+# normal double and the end _UNDERFLOW/lam^2 of its range finite.
+_SMALLEST_LAM = 1e-150
+
 
 @dataclass(frozen=True)
 class VanishingTermConfig:
@@ -121,11 +125,11 @@ def _closed_form_partial(lams: np.ndarray, traces: np.ndarray,
     contribution at heat time t; the erfcx form never overflows and the
     combined exponent is exact, so this is accurate for every mode at every
     t. The piece lives only on the prefix of modes whose exponent stays
-    above -_UNDERFLOW (one searchsorted); every later term is an exact 0
+    above -_UNDERFLOW (one bisection); every later term is an exact 0
     and is summed as one, so the sum is the full-array evaluation's bit for
     bit.
     """
-    piece = _collar_piece(np.abs(lams), a_prime, t)
+    piece = _collar_piece(lams, a_prime, t)
     n = piece.size
     terms = traces[:n] * (-_SQRT_PI) * np.sign(lams[:n]) * piece
     return complex(np.concatenate([terms, np.zeros(lams.size - n)]).sum())
@@ -235,10 +239,19 @@ def _differences(lams: np.ndarray, a_prime: float, t: float,
         return -rows * s - a2 / s, 1.0 / np.sqrt(s)
 
     floor, ceiling = a2 / _UNDERFLOW, _UNDERFLOW / lam2
-    first, first_err = _log_rule(k, floor,
-                                 np.minimum(a2 / (lam2 * t), ceiling))
+    with np.errstate(over="ignore"):  # past the double range it is the ceiling
+        folded = np.minimum(a2 / (lam2 * t), ceiling)
+    first, first_err = _log_rule(k, floor, folded)
     second, second_err = _log_rule(k, max(t, floor), ceiling)
     return first - second, first_err + second_err
+
+
+def _check_lam(abs_lam: float) -> None:
+    if abs_lam < _SMALLEST_LAM:
+        raise DomainError(
+            f"|lam| must be at least {_SMALLEST_LAM!r}, got {abs_lam!r}: below "
+            "it lam^2 leaves the normal double range and the quadrature's "
+            "range, to 746/lam^2, overflows")
 
 
 def per_mode_difference(lam: float, a_prime: float, t: float) -> float:
@@ -250,10 +263,13 @@ def per_mode_difference(lam: float, a_prime: float, t: float) -> float:
     Gauss-Legendre rule in ln s at two orders, after cutting the range to
     where k is not an exact 0. Over a' in [0.02, 10], t in [0.005, 1] and
     |lam| in [0.05, 1000] the result stays within 1e-12 of the closed form.
+    A |lam| below 1e-150 is refused with DomainError: lam^2 would leave
+    the normal double range.
     """
     lam = float(lam)
     if lam == 0.0 or not math.isfinite(lam):
         raise DomainError(f"lam must be a nonzero finite real, got {lam!r}")
+    _check_lam(abs(lam))
     a_prime = _check_a_prime(a_prime)
     t = float(t)
     if not (math.isfinite(t) and t > 0.0):
@@ -378,10 +394,12 @@ def verify_vanishing(spectrum: BoundarySpectrum,
     against the spectrum scale, or zero, are skipped; the envelope, not the
     closed-form value, justifies the skip. The summability certificate
     evaluates the dominated series' term at the cutoff rank for each t and
-    records any that exceed the Cauchy threshold.
+    records any that exceed the Cauchy threshold. A spectrum with a |lam|
+    below 1e-150 is refused, as per_mode_difference refuses that lam.
     """
     if not isinstance(cfg, VanishingTermConfig):
         raise DomainError("cfg must be a VanishingTermConfig")
+    _check_lam(spectrum.gap)
     lams, traces = spectrum.lams, spectrum.traces
     a_prime = cfg.a_prime
     weights = np.abs(traces)
@@ -389,7 +407,7 @@ def verify_vanishing(spectrum: BoundarySpectrum,
 
     rows: list[tuple[float, complex]] = []
     for t in cfg.t_sequence:
-        damp = _collar_damping(spectrum.abs_lams, a_prime, t)
+        damp = _collar_damping(lams, a_prime, t)
         kept = _SQRT_PI * damp * weights[:damp.size] > _NEGLIGIBLE * scale
         lam, trace = lams[:damp.size][kept], traces[:damp.size][kept]
         d, _ = _differences(lam, a_prime, t)

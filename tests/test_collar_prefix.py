@@ -72,13 +72,18 @@ def collar_at(draw, spectrum, T):
     return math.sqrt(offset * T)
 
 
-def _check_prefixes(abs_l, a_prime, T):
-    """Past each prefix the full-array factor is an exact zero."""
-    live = _collar_damping(abs_l, a_prime, T).size
+def _check_prefixes(lams, a_prime, T):
+    """Past each prefix the full-array factor is an exact zero, and on it
+    the runtime's factor is the full array's."""
+    abs_l = np.abs(lams)
+    damp = _collar_damping(lams, a_prime, T)
     full = np.exp(-(abs_l * abs_l) * T - (a_prime * a_prime) / T)
-    assert not full[live:].any()
-    reach = _dirichlet_damping(abs_l, a_prime).size
-    assert not np.exp(-2.0 * a_prime * abs_l)[reach:].any()
+    assert np.array_equal(damp, full[:damp.size])
+    assert not full[damp.size:].any()
+    damp = _dirichlet_damping(lams, a_prime)
+    full = np.exp(-2.0 * a_prime * abs_l)
+    assert np.array_equal(damp, full[:damp.size])
+    assert not full[damp.size:].any()
 
 
 def _at_floor(spectrum, floor):
@@ -101,7 +106,7 @@ def _dirichlet_value(spectrum, a_prime):
     lams, traces = spectrum.lams, spectrum.traces
     eta, floor = eta_invariant(spectrum).value, spectrum.floor_analysis.floor
     abs_l = np.abs(lams)
-    reach = _dirichlet_damping(abs_l, a_prime).size
+    reach = _dirichlet_damping(lams, a_prime).size
     neg = lams[:reach] < 0.0
     dirichlet = dirichlet_piece(lams, a_prime, floor, erfc)[:reach]
     if floor is None:
@@ -109,7 +114,7 @@ def _dirichlet_value(spectrum, a_prime):
         assert np.array_equal(half, np.exp(-2.0 * a_prime * abs_l[:reach]))
         terms = traces[:reach][neg] * half[neg]
     else:
-        live = _collar_damping(abs_l, a_prime, floor).size
+        live = _collar_damping(lams, a_prime, floor).size
         pos = lams[:live] > 0.0
         piece = collar_piece(lams, a_prime, floor, erfcx)[:live][pos]
         terms = 0.5 * np.concatenate((traces[:reach][neg] * dirichlet[neg],
@@ -146,9 +151,9 @@ def _check_piece(lams, a_prime, T):
     oracle piece is an exact zero past it, and each oracle spectral tail is
     eta's term, halved, less the signed piece, halved."""
     abs_l = np.abs(lams)
-    runtime = _collar_piece(abs_l, a_prime, T)
+    runtime = _collar_piece(lams, a_prime, T)
     oracle = collar_piece(lams, a_prime, T, erfcx)
-    assert runtime.size == _collar_damping(abs_l, a_prime, T).size
+    assert runtime.size == _collar_damping(lams, a_prime, T).size
     assert np.array_equal(runtime, oracle[:runtime.size])
     assert not oracle[runtime.size:].any()
     assert np.array_equal(
@@ -158,7 +163,7 @@ def _check_piece(lams, a_prime, T):
 
 def _check_tails(spectrum, a_prime, T):
     lams = spectrum.lams
-    _check_prefixes(np.abs(lams), a_prime, T)
+    _check_prefixes(lams, a_prime, T)
     _check_piece(lams, a_prime, T)
     for floor in (T, None):
         twin = _at_floor(spectrum, floor)
@@ -176,7 +181,7 @@ def _piece_sum(spectrum, a_prime):
     floor = spectrum.floor_analysis.floor
     if floor is None:
         return 0j
-    live = _collar_damping(np.abs(lams), a_prime, floor).size
+    live = _collar_damping(lams, a_prime, floor).size
     piece = collar_piece(lams, a_prime, floor, erfcx)[:live]
     terms = traces[:live] * (np.sign(lams[:live]) * piece)
     return -0.5 * complex(terms.sum())
@@ -254,16 +259,15 @@ def test_partial_prefixes_match_full_arrays():
     # of this circle; 2 a' |lam| = 746 at |lam| = 1000 splits it too.
     spectrum = circle_spectrum(0.3, 0.7, 2000)
     floor = spectrum.floor_analysis.floor
-    abs_l = spectrum.abs_lams
     a_prime = math.sqrt(720.0 * floor)
-    live = _collar_damping(abs_l, a_prime, floor).size
+    live = _collar_damping(spectrum.lams, a_prime, floor).size
     assert 0 < live < len(spectrum)
     _check_tails(spectrum, a_prime, floor)
     _check_public(spectrum, a_prime)
     _check_gap(spectrum, a_prime)
 
     a_prime = 0.373
-    assert 0 < _dirichlet_damping(abs_l, a_prime).size < len(spectrum)
+    assert 0 < _dirichlet_damping(spectrum.lams, a_prime).size < len(spectrum)
     _check_tails(spectrum, a_prime, floor)
     _check_public(spectrum, a_prime)
     _check_gap(spectrum, a_prime)
@@ -278,7 +282,7 @@ def test_partial_prefixes_match_full_arrays():
     cut = dataclasses.replace(spectrum, truncated_at=100.7)
     floor = cut.floor_analysis.floor
     a_prime = math.sqrt(10.0 * floor)
-    assert _collar_damping(cut.abs_lams, a_prime, floor).size == 864
+    assert _collar_damping(cut.lams, a_prime, floor).size == 864
     assert abs(_piece_sum(cut, a_prime)) > 1e-6
     _check_tails(cut, a_prime, floor)
     _check_public(cut, a_prime)
@@ -324,9 +328,9 @@ def test_the_shift_holds_for_either_sign_of_v_and_a_subnormal_erfc():
 
 def test_the_prefix_keeps_every_nonzero_factor():
     spectrum = circle_spectrum(0.3, 0.0, 2000)
-    abs_l, floor = np.abs(spectrum.lams), spectrum.floor_analysis.floor
+    lams, floor = spectrum.lams, spectrum.floor_analysis.floor
     for offset in (100.0, 700.0, 720.0, 745.0, 745.2, 746.0, 800.0):
-        _check_prefixes(abs_l, math.sqrt(offset * floor), floor)
+        _check_prefixes(lams, math.sqrt(offset * floor), floor)
     for a_prime in (0.05, 0.3, 0.373, 0.4, 2.0):
-        _check_prefixes(abs_l, a_prime, floor)
+        _check_prefixes(lams, a_prime, floor)
 

@@ -113,8 +113,7 @@ def test_the_record_leaves_identity_hashing_and_arrays_alone():
 
 def _check_only_scalars_are_kept(spectrum, dirichlet_collars):
     """Every query, the Dirichlet variant at the given collars included,
-    keeps nothing but the floor analysis, the |lam| array and scalar
-    collar-free sums."""
+    keeps nothing but the floor analysis and scalar collar-free sums."""
     eta_invariant(spectrum)
     contribution(spectrum, 0.5)
     contribution(spectrum, 5.0)  # no collar factor lives: eta's kept sum
@@ -122,7 +121,7 @@ def _check_only_scalars_are_kept(spectrum, dirichlet_collars):
     for a_prime in dirichlet_collars:
         dirichlet_variant_contribution(spectrum, a_prime)
     kept = set(vars(spectrum)) - {f.name for f in dataclasses.fields(spectrum)}
-    assert kept == {"floor_analysis", "abs_lams", "collar_free"}
+    assert kept == {"floor_analysis", "collar_free"}
     values = dataclasses.astuple(spectrum.floor_analysis)
     assert all(type(v) is float for v in values if v is not None)
     sums = spectrum.collar_free
@@ -131,15 +130,15 @@ def _check_only_scalars_are_kept(spectrum, dirichlet_collars):
                for v in (value if isinstance(value, tuple) else (value,))]
     assert {type(v) for v in scalars} <= {float, complex, bool}
     assert not any(isinstance(v, np.ndarray) for v in scalars)
-    # |lam| is the one per-mode array kept beside lams, multiplicity and
-    # traces: eta's erfc pass, refused floor or not, keeps no array.
-    array = spectrum.abs_lams
-    assert type(array) is np.ndarray and array.dtype == np.float64
-    assert array.shape == (len(spectrum),)
-    assert not array.flags.writeable
-    assert np.array_equal(array, np.abs(spectrum.lams))
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        spectrum.abs_lams = None
+    # lams, multiplicity and traces are the only per-mode arrays: eta's
+    # erfc pass, refused floor or not, keeps no array, and the prefix
+    # searches bisect lams by |lam| where a kept |lam| array was searched.
+    assert not hasattr(spectrum, "abs_lams")
+    abs_l = np.abs(spectrum.lams)
+    for cutoff in (0.0, *abs_l[[0, 1, abs_l.size // 2, -2, -1]],
+                   float(abs_l[abs_l.size // 2]) * (1.0 + 1e-12), math.inf):
+        assert spectrum.rank_below(cutoff) \
+            == abs_l.searchsorted(cutoff, side="right")
 
 
 def test_only_scalars_and_the_mode_arrays_are_kept():

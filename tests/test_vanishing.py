@@ -242,12 +242,38 @@ def test_dominator_keeps_its_collar_free_term_past_the_square_overflow(
     assert per_mode_difference(lam, a_prime, 0.5) == 0.0
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lam", [1e-160, -2e-153, 5e-324])
+def test_a_lam_whose_square_underflows_is_refused_by_name(lam):
+    # lam^2 leaves the normal range and 746/lam^2 overflows: the rule
+    # returned NaN with two overflow warnings.
+    message = r"\|lam\| must be at least 1e-150, got .*: below it lam\^2"
+    with pytest.raises(DomainError, match=message):
+        per_mode_difference(lam, 0.5, 0.5)
+    spectrum = from_records([(lam, 1, 1.0, 0.0), (2.5, 1, 0.5, 0.5)])
+    with pytest.raises(DomainError, match=message):
+        verify_vanishing(spectrum, VanishingTermConfig(a_prime=0.5))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lam, a_prime, t", [
+    (1e-150, 0.5, 0.5), (-1e-150, 1e3, 0.005), (1.0, 1e150, 1e-10)])
+def test_the_folded_limit_past_double_range_is_the_ceiling(lam, a_prime, t):
+    # a'^2/(lam^2 t) overflows to inf at the last two, quietly; the first
+    # integral then runs to the ceiling 746/lam^2, as it would anyway.
+    (d,), (err,) = _differences(np.array([lam]), a_prime, t)
+    assert math.isfinite(d) and math.isfinite(err)
+    assert per_mode_difference(lam, a_prime, t) == d
+    if a_prime > 1.0:
+        assert d == 0.0  # e^{-a'^2/s} is an exact 0 below the ceiling
+
+
 def _kept_lams(twist, angle, a_prime, t):
     """The modes verify_vanishing evaluates on a 4001-mode circle: those of
     the live prefix of e^{-lam^2 t - a'^2/t} whose envelope
     sqrt(pi) e^{-lam^2 t - a'^2/t} |a| is not negligible."""
     spectrum = circle_spectrum(twist, angle, 2000)
-    damp = _collar_damping(spectrum.abs_lams, a_prime, t)
+    damp = _collar_damping(spectrum.lams, a_prime, t)
     weights = np.abs(spectrum.traces)
     kept = math.sqrt(math.pi) * damp * weights[:damp.size] \
         > _NEGLIGIBLE * weights.sum()
