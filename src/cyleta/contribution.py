@@ -26,8 +26,11 @@ per-mode quadrature of the whole bracket lives in the test oracles.
 Only the collar factors e^{-lam^2 s_f - a'^2/s_f} and e^{-2 a' |lam|} of
 the Dirichlet variant depend on a'. They fall with |lam|, by which the
 modes are sorted, so each lives only on the prefix where its exponent
-stays above -746 (one bisection); past it the factor is an exact 0.0,
-and the variant sums over that prefix only.
+stays above -746, and past it is an exact 0.0. Each prefix is one
+spectrum.rank_below(r), with r = _collar_radius(a', s_f) for the first
+factor and 373/a' for the second, and the variant sums over those
+prefixes only; the per-mode helpers never search. The prefix, not a
+block, bounds the pass: at small a' Lambda it is the whole spectrum.
 
 dirichlet_variant_contribution returns an Estimate, the value with its
 error budget. It swaps the per-mode factor (a'/s - |lam|) in the
@@ -56,7 +59,6 @@ start at 0, where h_j is e^{-2 a' |lam_j|} on lam < 0 and 0 on lam > 0.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 import numpy as np
@@ -123,33 +125,19 @@ class ContributionReport(JsonFields):
     est_error: float
 
 
-def _collar_reach(lams: np.ndarray, a_prime: float, T: float) -> int:
-    """The number of leading modes whose e^{-lam^2 T - a'^2/T} is not an
-    exact 0.0: its exponent stays above -_UNDERFLOW."""
-    offset = (a_prime * a_prime) / T
-    reach = math.sqrt(max(_UNDERFLOW - offset, 0.0) / T)
-    return bisect.bisect_right(lams, reach, key=abs)
+def _collar_radius(a_prime: float, T: float) -> float:
+    """The |lam| up to which e^{-lam^2 T - a'^2/T} is not an exact 0.0: its
+    exponent stays above -_UNDERFLOW. rank_below of it is the live prefix."""
+    return math.sqrt(max(_UNDERFLOW - (a_prime * a_prime) / T, 0.0) / T)
 
 
-def _collar_damping(lams: np.ndarray, a_prime: float, T: float) -> np.ndarray:
-    """e^{-lam^2 T - a'^2/T} on the leading modes whose exponent stays
-    above -_UNDERFLOW; on every later mode it is an exact 0.0."""
-    head = lams[:_collar_reach(lams, a_prime, T)]
-    return np.exp(-(head * head) * T - (a_prime * a_prime) / T)
-
-
-def _dirichlet_damping(lams: np.ndarray, a_prime: float) -> np.ndarray:
-    """e^{-2 a' |lam|} on the leading modes where it is not an exact 0.0."""
-    reach = bisect.bisect_right(lams, _UNDERFLOW / (2.0 * a_prime), key=abs)
-    return np.exp(-2.0 * a_prime * np.abs(lams[:reach]))
-
-
-def _collar_piece(lams: np.ndarray, a_prime: float, T: float) -> np.ndarray:
+def _collar_piece(head: np.ndarray, a_prime: float, T: float) -> np.ndarray:
     """erfcx(|lam| sqrt(T) + a'/sqrt(T)) e^{-lam^2 T - a'^2/T}, exact and
-    overflow-free for any lam, on the leading modes where the collar factor
-    lives; on every later mode it is an exact 0.0."""
-    expo, sqrt_T = _collar_damping(lams, a_prime, T), math.sqrt(T)
-    return _erfcx_arr(np.abs(lams[:expo.size]) * sqrt_T + a_prime / sqrt_T) * expo
+    overflow-free for any lam, for each |lam| in head. It is an exact 0.0
+    past the live prefix, so callers hand it modes of that prefix only."""
+    sqrt_T = math.sqrt(T)
+    expo = np.exp(-(head * head) * T - (a_prime * a_prime) / T)
+    return _erfcx_arr(head * sqrt_T + a_prime / sqrt_T) * expo
 
 
 def _collar_cut(analysis: FloorAnalysis, a_prime: float) -> float:
@@ -200,19 +188,22 @@ def dirichlet_variant_contribution(spectrum: BoundarySpectrum,
     a_prime = _check_a_prime(a_prime)
     eta_res = eta_invariant(spectrum)
     analysis, lams, traces = spectrum.floor_analysis, spectrum.lams, spectrum.traces
-    damp = _dirichlet_damping(lams, a_prime)
-    neg = lams[:damp.size] < 0.0
-    floor, cut, neg_traces = analysis.floor, 0.0, traces[:damp.size][neg]
+    reach = spectrum.rank_below(0.5 * _UNDERFLOW / a_prime)
+    neg = lams[:reach] < 0.0
+    lam, neg_traces = lams[:reach][neg], traces[:reach][neg]
+    damp = np.exp(2.0 * a_prime * lam)  # 2 a' lam is -2 a' |lam| exactly
+    floor, cut = analysis.floor, 0.0
     if floor is None:  # erfc(v) -> 2 and the collar piece -> 0
-        terms = neg_traces * damp[neg]
+        terms = neg_traces * damp
     else:
         sqrt_T = math.sqrt(floor)
-        pos = lams[:_collar_reach(lams, a_prime, floor)] > 0.0
-        piece = _collar_piece(lams[:pos.size][pos], a_prime, floor)
+        live = spectrum.rank_below(_collar_radius(a_prime, floor))
+        pos = lams[:live] > 0.0
+        piece = _collar_piece(lams[:live][pos], a_prime, floor)
         # lam * -sqrt(T) is |lam| sqrt(T) exactly on lam < 0
-        erfc_v = _erfc_arr(lams[:damp.size][neg] * -sqrt_T - a_prime / sqrt_T)
-        terms = 0.5 * np.concatenate((neg_traces * (damp[neg] * erfc_v),
-                                      traces[:pos.size][pos] * -piece))
+        erfc_v = _erfc_arr(lam * -sqrt_T - a_prime / sqrt_T)
+        terms = 0.5 * np.concatenate((neg_traces * (damp * erfc_v),
+                                      traces[:live][pos] * -piece))
         cut = _collar_cut(analysis, a_prime)
     return Estimate(value=-(0.5 * eta_res.value + complex(terms.sum())),
                     est_error=0.5 * eta_res.est_error + cut + _roundoff(terms))

@@ -28,6 +28,10 @@ here to verify that:
   and their difference plus a roundoff floor is each integral's error.
   It uses numpy alone and none of the closed form it checks.
 
+At each t both touch only the live prefix rank_below(r) of the collar
+radius r, past which every term is an exact 0, and read sum_j |a_j| from
+the spectrum's floor analysis.
+
 The dominator f(t, |lam|) packages the explicit bounds that justify
 exchanging the limit with the spectral sum: |d(t, lam)| is dominated by
 f(t, |lam|) e^{-a' |lam| / 2} uniformly in t in (0, 1], and the dominated
@@ -45,8 +49,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ._json import JsonFields
-from .contribution import (_UNDERFLOW, _check_a_prime, _collar_damping,
-                           _collar_piece)
+from .contribution import (_UNDERFLOW, _check_a_prime, _collar_piece,
+                           _collar_radius)
 from .errors import DomainError
 from .spectral import BoundarySpectrum
 
@@ -116,23 +120,21 @@ class VanishingTermConfig:
                 f"cutoff_rank must be a positive integer, got {self.cutoff_rank!r}")
 
 
-def _closed_form_partial(lams: np.ndarray, traces: np.ndarray,
-                         a_prime: float, t: float) -> complex:
+def _closed_form_partial(spectrum: BoundarySpectrum, a_prime: float,
+                         t: float) -> complex:
     """sum_j lam_j a_j d(t, lam_j) via the closed form of d.
 
     lam * d(t, lam) = -sqrt(pi) sgn(lam) times the collar piece
     erfcx(|lam| sqrt(t) + a'/sqrt(t)) e^{-lam^2 t - a'^2 / t} of the
     contribution at heat time t; the erfcx form never overflows and the
     combined exponent is exact, so this is accurate for every mode at every
-    t. The piece lives only on the prefix of modes whose exponent stays
-    above -_UNDERFLOW (one bisection); every later term is an exact 0
-    and is summed as one, so the sum is the full-array evaluation's bit for
-    bit.
+    t. Every term past the live prefix is an exact 0 and is not summed.
     """
-    piece = _collar_piece(lams, a_prime, t)
-    n = piece.size
-    terms = traces[:n] * (-_SQRT_PI) * np.sign(lams[:n]) * piece
-    return complex(np.concatenate([terms, np.zeros(lams.size - n)]).sum())
+    n = spectrum.rank_below(_collar_radius(a_prime, t))
+    lams = spectrum.lams[:n]
+    piece = _collar_piece(np.abs(lams), a_prime, t)
+    terms = spectrum.traces[:n] * (-_SQRT_PI) * np.sign(lams) * piece
+    return complex(terms.sum())
 
 
 class VanishingEvaluation(NamedTuple):
@@ -156,9 +158,6 @@ def vanishing_term_detailed(spectrum: BoundarySpectrum, a_prime: float,
     nonnegative axis; that bound at the last t is the error estimate.
     """
     a_prime = _check_a_prime(a_prime)
-    if not spectrum.gap > 0:
-        raise DomainError("spectrum gap must be positive")
-    lams, traces = spectrum.lams, spectrum.traces
     # first k with a'^2 2^k > _UNDERFLOW, one more level for the second zero
     last = max(2, math.ceil(math.log2(_UNDERFLOW / (a_prime * a_prime))) + 1)
 
@@ -166,13 +165,13 @@ def vanishing_term_detailed(spectrum: BoundarySpectrum, a_prime: float,
     zeros_in_a_row = 0
     for k in range(0, last + 1):
         t = 2.0 ** (-k)
-        p = _closed_form_partial(lams, traces, a_prime, t)
+        p = _closed_form_partial(spectrum, a_prime, t)
         partials.append(p)
         zeros_in_a_row = zeros_in_a_row + 1 if p == 0.0 else 0
         if zeros_in_a_row >= 2 and len(partials) >= 3:
             break
 
-    bound = _SQRT_PI * float(np.abs(traces).sum()) \
+    bound = _SQRT_PI * spectrum.floor_analysis.trace_mass \
         * math.exp(-a_prime * a_prime / t)
     return VanishingEvaluation(value=partials[-1], est_error=bound,
                                partials=tuple(partials))
@@ -402,14 +401,15 @@ def verify_vanishing(spectrum: BoundarySpectrum,
     _check_lam(spectrum.gap)
     lams, traces = spectrum.lams, spectrum.traces
     a_prime = cfg.a_prime
-    weights = np.abs(traces)
-    scale = float(weights.sum())
+    scale = spectrum.floor_analysis.trace_mass
 
     rows: list[tuple[float, complex]] = []
     for t in cfg.t_sequence:
-        damp = _collar_damping(lams, a_prime, t)
-        kept = _SQRT_PI * damp * weights[:damp.size] > _NEGLIGIBLE * scale
-        lam, trace = lams[:damp.size][kept], traces[:damp.size][kept]
+        n = spectrum.rank_below(_collar_radius(a_prime, t))
+        head = lams[:n]
+        damp = np.exp(-(head * head) * t - (a_prime * a_prime) / t)
+        kept = _SQRT_PI * damp * np.abs(traces[:n]) > _NEGLIGIBLE * scale
+        lam, trace = head[kept], traces[:n][kept]
         d, _ = _differences(lam, a_prime, t)
         rows.append((t, complex((lam * trace * d).sum())))
 

@@ -48,9 +48,10 @@ Contents:
 * ``per_mode_difference_by_quad`` and ``dominator_integrals_by_quad``:
   the integrals behind the vanishing verifier, by adaptive quadrature in
   s, each with quad's error estimate.
-* ``closed_form_partial``: the closed-form regularized vanishing sum at
-  one t, composed from collar_piece on every mode in the runtime's order
-  of operations; the same bit-for-bit role as the pieces above.
+* ``closed_form_terms``: the terms of the closed-form regularized
+  vanishing sum at one t, composed from collar_piece on every mode in the
+  runtime's order of operations; the same bit-for-bit role as the pieces
+  above.
 """
 
 from __future__ import annotations
@@ -513,13 +514,12 @@ def dominator_integrals_by_quad(t: float, abs_lambda: float, a_prime: float
     return (v1, v2), (e1, e2)
 
 
-def closed_form_partial(lams, traces, a_prime: float, t: float,
-                        erfcx=erfcx) -> complex:
-    """sum_j lam_j a_j d(t, lam_j) from the closed form of d.
+def closed_form_terms(lams, traces, a_prime: float, t: float,
+                      erfcx=erfcx) -> np.ndarray:
+    """lam_j a_j d(t, lam_j) on every mode, from the closed form of d.
 
     lam d(t, lam) = -sqrt(pi) sgn(lam) collar_piece(lam, a', t), with the
     given erfcx, scipy's by default.
     """
-    terms = traces * (-math.sqrt(math.pi)) * np.sign(lams) \
+    return traces * (-math.sqrt(math.pi)) * np.sign(lams) \
         * collar_piece(lams, a_prime, t, erfcx)
-    return complex(terms.sum())

@@ -2,11 +2,13 @@
 do not underflow; every value must still equal the full-array closed forms
 of oracles.py bit for bit.
 
-Past the prefix e^{-lam^2 T - a'^2/T} and e^{-2 a' |lam|} are exact zeros,
-so dropping them changes nothing. The comparisons below use exact equality
-(np.array_equal and ==), which lets only the sign of a zero differ; the
-oracles are handed cyleta's own erfc and erfcx for them, so that equality
-tests the prefix and not the kernels. Each mode's spectral tail is eta's
+Each prefix is rank_below of a radius, _collar_radius(a', T) for
+e^{-lam^2 T - a'^2/T} and 373/a' for e^{-2 a' |lam|}. Past it the
+full-array factor is an exact zero, so dropping it changes nothing. The
+comparisons below use exact equality (np.array_equal and ==), which lets
+only the sign of a zero differ; the oracles are handed cyleta's own erfc
+and erfcx for them, so that equality tests the prefix and not the
+kernels. Each mode's spectral tail is eta's
 term, halved, less sgn(lam) times the collar piece, halved. The collar
 piece is the part of the vanishing integral that a cut at the floor
 drops, and the contribution does not cut it: its direct and decomposed
@@ -29,18 +31,18 @@ prefix), and so that 2 a' |lam| crosses 746 inside the spectrum.
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import erfc as scipy_erfc, erfcx as scipy_erfcx
 
-from cyleta import (circle_spectrum, contribution,
+from cyleta import (BoundarySpectrum, circle_spectrum, contribution,
                     dirichlet_variant_contribution, eta_invariant,
                     from_records)
 from cyleta._special import erfc, erfcx
-from cyleta.contribution import (_collar_damping, _collar_piece,
-                                 _dirichlet_damping)
+from cyleta.contribution import _collar_piece, _collar_radius
 
 from oracles import (collar_piece, dirichlet_piece, dirichlet_tails,
                      spectral_tails)
@@ -72,18 +74,26 @@ def collar_at(draw, spectrum, T):
     return math.sqrt(offset * T)
 
 
-def _check_prefixes(lams, a_prime, T):
-    """Past each prefix the full-array factor is an exact zero, and on it
-    the runtime's factor is the full array's."""
+def _check_prefixes(spectrum, a_prime, T):
+    """Past each prefix, rank_below of its radius, the full-array factor is
+    an exact zero, and on it the runtime's factor is the full array's bit
+    for bit: e^{-lam^2 T - a'^2/T} as _collar_piece makes it (read with
+    erfcx set to 1), and e^{-2 a' |lam|} as the Dirichlet variant makes it
+    on its lam < 0 modes, e^{2 a' lam}."""
+    lams = spectrum.lams
     abs_l = np.abs(lams)
-    damp = _collar_damping(lams, a_prime, T)
+    live = spectrum.rank_below(_collar_radius(a_prime, T))
     full = np.exp(-(abs_l * abs_l) * T - (a_prime * a_prime) / T)
-    assert np.array_equal(damp, full[:damp.size])
-    assert not full[damp.size:].any()
-    damp = _dirichlet_damping(lams, a_prime)
+    with mock.patch("cyleta.contribution._erfcx_arr", np.ones_like):
+        damp = _collar_piece(abs_l[:live], a_prime, T)
+    assert np.array_equal(damp, full[:live])
+    assert not full[live:].any()
+    reach = spectrum.rank_below(373.0 / a_prime)
+    neg = lams[:reach] < 0.0
     full = np.exp(-2.0 * a_prime * abs_l)
-    assert np.array_equal(damp, full[:damp.size])
-    assert not full[damp.size:].any()
+    assert np.array_equal(np.exp(2.0 * a_prime * lams[:reach][neg]),
+                          full[:reach][neg])
+    assert not full[reach:].any()
 
 
 def _at_floor(spectrum, floor):
@@ -106,7 +116,7 @@ def _dirichlet_value(spectrum, a_prime):
     lams, traces = spectrum.lams, spectrum.traces
     eta, floor = eta_invariant(spectrum).value, spectrum.floor_analysis.floor
     abs_l = np.abs(lams)
-    reach = _dirichlet_damping(lams, a_prime).size
+    reach = spectrum.rank_below(373.0 / a_prime)
     neg = lams[:reach] < 0.0
     dirichlet = dirichlet_piece(lams, a_prime, floor, erfc)[:reach]
     if floor is None:
@@ -114,7 +124,7 @@ def _dirichlet_value(spectrum, a_prime):
         assert np.array_equal(half, np.exp(-2.0 * a_prime * abs_l[:reach]))
         terms = traces[:reach][neg] * half[neg]
     else:
-        live = _collar_damping(lams, a_prime, floor).size
+        live = spectrum.rank_below(_collar_radius(a_prime, floor))
         pos = lams[:live] > 0.0
         piece = collar_piece(lams, a_prime, floor, erfcx)[:live][pos]
         terms = 0.5 * np.concatenate((traces[:reach][neg] * dirichlet[neg],
@@ -146,16 +156,17 @@ def _check_dirichlet_terms(lams, a_prime, T):
     assert np.all(gap[~pos] <= tol[~pos])
 
 
-def _check_piece(lams, a_prime, T):
+def _check_piece(spectrum, a_prime, T):
     """The runtime piece is the oracle piece on the collar prefix, the
     oracle piece is an exact zero past it, and each oracle spectral tail is
     eta's term, halved, less the signed piece, halved."""
+    lams = spectrum.lams
     abs_l = np.abs(lams)
-    runtime = _collar_piece(lams, a_prime, T)
+    live = spectrum.rank_below(_collar_radius(a_prime, T))
+    runtime = _collar_piece(abs_l[:live], a_prime, T)
     oracle = collar_piece(lams, a_prime, T, erfcx)
-    assert runtime.size == _collar_damping(lams, a_prime, T).size
-    assert np.array_equal(runtime, oracle[:runtime.size])
-    assert not oracle[runtime.size:].any()
+    assert np.array_equal(runtime, oracle[:live])
+    assert not oracle[live:].any()
     assert np.array_equal(
         spectral_tails(lams, a_prime, T, erfc, erfcx),
         np.sign(lams) * 0.5 * (erfc(abs_l * math.sqrt(T)) - oracle))
@@ -163,8 +174,8 @@ def _check_piece(lams, a_prime, T):
 
 def _check_tails(spectrum, a_prime, T):
     lams = spectrum.lams
-    _check_prefixes(lams, a_prime, T)
-    _check_piece(lams, a_prime, T)
+    _check_prefixes(spectrum, a_prime, T)
+    _check_piece(spectrum, a_prime, T)
     for floor in (T, None):
         twin = _at_floor(spectrum, floor)
         assert dirichlet_variant_contribution(twin, a_prime).value \
@@ -181,7 +192,7 @@ def _piece_sum(spectrum, a_prime):
     floor = spectrum.floor_analysis.floor
     if floor is None:
         return 0j
-    live = _collar_damping(lams, a_prime, floor).size
+    live = spectrum.rank_below(_collar_radius(a_prime, floor))
     piece = collar_piece(lams, a_prime, floor, erfcx)[:live]
     terms = traces[:live] * (np.sign(lams[:live]) * piece)
     return -0.5 * complex(terms.sum())
@@ -260,14 +271,14 @@ def test_partial_prefixes_match_full_arrays():
     spectrum = circle_spectrum(0.3, 0.7, 2000)
     floor = spectrum.floor_analysis.floor
     a_prime = math.sqrt(720.0 * floor)
-    live = _collar_damping(spectrum.lams, a_prime, floor).size
+    live = spectrum.rank_below(_collar_radius(a_prime, floor))
     assert 0 < live < len(spectrum)
     _check_tails(spectrum, a_prime, floor)
     _check_public(spectrum, a_prime)
     _check_gap(spectrum, a_prime)
 
     a_prime = 0.373
-    assert 0 < _dirichlet_damping(spectrum.lams, a_prime).size < len(spectrum)
+    assert 0 < spectrum.rank_below(373.0 / a_prime) < len(spectrum)
     _check_tails(spectrum, a_prime, floor)
     _check_public(spectrum, a_prime)
     _check_gap(spectrum, a_prime)
@@ -282,7 +293,7 @@ def test_partial_prefixes_match_full_arrays():
     cut = dataclasses.replace(spectrum, truncated_at=100.7)
     floor = cut.floor_analysis.floor
     a_prime = math.sqrt(10.0 * floor)
-    assert _collar_damping(cut.lams, a_prime, floor).size == 864
+    assert cut.rank_below(_collar_radius(a_prime, floor)) == 864
     assert abs(_piece_sum(cut, a_prime)) > 1e-6
     _check_tails(cut, a_prime, floor)
     _check_public(cut, a_prime)
@@ -328,9 +339,35 @@ def test_the_shift_holds_for_either_sign_of_v_and_a_subnormal_erfc():
 
 def test_the_prefix_keeps_every_nonzero_factor():
     spectrum = circle_spectrum(0.3, 0.0, 2000)
-    lams, floor = spectrum.lams, spectrum.floor_analysis.floor
+    floor = spectrum.floor_analysis.floor
     for offset in (100.0, 700.0, 720.0, 745.0, 745.2, 746.0, 800.0):
-        _check_prefixes(lams, math.sqrt(offset * floor), floor)
+        _check_prefixes(spectrum, math.sqrt(offset * floor), floor)
     for a_prime in (0.05, 0.3, 0.373, 0.4, 2.0):
-        _check_prefixes(lams, a_prime, floor)
+        _check_prefixes(spectrum, a_prime, floor)
 
+
+def test_the_variant_searches_once_per_prefix(monkeypatch):
+    # Each prefix is one rank_below, and the per-mode helpers never search:
+    # two with a resolved floor (the e^{-2 a' |lam|} and the live prefix),
+    # one with a refused floor, after eta's own first query. The radii
+    # searched are those that _check_prefixes holds to the full arrays.
+    searches = []
+    rank_below = BoundarySpectrum.rank_below
+
+    def counted(spectrum, cutoff):
+        searches.append(cutoff)
+        return rank_below(spectrum, cutoff)
+
+    monkeypatch.setattr(BoundarySpectrum, "rank_below", counted)
+    for n_max, per_call in ((2000, 2), (20, 1)):
+        spectrum = circle_spectrum(0.3, 0.7, n_max)
+        eta_invariant(spectrum)
+        floor = spectrum.floor_analysis.floor
+        assert (floor is None) == (per_call == 1)
+        for a_prime in (0.003, 0.05, 0.373, 2.0):
+            searches.clear()
+            dirichlet_variant_contribution(spectrum, a_prime)
+            radii = [373.0 / a_prime]
+            if floor is not None:
+                radii.append(_collar_radius(a_prime, floor))
+            assert searches == radii and len(searches) == per_call

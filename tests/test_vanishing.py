@@ -5,6 +5,7 @@ the vanishing term."""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,12 +27,12 @@ from cyleta import (
 )
 from cyleta._special import erfcx as cyleta_erfcx
 from cyleta.cli import main
-from cyleta.contribution import _collar_damping
+from cyleta.contribution import _collar_radius
 from cyleta.vanishing import (_NEGLIGIBLE, CertificateFailure, _differences,
                               _dominator_integrals, dominator,
                               per_mode_difference)
 
-from oracles import (closed_form_partial, dominator_integrals_by_quad,
+from oracles import (closed_form_terms, dominator_integrals_by_quad,
                      per_mode_difference_by_quad)
 from test_closed_forms import PROPERTY, finite_spectra
 
@@ -129,17 +130,42 @@ def test_partials_are_bounded_and_end_in_exact_zeros(spectrum, a_prime):
 @pytest.mark.parametrize("n_max", [2000, 20000])
 @pytest.mark.parametrize("a_prime", [0.05, 0.5, 0.84, 2.0])
 def test_partials_match_the_full_array_evaluation(n_max, a_prime):
-    # Only the modes whose exponent stays above -746 are evaluated; every
-    # partial must still be the full-array sum bit for bit. At a' = 0.84
-    # the level t = 2^-10 has a'^2/t = 722.5, so all of its terms are
+    # Only the live prefix, rank_below of the collar radius, is evaluated:
+    # every full-array term past it must be an exact 0, and each partial
+    # the sum of the full-array terms on it bit for bit. At a' = 0.84 the
+    # level t = 2^-10 has a'^2/t = 722.5, so all of its terms are
     # subnormal and a prefix cut short of -746 shows.
     for angle in (0.0, 0.7):
         spectrum = circle_spectrum(0.25, angle, n_max)
         res = vanishing_term_detailed(spectrum, a_prime)
-        want = [closed_form_partial(spectrum.lams, spectrum.traces, a_prime,
-                                    2.0 ** -k, cyleta_erfcx)
-                for k in range(len(res.partials))]
-        assert [repr(p) for p in res.partials] == [repr(w) for w in want]
+        for k, partial in enumerate(res.partials):
+            t = 2.0 ** -k
+            live = spectrum.rank_below(_collar_radius(a_prime, t))
+            terms = closed_form_terms(spectrum.lams, spectrum.traces,
+                                      a_prime, t, cyleta_erfcx)
+            assert not terms[live:].any()
+            assert repr(partial) == repr(complex(terms[:live].sum()))
+
+
+def test_the_verifiers_hold_only_the_live_prefix():
+    # Padded to full length, with |a| of every mode, these peaked at 4.81,
+    # 4.59 and 2.37 MiB above the spectrum; the first call includes the
+    # floor analysis that keeps the trace mass.
+    spectrum = circle_spectrum(0.3, 0.7, 100000)
+    calls = (lambda: vanishing_term_detailed(spectrum, 0.05),
+             lambda: vanishing_term_detailed(spectrum, 1.0),
+             lambda: verify_vanishing(spectrum,
+                                      VanishingTermConfig(a_prime=1.5)))
+    tracemalloc.start()
+    try:
+        for call in calls:
+            tracemalloc.reset_peak()
+            held, _ = tracemalloc.get_traced_memory()
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+            assert peak - held <= 1.5 * 2.0 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_runtime_never_evaluates_the_vanishing_term(monkeypatch, capsys,
@@ -269,15 +295,16 @@ def test_the_folded_limit_past_double_range_is_the_ceiling(lam, a_prime, t):
 
 
 def _kept_lams(twist, angle, a_prime, t):
-    """The modes verify_vanishing evaluates on a 4001-mode circle: those of
-    the live prefix of e^{-lam^2 t - a'^2/t} whose envelope
-    sqrt(pi) e^{-lam^2 t - a'^2/t} |a| is not negligible."""
+    """The modes verify_vanishing evaluates on a 4001-mode circle: those
+    whose envelope sqrt(pi) e^{-lam^2 t - a'^2/t} |a| is not negligible,
+    from the full arrays. Each lies in the live prefix, rank_below of the
+    collar radius, where the runtime looks for them."""
     spectrum = circle_spectrum(twist, angle, 2000)
-    damp = _collar_damping(spectrum.lams, a_prime, t)
-    weights = np.abs(spectrum.traces)
-    kept = math.sqrt(math.pi) * damp * weights[:damp.size] \
-        > _NEGLIGIBLE * weights.sum()
-    return spectrum.lams[:damp.size][kept]
+    lams, weights = spectrum.lams, np.abs(spectrum.traces)
+    damp = np.exp(-(lams * lams) * t - (a_prime * a_prime) / t)
+    kept = math.sqrt(math.pi) * damp * weights > _NEGLIGIBLE * weights.sum()
+    assert not kept[spectrum.rank_below(_collar_radius(a_prime, t)):].any()
+    return lams[kept]
 
 
 def test_rule_estimate_covers_its_gap_to_the_closed_form():

@@ -21,7 +21,12 @@ short column, each at row 3 of an 8-mode spectrum, read as from_records
 rows, record-form data and format-2 columns; and the document that
 `cyleta eta` writes on one malformed file. The "verify_not_feel_boundary"
 line hashes its rows at four eigenvalues, three distances and two time
-lists, and the error it raises on times that increase.
+lists, and the error it raises on times that increase. The
+"vanishing_term_detailed" line hashes its value, est_error and partials
+on every spectrum at a' in VANISHING_COLLARS, and the "verify_vanishing"
+line the library's report (rows, certificate failures and verdict) on
+the circles of n_max up to 300 at the same collars, with the default
+t-sequence.
 """
 
 from __future__ import annotations
@@ -34,16 +39,19 @@ import os
 import tempfile
 from itertools import product
 
-from cyleta import (CyletaError, aps_index, circle_spectrum, contribution,
+from cyleta import (CyletaError, VanishingTermConfig, aps_index,
+                    circle_spectrum, contribution,
                     dirichlet_variant_contribution, dump_spectrum,
                     eta_invariant, from_records, relative_index_check,
-                    spectrum_from_json_dict, verify_not_feel_boundary)
+                    spectrum_from_json_dict, vanishing_term_detailed,
+                    verify_not_feel_boundary, verify_vanishing)
 from cyleta.cli import main as cli_main
 
 TWISTS = (0.1, 0.25, 0.5, 0.83)
 ANGLES = (0.0, 0.7, 2.3)
 N_MAX = (5, 40, 300, 2000)
 COLLARS = (0.003, 0.01, 0.05, 0.2, 0.5, 1.0, 3.0, 10.0, 40.0)
+VANISHING_COLLARS = (0.05, 0.5, 3.0)
 F1 = (1.0, 1.3, -0.7)
 AS_TERMS = (0j, 0.5 + 0.25j)
 # (column, value) put at row 3; None cuts row 3 short in the form's own way
@@ -210,6 +218,14 @@ def digests() -> dict:
         for s1, s2 in zip(spectra, spectra[1:] + spectra[:1])
         for a in COLLARS[::2]]
     cases["verify_not_feel_boundary"] = [_decay(*case) for case in DECAY]
+    cases["vanishing_term_detailed"] = [
+        repr(vanishing_term_detailed(s, a))
+        for s in spectra for a in VANISHING_COLLARS]
+    small = [circle_spectrum(twist, angle, n_max) for twist, angle, n_max
+             in product(TWISTS, ANGLES, N_MAX) if n_max <= 300]
+    cases["verify_vanishing"] = [
+        repr(verify_vanishing(s, VanishingTermConfig(a_prime=a)))
+        for s in small for a in VANISHING_COLLARS]
     return {**cases, **_cli_documents(), "inputs": _input_cases()}
 
 
