@@ -29,8 +29,9 @@ modes are sorted, so each lives only on the prefix where its exponent
 stays above -746, and past it is an exact 0.0. Each prefix is one
 spectrum.rank_below(r), with r = _collar_radius(a', s_f) for the first
 factor and 373/a' for the second, and the variant sums over those
-prefixes only; the per-mode helpers never search. The prefix, not a
-block, bounds the pass: at small a' Lambda it is the whole spectrum.
+prefixes only; _collar_factor and _collar_piece never search. The
+prefix, not a block, bounds the pass: at small a' Lambda it is the whole
+spectrum.
 
 dirichlet_variant_contribution returns an Estimate, the value with its
 error budget. It swaps the per-mode factor (a'/s - |lam|) in the
@@ -67,7 +68,7 @@ from ._json import JsonFields
 from ._special import erfc as _erfc_arr, erfcx as _erfcx_arr
 from .errors import DomainError
 from .eta import _roundoff, eta_invariant
-from .spectral import BoundarySpectrum, FloorAnalysis
+from .spectral import BoundarySpectrum
 
 __all__ = [
     "Estimate",
@@ -131,24 +132,19 @@ def _collar_radius(a_prime: float, T: float) -> float:
     return math.sqrt(max(_UNDERFLOW - (a_prime * a_prime) / T, 0.0) / T)
 
 
+def _collar_factor(head: np.ndarray, a_prime: float, T: float) -> np.ndarray:
+    """e^{-lam^2 T - a'^2/T} for each lam in head, signed or |lam| (lam^2 is
+    the same either way). It is an exact 0.0 past the live prefix, so
+    callers hand it modes of that prefix only."""
+    return np.exp(-(head * head) * T - (a_prime * a_prime) / T)
+
+
 def _collar_piece(head: np.ndarray, a_prime: float, T: float) -> np.ndarray:
     """erfcx(|lam| sqrt(T) + a'/sqrt(T)) e^{-lam^2 T - a'^2/T}, exact and
-    overflow-free for any lam, for each |lam| in head. It is an exact 0.0
-    past the live prefix, so callers hand it modes of that prefix only."""
+    overflow-free for any lam, for each |lam| in head of the live prefix."""
     sqrt_T = math.sqrt(T)
-    expo = np.exp(-(head * head) * T - (a_prime * a_prime) / T)
-    return _erfcx_arr(head * sqrt_T + a_prime / sqrt_T) * expo
-
-
-def _collar_cut(analysis: FloorAnalysis, a_prime: float) -> float:
-    """A bound on the collar-dependent part of the integrals over [0, s_f],
-    which the cut at the resolved floor s_f removes too although it has no
-    truncation artifact: per mode at most [erfc(a'/sqrt(s_f))
-    + e^{-a'^2/s_f}] / 2, from the a'/s and |lam| terms of the bracket,
-    whose Dirichlet form differs only in the sign of the a'/s term."""
-    floor = analysis.floor
-    return 0.5 * (math.erfc(a_prime / math.sqrt(floor))
-                  + math.exp(-a_prime * a_prime / floor)) * analysis.trace_mass
+    return _erfcx_arr(head * sqrt_T + a_prime / sqrt_T) \
+        * _collar_factor(head, a_prime, T)
 
 
 def contribution(spectrum: BoundarySpectrum, a_prime: float,
@@ -204,6 +200,12 @@ def dirichlet_variant_contribution(spectrum: BoundarySpectrum,
         erfc_v = _erfc_arr(lam * -sqrt_T - a_prime / sqrt_T)
         terms = 0.5 * np.concatenate((neg_traces * (damp * erfc_v),
                                       traces[:live][pos] * -piece))
-        cut = _collar_cut(analysis, a_prime)
+        # The cut at s_f also removes the collar-dependent part of the
+        # integrals over [0, s_f], which has no truncation artifact: per
+        # mode at most [erfc(a'/sqrt(s_f)) + e^{-a'^2/s_f}] / 2, from the
+        # a'/s and |lam| terms of the bracket (the Dirichlet form differs
+        # only in the sign of the a'/s term).
+        cut = 0.5 * (math.erfc(a_prime / sqrt_T) + math.exp(
+            -a_prime * a_prime / floor)) * analysis.trace_mass
     return Estimate(value=-(0.5 * eta_res.value + complex(terms.sum())),
                     est_error=0.5 * eta_res.est_error + cut + _roundoff(terms))

@@ -37,7 +37,7 @@ Conventions baked into the container:
   and eta's one erfc pass ends in the kept sums; fields, arrays, equality
   and hashing stay as they are,
 * every pass over all modes once they exist (validation, the circle's
-  fill, the readers' growth fit, the floor analysis, and downstream eta's
+  fill, the growth fit, the floor analysis, and downstream eta's
   sum and the identity flag) runs on blocks of _BLOCK modes, so that no
   temporary is longer than a block: once numpy frees a full-length
   temporary, glibc keeps its pages for the rest of the process (README,
@@ -319,10 +319,10 @@ def circle_spectrum(twist: float, rotation_angle: float, n_max: int) -> Boundary
     but loose envelope: |n + twist| grows linearly in rank (about rank/2,
     since the ranks alternate between the signs), so c2 = 1 would hold
     too, with a smaller c1. The value stays until the growth metadata is
-    refitted together with the bounds that read it. c1 is
-    min(|lam_1|, |lam_2| / sqrt 2), the gap unless the gap exceeds
-    1/(1 + sqrt 2): every later rank j has |lam_j| / sqrt j >= 1/sqrt 3.
-    The list is complete below n_max + 1 - twist.
+    refitted together with the bounds that read it. c1 is the gap except
+    when the gap exceeds 1/(1 + sqrt 2), where the rank-2 eigenvalue sits
+    below gap * sqrt 2 and c1 must shrink to keep the stored inequality
+    true on every mode. The list is complete below n_max + 1 - twist.
     """
     twist = float(twist)
     if not (0.0 < twist < 1.0):
@@ -354,9 +354,8 @@ def circle_spectrum(twist: float, rotation_angle: float, n_max: int) -> Boundary
         j = pair.start + np.flatnonzero((first > 0.0) & (first == -second))
         for array in (lams, traces):
             array[j], array[j + 1] = array[j + 1], array[j]
-    c1 = min(abs(float(lams[0])), abs(float(lams[1])) / math.sqrt(2.0))
     return _spectrum(lams, np.ones(size, dtype=np.int64), traces,
-                     weyl_c1=c1, weyl_c2=0.5,
+                     weyl_c1=_weyl_c1(lams, 0.5), weyl_c2=0.5,
                      trace_bound_c3=1.0, trace_bound_c4=0.0,
                      truncated_at=n_max + 1 - twist)
 

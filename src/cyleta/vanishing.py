@@ -49,8 +49,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ._json import JsonFields
-from .contribution import (_UNDERFLOW, _check_a_prime, _collar_piece,
-                           _collar_radius)
+from .contribution import (_UNDERFLOW, _check_a_prime, _collar_factor,
+                           _collar_piece, _collar_radius)
 from .errors import DomainError
 from .spectral import BoundarySpectrum
 
@@ -406,10 +406,9 @@ def verify_vanishing(spectrum: BoundarySpectrum,
     rows: list[tuple[float, complex]] = []
     for t in cfg.t_sequence:
         n = spectrum.rank_below(_collar_radius(a_prime, t))
-        head = lams[:n]
-        damp = np.exp(-(head * head) * t - (a_prime * a_prime) / t)
+        damp = _collar_factor(lams[:n], a_prime, t)
         kept = _SQRT_PI * damp * np.abs(traces[:n]) > _NEGLIGIBLE * scale
-        lam, trace = head[kept], traces[:n][kept]
+        lam, trace = lams[:n][kept], traces[:n][kept]
         d, _ = _differences(lam, a_prime, t)
         rows.append((t, complex((lam * trace * d).sum())))
 

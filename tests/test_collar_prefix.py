@@ -31,7 +31,6 @@ prefix), and so that 2 a' |lam| crosses 746 inside the spectrum.
 
 import dataclasses
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,7 +41,8 @@ from cyleta import (BoundarySpectrum, circle_spectrum, contribution,
                     dirichlet_variant_contribution, eta_invariant,
                     from_records)
 from cyleta._special import erfc, erfcx
-from cyleta.contribution import _collar_piece, _collar_radius
+from cyleta.contribution import (_collar_factor, _collar_piece,
+                                 _collar_radius)
 
 from oracles import (collar_piece, dirichlet_piece, dirichlet_tails,
                      spectral_tails)
@@ -77,16 +77,16 @@ def collar_at(draw, spectrum, T):
 def _check_prefixes(spectrum, a_prime, T):
     """Past each prefix, rank_below of its radius, the full-array factor is
     an exact zero, and on it the runtime's factor is the full array's bit
-    for bit: e^{-lam^2 T - a'^2/T} as _collar_piece makes it (read with
-    erfcx set to 1), and e^{-2 a' |lam|} as the Dirichlet variant makes it
-    on its lam < 0 modes, e^{2 a' lam}."""
+    for bit: e^{-lam^2 T - a'^2/T} as _collar_factor makes it, on |lam|
+    for _collar_piece and on signed lam for verify_vanishing, and
+    e^{-2 a' |lam|} as the Dirichlet variant makes it on its lam < 0
+    modes, e^{2 a' lam}."""
     lams = spectrum.lams
     abs_l = np.abs(lams)
     live = spectrum.rank_below(_collar_radius(a_prime, T))
     full = np.exp(-(abs_l * abs_l) * T - (a_prime * a_prime) / T)
-    with mock.patch("cyleta.contribution._erfcx_arr", np.ones_like):
-        damp = _collar_piece(abs_l[:live], a_prime, T)
-    assert np.array_equal(damp, full[:live])
+    for head in (abs_l[:live], lams[:live]):
+        assert np.array_equal(_collar_factor(head, a_prime, T), full[:live])
     assert not full[live:].any()
     reach = spectrum.rank_below(373.0 / a_prime)
     neg = lams[:reach] < 0.0

@@ -22,7 +22,6 @@ from cyleta import (
     spectrum_to_json_dict,
     tail_bound,
 )
-from cyleta.spectral import _weyl_c1
 
 
 # ---------------------------------------------------------------------------
@@ -273,26 +272,6 @@ def test_circle_growth_constant_shrinks_near_half_twist():
     assert s.gap == 0.5
     # a generic twist keeps c1 equal to the gap
     assert circle_spectrum(0.25, 0.0, 10).weyl_c1 == pytest.approx(0.25)
-
-
-# Twists at and next to 1/2 and 1/(1 + sqrt 2), where the rank-2 bound
-# takes over from the gap, near 0 and 1, and 300 seeded random ones.
-_CROSSOVER = 1.0 / (1.0 + math.sqrt(2.0))
-C1_TWISTS = (0.5 - 2.0 ** -40, 0.5, 0.5 + 2.0 ** -40, 2.0 ** -30,
-             1.0 - 2.0 ** -30, np.nextafter(_CROSSOVER, 0.0), _CROSSOVER,
-             np.nextafter(_CROSSOVER, 1.0),
-             *np.random.default_rng(32).uniform(0.0, 1.0, 300))
-
-
-@pytest.mark.parametrize("n_max", [1, 2, 3, 5, 100, 8192])
-def test_circle_growth_constant_is_the_fit_of_its_first_two_ranks(n_max):
-    # circle_spectrum takes c1 = min(|lam_1|, |lam_2| / sqrt 2): every later
-    # rank j has |lam_j| / sqrt j >= 1/sqrt 3, above 1/(1 + sqrt 2), the
-    # largest that minimum can be. The fit over every rank agrees bit for
-    # bit.
-    for twist in C1_TWISTS:
-        s = circle_spectrum(float(twist), 0.0, n_max)
-        assert s.weyl_c1 == _weyl_c1(s.lams, 0.5), twist
 
 
 # ---------------------------------------------------------------------------
