@@ -58,10 +58,6 @@ _ERFCX_SERIES = (
 # Veltkamp's splitter for doubles, 2^27 + 1.
 _SPLIT = 134217729.0
 
-# Arguments are processed in blocks of this many points, so that the
-# temporaries of the recurrence stay in cache.
-_BLOCK = 16384
-
 # e^{x^2} overflows and e^{-x^2} underflows past this |x|, and 2 e^{x^2}
 # and erfc(|x|) do as well.
 _EXP_LIMIT = 28.0
@@ -69,15 +65,6 @@ _EXP_LIMIT = 28.0
 _EPS = 2.0 ** -53
 _TINY = 1e-300
 _MAX_TERMS = 100_000
-
-
-def _blockwise(kernel, x) -> np.ndarray:
-    """kernel applied to the float64 array of x, one block at a time."""
-    x = np.asarray(x, dtype=np.float64)
-    flat, out = x.ravel(), np.empty(x.size)
-    for lo in range(0, x.size, _BLOCK):
-        out[lo:lo + _BLOCK] = kernel(flat[lo:lo + _BLOCK])
-    return out.reshape(x.shape)[()]
 
 
 def _series(x: np.ndarray) -> np.ndarray:
@@ -104,31 +91,26 @@ def _exp_square(x: np.ndarray, sign: float) -> np.ndarray:
     return np.exp(sign * hi) * (1.0 + sign * lo)
 
 
-def _erfcx_block(x: np.ndarray) -> np.ndarray:
+def erfcx(x):
+    """The scaled complementary error function e^{x^2} erfc(x),
+    elementwise on every point of x at once; inf below about -26.6."""
+    x = np.asarray(x, dtype=np.float64)
     y = _series(np.abs(x))
     neg = x < 0.0
     if neg.any():
         with np.errstate(over="ignore"):
-            y[neg] = 2.0 * _exp_square(np.maximum(x[neg], -_EXP_LIMIT),
-                                       1.0) - y[neg]
-    return y
-
-
-def _erfc_block(x: np.ndarray) -> np.ndarray:
-    a = np.abs(x)
-    y = _series(a) * _exp_square(np.minimum(a, _EXP_LIMIT), -1.0)
-    return np.where(x < 0.0, 2.0 - y, y)
-
-
-def erfcx(x):
-    """The scaled complementary error function e^{x^2} erfc(x),
-    elementwise; inf below about -26.6."""
-    return _blockwise(_erfcx_block, x)
+            y = np.where(neg, 2.0 * _exp_square(
+                np.clip(x, -_EXP_LIMIT, 0.0), 1.0) - y, y)
+    return y[()]
 
 
 def erfc(x):
-    """The complementary error function, elementwise."""
-    return _blockwise(_erfc_block, x)
+    """The complementary error function, elementwise on every point of x
+    at once."""
+    x = np.asarray(x, dtype=np.float64)
+    a = np.abs(x)
+    y = _series(a) * _exp_square(np.minimum(a, _EXP_LIMIT), -1.0)
+    return np.where(x < 0.0, 2.0 - y, y)[()]
 
 
 def gammaincc(a: float, y: float) -> float:

@@ -124,7 +124,7 @@ def build_parser() -> _Parser:
                        default=None, help="collar coordinate (repeatable); "
                                           "omit for the eta/2 route")
     p_idx.add_argument("--f1", type=float, default=1.0,
-                       help="warp factor f1(a') (default 1)")
+                       help="warp factor f1(a') (default 1); needs --a-prime")
     p_idx.add_argument("--g-identity", action="store_true",
                        help="flag the group element as the identity so the "
                             "integrality residual is reported")
@@ -262,6 +262,9 @@ def _run_verify_vanishing(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _run_index(args: argparse.Namespace) -> tuple[dict, int]:
+    if not args.a_prime and args.f1 != 1.0:
+        raise _InputError("--f1 needs --a-prime: the route without it, "
+                          "as_term - eta/2, has no warp factor")
     spectrum = _spectrum_from_args(args)
     as_term = _parse_complex(args.as_term)
     if args.a_prime:

@@ -29,9 +29,8 @@ modes are sorted, so each lives only on the prefix where its exponent
 stays above -746, and past it is an exact 0.0. Each prefix is one
 spectrum.rank_below(r), with r = _collar_radius(a', s_f) for the first
 factor and 373/a' for the second, and the variant sums over those
-prefixes only; _collar_factor and _collar_piece never search. The
-prefix, not a block, bounds the pass: at small a' Lambda it is the whole
-spectrum.
+prefixes only, a block of modes at a time: in each block its lam < 0
+terms of the 373/a' prefix, then its lam > 0 terms of the live prefix.
 
 dirichlet_variant_contribution returns an Estimate, the value with its
 error budget. It swaps the per-mode factor (a'/s - |lam|) in the
@@ -67,8 +66,8 @@ import numpy as np
 from ._json import JsonFields
 from ._special import erfc as _erfc_arr, erfcx as _erfcx_arr
 from .errors import DomainError
-from .eta import _roundoff, eta_invariant
-from .spectral import BoundarySpectrum
+from .eta import _ROUNDOFF, eta_invariant
+from .spectral import BoundarySpectrum, _blocks
 
 __all__ = [
     "Estimate",
@@ -141,7 +140,10 @@ def _collar_factor(head: np.ndarray, a_prime: float, T: float) -> np.ndarray:
 
 def _collar_piece(head: np.ndarray, a_prime: float, T: float) -> np.ndarray:
     """erfcx(|lam| sqrt(T) + a'/sqrt(T)) e^{-lam^2 T - a'^2/T}, exact and
-    overflow-free for any lam, for each |lam| in head of the live prefix."""
+    overflow-free for any lam, for each |lam| in head of the live prefix.
+    An empty head is returned as it is, without an erfcx call."""
+    if not head.size:
+        return head
     sqrt_T = math.sqrt(T)
     return _erfcx_arr(head * sqrt_T + a_prime / sqrt_T) \
         * _collar_factor(head, a_prime, T)
@@ -184,22 +186,12 @@ def dirichlet_variant_contribution(spectrum: BoundarySpectrum,
     a_prime = _check_a_prime(a_prime)
     eta_res = eta_invariant(spectrum)
     analysis, lams, traces = spectrum.floor_analysis, spectrum.lams, spectrum.traces
-    reach = spectrum.rank_below(0.5 * _UNDERFLOW / a_prime)
-    neg = lams[:reach] < 0.0
-    lam, neg_traces = lams[:reach][neg], traces[:reach][neg]
-    damp = np.exp(2.0 * a_prime * lam)  # 2 a' lam is -2 a' |lam| exactly
     floor, cut = analysis.floor, 0.0
-    if floor is None:  # erfc(v) -> 2 and the collar piece -> 0
-        terms = neg_traces * damp
-    else:
+    reach = spectrum.rank_below(0.5 * _UNDERFLOW / a_prime)
+    live = 0
+    if floor is not None:
         sqrt_T = math.sqrt(floor)
         live = spectrum.rank_below(_collar_radius(a_prime, floor))
-        pos = lams[:live] > 0.0
-        piece = _collar_piece(lams[:live][pos], a_prime, floor)
-        # lam * -sqrt(T) is |lam| sqrt(T) exactly on lam < 0
-        erfc_v = _erfc_arr(lam * -sqrt_T - a_prime / sqrt_T)
-        terms = 0.5 * np.concatenate((neg_traces * (damp * erfc_v),
-                                      traces[:live][pos] * -piece))
         # The cut at s_f also removes the collar-dependent part of the
         # integrals over [0, s_f], which has no truncation artifact: per
         # mode at most [erfc(a'/sqrt(s_f)) + e^{-a'^2/s_f}] / 2, from the
@@ -207,5 +199,23 @@ def dirichlet_variant_contribution(spectrum: BoundarySpectrum,
         # only in the sign of the a'/s term).
         cut = 0.5 * (math.erfc(a_prime / sqrt_T) + math.exp(
             -a_prime * a_prime / floor)) * analysis.trace_mass
-    return Estimate(value=-(0.5 * eta_res.value + complex(terms.sum())),
-                    est_error=0.5 * eta_res.est_error + cut + _roundoff(terms))
+    value, size = 0j, 0.0
+    for b in _blocks(max(reach, live)):
+        near = slice(b.start, min(b.stop, reach))
+        neg = lams[near] < 0.0
+        lam, neg_traces = lams[near][neg], traces[near][neg]
+        damp = np.exp(2.0 * a_prime * lam)  # 2 a' lam is -2 a' |lam| exactly
+        if floor is None:  # erfc(v) -> 2 and the collar piece -> 0
+            terms = neg_traces * damp
+        else:
+            if lam.size:  # lam * -sqrt(T) is |lam| sqrt(T) exactly on lam < 0
+                damp *= _erfc_arr(lam * -sqrt_T - a_prime / sqrt_T)
+            head = slice(b.start, min(b.stop, live))
+            pos = lams[head] > 0.0
+            piece = _collar_piece(lams[head][pos], a_prime, floor)
+            terms = 0.5 * np.concatenate((neg_traces * damp,
+                                          traces[head][pos] * -piece))
+        value += complex(terms.sum())
+        size += float(np.abs(terms).sum())
+    return Estimate(value=-(0.5 * eta_res.value + value),
+                    est_error=0.5 * eta_res.est_error + cut + _ROUNDOFF * size)

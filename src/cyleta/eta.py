@@ -53,11 +53,6 @@ __all__ = [
 _ROUNDOFF = 4e-16
 
 
-def _roundoff(terms: np.ndarray) -> float:
-    """Roundoff envelope of summing the given per-mode terms."""
-    return _ROUNDOFF * float(np.abs(terms).sum())
-
-
 @dataclass(frozen=True)
 class EtaResult(JsonFields):
     """Closed-form eta value. est_error covers roundoff and the skipped

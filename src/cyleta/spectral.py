@@ -41,9 +41,8 @@ Conventions baked into the container:
   sum and the identity flag) runs on blocks of _BLOCK modes, so that no
   temporary is longer than a block: once numpy frees a full-length
   temporary, glibc keeps its pages for the rest of the process (README,
-  "Mode arrays"). A collar pass (the Dirichlet variant, the vanishing
-  verifiers) runs on rank_below(r) of a radius r past which its factor
-  is an exact 0: that prefix, not a block, bounds it.
+  "Mode arrays"). A collar pass sums the blocks of rank_below(r), r a
+  radius past which its factor is an exact 0.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ from typing import Iterable, Iterator, NamedTuple, Union
 import numpy as np
 
 from ._json import JsonFields
-from ._special import _BLOCK, gammaincc
+from ._special import gammaincc
 from .errors import DomainError, InvalidSpectrumError, InvalidTraceError
 
 __all__ = [
@@ -97,12 +96,15 @@ _FLOOR_SCALE = 40.0
 _FLOOR_MAX = 0.25
 _RESOLVED_RATIO = 1e-6
 
+# Modes per block of a per-mode pass.
+_BLOCK = 16384
+
 
 def _blocks(size: int) -> Iterator[slice]:
-    """The slices of successive blocks of _BLOCK modes that cover size
-    modes. Every per-mode pass over a spectrum's arrays runs over them, so
-    that no temporary is longer than one block."""
-    return (slice(lo, lo + _BLOCK) for lo in range(0, size, _BLOCK))
+    """The slices of successive blocks of _BLOCK modes that cover the first
+    size modes. Every per-mode pass over a spectrum's arrays, or a prefix
+    of them, runs over them, so that no temporary is longer than a block."""
+    return (slice(lo, min(lo + _BLOCK, size)) for lo in range(0, size, _BLOCK))
 
 
 class _Made(NamedTuple):
@@ -340,7 +342,7 @@ def circle_spectrum(twist: float, rotation_angle: float, n_max: int) -> Boundary
     size, odd_first = 2 * n_max + 1, int(twist >= 0.5)
     lams, traces = np.empty(size), np.empty(size, dtype=np.complex128)
     for b in _blocks(size):
-        i = np.arange(b.start, min(b.stop, size))
+        i = np.arange(b.start, b.stop)
         n = np.where((i + odd_first) % 2, -1 - i // 2, i // 2)
         n[n < -n_max] = n_max
         lams[b] = n + twist

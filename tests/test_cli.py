@@ -218,6 +218,20 @@ def test_input_errors_exit_one(capsys, argv):
     assert doc["errors"]
 
 
+def test_f1_without_a_prime_is_refused_by_name(capsys):
+    # The eta/2 route has no warp factor, so an --f1 other than the
+    # default would be echoed and ignored; the default itself is accepted.
+    index = ("index", "--twist", "0.25", "--n-max", "20", "--as-term", "0.5")
+    status, doc = _run(capsys, *index, "--f1", "2")
+    assert status == 1 and doc["result"] is None
+    assert len(doc["errors"]) == 1 and "--f1" in doc["errors"][0]
+    status, doc = _run(capsys, *index, "--f1", "1")
+    assert status == 0 and doc["result"]["route"] == "aps"
+    assert doc["request"]["f1"] == 1.0
+    status, doc = _run(capsys, *index, "--f1", "2", "--a-prime", "1")
+    assert status == 0 and doc["result"]["route"] == "contribution"
+
+
 @pytest.mark.parametrize("flags", [
     ("--split-T", "1"),
     ("--split-T", "0"),

@@ -18,7 +18,8 @@ mode's Dirichlet tail is eta's term,
 halved, plus t/2, with t the negated collar piece on lam > 0 and the
 Dirichlet piece e^{-2 a' |lam|} erfc(v) on lam < 0, so the Dirichlet
 variant is checked exactly against -(eta + sum_j a_j t_j) / 2 composed
-from the oracle pieces over the runtime's modes in its order, both at a
+from the oracle pieces over the runtime's modes in its order, block by
+block (past 16384 modes too), both at a
 given heat time and with the floor refused, where it is
 -(eta/2 + sum_{lam < 0} a e^{-2 a' |lam|}) bit for bit; and each t_j
 against the full-array Dirichlet tails per mode. The public values are
@@ -43,6 +44,7 @@ from cyleta import (BoundarySpectrum, circle_spectrum, contribution,
 from cyleta._special import erfc, erfcx
 from cyleta.contribution import (_collar_factor, _collar_piece,
                                  _collar_radius)
+from cyleta.spectral import _BLOCK
 
 from oracles import (collar_piece, dirichlet_piece, dirichlet_tails,
                      spectral_tails)
@@ -107,29 +109,35 @@ def _at_floor(spectrum, floor):
 
 def _dirichlet_value(spectrum, a_prime):
     """-(eta + sum_j a_j t_j) / 2 from the oracle pieces with cyleta's
-    kernels, over the modes the runtime sums, in its order: the lam < 0
-    modes of the e^{-2 a' |lam|} prefix, then, at a resolved floor, the
-    lam > 0 modes of the live prefix. Each a_j t_j is halved before the
-    sum, as the runtime does; halving is exact but for subnormals. With
-    the floor refused t_j / 2 is e^{-2 a' |lam_j|} on lam < 0 and 0 on
-    lam > 0, and the value -(eta/2 + sum_{lam < 0} a e^{-2 a' |lam|})."""
+    kernels, over the modes the runtime sums, in its order: block by block
+    of _BLOCK modes, the lam < 0 modes of the block's part of the
+    e^{-2 a' |lam|} prefix, then, at a resolved floor, the lam > 0 modes
+    of its part of the live prefix, each block's sum added in turn. Each
+    a_j t_j is halved before the sum, as the runtime does; halving is
+    exact but for subnormals. With the floor refused t_j / 2 is
+    e^{-2 a' |lam_j|} on lam < 0 and 0 on lam > 0, and the value
+    -(eta/2 + sum_{lam < 0} a e^{-2 a' |lam|})."""
     lams, traces = spectrum.lams, spectrum.traces
     eta, floor = eta_invariant(spectrum).value, spectrum.floor_analysis.floor
     abs_l = np.abs(lams)
     reach = spectrum.rank_below(373.0 / a_prime)
-    neg = lams[:reach] < 0.0
-    dirichlet = dirichlet_piece(lams, a_prime, floor, erfc)[:reach]
+    neg = lams < 0.0
+    dirichlet = dirichlet_piece(lams, a_prime, floor, erfc)
     if floor is None:
-        half = 0.5 * dirichlet
+        half = 0.5 * dirichlet[:reach]
         assert np.array_equal(half, np.exp(-2.0 * a_prime * abs_l[:reach]))
-        terms = traces[:reach][neg] * half[neg]
+        live, terms = 0, traces * np.where(neg, 0.5 * dirichlet, 0.0)
     else:
         live = spectrum.rank_below(_collar_radius(a_prime, floor))
-        pos = lams[:live] > 0.0
-        piece = collar_piece(lams, a_prime, floor, erfcx)[:live][pos]
-        terms = 0.5 * np.concatenate((traces[:reach][neg] * dirichlet[neg],
-                                      traces[:live][pos] * -piece))
-    return -(0.5 * eta + complex(terms.sum()))
+        piece = collar_piece(lams, a_prime, floor, erfcx)
+        terms = 0.5 * (traces * np.where(neg, dirichlet, -piece))
+    value = 0j
+    for lo in range(0, max(reach, live), _BLOCK):
+        near = np.arange(lo, min(lo + _BLOCK, reach))
+        head = np.arange(lo, min(lo + _BLOCK, live))
+        order = np.concatenate((near[neg[near]], head[~neg[head]]))
+        value += complex(terms[order].sum())
+    return -(0.5 * eta + value)
 
 
 def _check_dirichlet_terms(lams, a_prime, T):
@@ -298,6 +306,19 @@ def test_partial_prefixes_match_full_arrays():
     _check_tails(cut, a_prime, floor)
     _check_public(cut, a_prime)
     _check_gap(cut, a_prime)
+
+
+def test_prefixes_past_one_block_compose_block_by_block():
+    # On these 40001 modes both collar prefixes hold every mode, three
+    # blocks, at a' = 0.003; at a' = 0.01 the e^{-2 a' |lam|} prefix does
+    # and the live prefix is empty.
+    spectrum = circle_spectrum(0.3, 0.7, 20000)
+    floor = spectrum.floor_analysis.floor
+    for a_prime, live in ((0.003, len(spectrum)), (0.01, 0)):
+        assert spectrum.rank_below(373.0 / a_prime) == len(spectrum)
+        assert spectrum.rank_below(_collar_radius(a_prime, floor)) == live
+        _check_tails(spectrum, a_prime, floor)
+        _check_public(spectrum, a_prime)
 
 
 @pytest.mark.parametrize("regime", sorted(REGIMES))

@@ -1,9 +1,11 @@
 """Per-mode passes in blocks: the circle filled in stored order, checks,
-floor, eta and the identity flag one block of modes at a time.
+floor, eta, the identity flag and the collar passes one block of modes at
+a time.
 
 Once a spectrum's three arrays exist, every per-mode pass over them runs
-in blocks of _special._BLOCK modes, so that no temporary is longer than a
-block, and nothing per mode is kept beside the three arrays. The circle
+in blocks of spectral._BLOCK modes, so that no temporary is longer than a
+block, and nothing per mode is kept beside the three arrays; every erfc
+and erfcx call gets one block at most, and never an empty one. The circle
 is filled in its stored order, with no sort; it must equal the lexsort of
 n + twist by (|lambda|, lambda > 0) bit for bit, rounding ties included.
 The validation must name the same rank with the same message wherever
@@ -11,6 +13,7 @@ the offending mode sits, a block boundary included. numpy reports its
 buffers to tracemalloc, so the memory bounds below are deterministic.
 """
 
+import importlib
 import math
 import tracemalloc
 
@@ -18,8 +21,13 @@ import numpy as np
 import pytest
 
 from cyleta import (BoundarySpectrum, InvalidSpectrumError, InvalidTraceError,
-                    aps_index, circle_spectrum, eta_invariant)
-from cyleta._special import _BLOCK, erfc
+                    aps_index, circle_spectrum, dirichlet_variant_contribution,
+                    eta_invariant, vanishing_term_detailed)
+from cyleta._special import erfc
+from cyleta.spectral import _BLOCK
+
+ETA = importlib.import_module("cyleta.eta")
+CONTRIBUTION = importlib.import_module("cyleta.contribution")
 
 MB = 2.0 ** 20
 
@@ -211,3 +219,37 @@ def test_no_temporary_is_longer_than_a_block():
         tracemalloc.stop()
     assert kept - held <= 0.05 * MB  # scalars only: 8 B a mode is 1.5 MB
     assert peak - held <= 2.5 * MB
+
+
+def test_every_kernel_call_gets_one_block_at_most(monkeypatch):
+    # eta's erfc pass and the collar passes of the Dirichlet variant and
+    # vanishing_term_detailed hand each erfc and erfcx call between 1 and
+    # _BLOCK points. At a' = 0.003 every mode of this circle lies in both
+    # collar prefixes; at a' = 2 the live prefix is empty, and so is every
+    # part of a block that reaches no kernel. With the floor refused the
+    # variant calls no kernel.
+    sizes = []
+
+    def recorded(kernel):
+        def call(x):
+            sizes.append(np.size(x))
+            return kernel(x)
+        return call
+
+    for module, name in ((ETA, "erfc"), (CONTRIBUTION, "_erfc_arr"),
+                         (CONTRIBUTION, "_erfcx_arr")):
+        monkeypatch.setattr(module, name, recorded(getattr(module, name)))
+    spectrum = circle_spectrum(0.3, 0.7, 100000)
+    eta_invariant(spectrum)
+    assert spectrum.rank_below(373.0 / 0.003) == len(spectrum)
+    for a_prime in (0.003, 0.05, 2.0):
+        dirichlet_variant_contribution(spectrum, a_prime)
+    for a_prime in (0.003, 1.0):
+        vanishing_term_detailed(spectrum, a_prime)
+    assert _BLOCK in sizes and 1 <= min(sizes) and max(sizes) <= _BLOCK
+    refused = circle_spectrum(0.3, 0.7, 20)
+    assert refused.floor_analysis.floor is None
+    calls = len(sizes)
+    for a_prime in (0.003, 0.05, 2.0):
+        dirichlet_variant_contribution(refused, a_prime)
+    assert len(sizes) == calls

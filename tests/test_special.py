@@ -95,14 +95,23 @@ def test_shapes_and_scalars():
     grid = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
     assert erfc(grid).shape == erfcx(grid).shape == (3, 4)
     assert erfc(grid).ravel().tolist() == erfc(grid.ravel()).tolist()
-    assert erfc(np.array([])).shape == (0,)
     assert erfc(0.0) == 1.0 and erfcx(0.0) == 1.0
-    assert isinstance(erfc(0.5), float) and isinstance(erfcx(0.5), float)
+    # a Python float, a 0-d array (of either sign, so that erfcx's
+    # negative branch runs) and an empty array
+    for kernel in (erfc, erfcx):
+        for x in (0.5, -0.5, np.array(0.5), np.array(-0.5)):
+            value = kernel(x)
+            assert isinstance(value, float)
+            assert value == kernel(np.array([float(x)]))[0]
+        for empty in (np.array([]), np.empty((0, 3))):
+            out = kernel(empty)
+            assert isinstance(out, np.ndarray)
+            assert out.shape == empty.shape and out.dtype == np.float64
 
 
-def test_blocks_do_not_change_values():
-    # The series runs block by block; a value must not depend on where
-    # in an array it sits.
+def test_a_value_does_not_depend_on_its_place_in_the_array():
+    # The kernels run on every point of an array at once; a value must be
+    # the one the same point gets alone.
     x = np.random.default_rng(3).uniform(-5.0, 40.0, 50_001)
     assert np.array_equal(erfcx(x)[::997], [erfcx(v) for v in x[::997]])
     assert np.array_equal(erfc(x)[::997], [erfc(v) for v in x[::997]])

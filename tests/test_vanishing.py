@@ -19,7 +19,9 @@ from cyleta import (
     assemble_index,
     circle_spectrum,
     contribution,
+    dirichlet_variant_contribution,
     dump_spectrum,
+    eta_invariant,
     from_records,
     relative_index_check,
     vanishing_term_detailed,
@@ -28,6 +30,7 @@ from cyleta import (
 from cyleta._special import erfcx as cyleta_erfcx
 from cyleta.cli import main
 from cyleta.contribution import _collar_radius
+from cyleta.spectral import _BLOCK
 from cyleta.vanishing import (_NEGLIGIBLE, CertificateFailure, _differences,
                               _dominator_integrals, dominator,
                               per_mode_difference)
@@ -128,13 +131,16 @@ def test_partials_are_bounded_and_end_in_exact_zeros(spectrum, a_prime):
 
 
 @pytest.mark.parametrize("n_max", [2000, 20000])
-@pytest.mark.parametrize("a_prime", [0.05, 0.5, 0.84, 2.0])
+@pytest.mark.parametrize("a_prime", [0.01, 0.05, 0.5, 0.84, 2.0])
 def test_partials_match_the_full_array_evaluation(n_max, a_prime):
     # Only the live prefix, rank_below of the collar radius, is evaluated:
     # every full-array term past it must be an exact 0, and each partial
-    # the sum of the full-array terms on it bit for bit. At a' = 0.84 the
-    # level t = 2^-10 has a'^2/t = 722.5, so all of its terms are
-    # subnormal and a prefix cut short of -746 shows.
+    # the sum of the full-array terms on it, block by block, bit for bit.
+    # At a' = 0.84 the level t = 2^-10 has a'^2/t = 722.5, so all of its
+    # terms are subnormal and a prefix cut short of -746 shows. At
+    # a' = 0.01 the live prefixes of the 40001-mode circles span three
+    # blocks.
+    longest = 0
     for angle in (0.0, 0.7):
         spectrum = circle_spectrum(0.25, angle, n_max)
         res = vanishing_term_detailed(spectrum, a_prime)
@@ -144,7 +150,12 @@ def test_partials_match_the_full_array_evaluation(n_max, a_prime):
             terms = closed_form_terms(spectrum.lams, spectrum.traces,
                                       a_prime, t, cyleta_erfcx)
             assert not terms[live:].any()
-            assert repr(partial) == repr(complex(terms[:live].sum()))
+            composed = 0j
+            for lo in range(0, live, _BLOCK):
+                composed += complex(terms[lo:min(lo + _BLOCK, live)].sum())
+            assert repr(partial) == repr(composed)
+            longest = max(longest, live)
+    assert (longest > 2 * _BLOCK) == (n_max == 20000 and a_prime == 0.01)
 
 
 def test_the_verifiers_hold_only_the_live_prefix():
@@ -164,6 +175,29 @@ def test_the_verifiers_hold_only_the_live_prefix():
             call()
             _, peak = tracemalloc.get_traced_memory()
             assert peak - held <= 1.5 * 2.0 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_collar_passes_hold_one_block():
+    # At a' = 0.003 every mode of this circle lies in both collar
+    # prefixes. Summed over the whole prefix at once, the Dirichlet
+    # variant peaked 7.06 MiB above the spectrum and
+    # vanishing_term_detailed 6.23 MiB; eta's first query, which both
+    # read, is made before tracing.
+    spectrum = circle_spectrum(0.3, 0.7, 100000)
+    eta_invariant(spectrum)
+    assert spectrum.rank_below(373.0 / 0.003) == len(spectrum)
+    calls = (lambda: dirichlet_variant_contribution(spectrum, 0.003),
+             lambda: vanishing_term_detailed(spectrum, 0.003))
+    tracemalloc.start()
+    try:
+        for call in calls:
+            tracemalloc.reset_peak()
+            held, _ = tracemalloc.get_traced_memory()
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+            assert peak - held <= 2.0 * 2.0 ** 20
     finally:
         tracemalloc.stop()
 
@@ -354,8 +388,8 @@ def test_quadrature_route_never_calls_erfcx(monkeypatch):
         raise AssertionError("the quadrature route used the closed form")
 
     # Every call of cyleta's erfcx, the one the closed route reaches
-    # through the collar piece included, runs this block kernel.
-    monkeypatch.setattr("cyleta._special._erfcx_block", erfcx)
+    # through the collar piece included, runs its Chebyshev series.
+    monkeypatch.setattr("cyleta._special._series", erfcx)
     spectrum = circle_spectrum(0.25, 0.7, 200)
     verify_vanishing(spectrum, VanishingTermConfig(a_prime=0.5))
     per_mode_difference(2.0, 0.5, 0.25)

@@ -26,7 +26,12 @@ lists, and the error it raises on times that increase. The
 on every spectrum at a' in VANISHING_COLLARS, and the "verify_vanishing"
 line the library's report (rows, certificate failures and verdict) on
 the circles of n_max up to 300 at the same collars, with the default
-t-sequence.
+t-sequence. The "multi_block" line hashes eta, the Dirichlet variant at
+a' = 0.003 and 0.05 and vanishing_term_detailed at a' = 0.003 on one
+40000-mode from_records spectrum whose collar prefixes span more than one
+block of modes: pairs -lam, lam with seeded |lam| below 10000 and seeded
+complex traces of modulus below 1, which differ within a pair by at most
+1e-7 relative, so that its heat trace cancels and the floor is resolved.
 """
 
 from __future__ import annotations
@@ -35,7 +40,9 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
+import random
 import tempfile
 from itertools import product
 
@@ -77,6 +84,19 @@ def _spectra() -> list:
                  rows.traces.real.tolist(), rows.traces.imag.tolist())),
     ]
     return circles + [from_records(r) for r in records]
+
+
+def _long_records():
+    """The 40000-mode spectrum of the "multi_block" line."""
+    rng = random.Random(33)
+    rows = []
+    for j in range(20000):
+        lam = 0.5 * j + 0.25 + 0.2 * rng.random()
+        r, phi = 0.2 + 0.7 * rng.random(), 2.0 * math.pi * rng.random()
+        re, im = r * math.cos(phi), r * math.sin(phi)
+        skew = 1.0 + 1e-7 * (2.0 * rng.random() - 1.0)
+        rows += [(-lam, 1, re * skew, im * skew), (lam, 1, re, im)]
+    return from_records(rows)
 
 
 def _cli_requests() -> dict:
@@ -226,6 +246,11 @@ def digests() -> dict:
     cases["verify_vanishing"] = [
         repr(verify_vanishing(s, VanishingTermConfig(a_prime=a)))
         for s in small for a in VANISHING_COLLARS]
+    long = _long_records()
+    cases["multi_block"] = [
+        repr(eta_invariant(long)),
+        *(repr(dirichlet_variant_contribution(long, a)) for a in (0.003, 0.05)),
+        repr(vanishing_term_detailed(long, 0.003))]
     return {**cases, **_cli_documents(), "inputs": _input_cases()}
 
 
