@@ -32,8 +32,12 @@ Conventions baked into the container:
 * the first read of ``floor_analysis`` keeps a FloorAnalysis of scalars in
   the instance dict, and ``collar_free`` keeps the sums that no collar
   changes as Python scalars, each made by the first query that needs it;
-  nothing per mode is kept beyond the three arrays (32 bytes a mode):
-  |lambda| is read from lams, whose prefixes rank_below bisects by abs,
+  nothing per mode is kept beyond the three arrays, at most 32 bytes a
+  mode; a column whose entries are all the same is kept as one entry,
+  broadcast to the column's length, compared by bits, so the traces of
+  an identity circle hold 16 bytes in all and a trace column that mixes
+  1+0j with 1-0j is kept whole. |lambda| is read from lams, whose
+  prefixes rank_below bisects by abs,
   and eta's one erfc pass ends in the kept sums; fields, arrays, equality
   and hashing stay as they are,
 * every pass over all modes once they exist (validation, the circle's
@@ -114,6 +118,35 @@ class _Made(NamedTuple):
     array: np.ndarray
 
 
+def _constant(array: np.ndarray) -> bool:
+    """Whether every entry of a one-dimensional, contiguous array carries
+    the bits of its first. The scan compares chunks that grow from 8
+    entries to a block and stops at the first chunk with an entry that
+    differs, so a varying column costs next to nothing. Each entry is
+    compared with the one before it, word by word (a complex is two)."""
+    words = array.view(np.uint64)
+    w = words.size // array.size
+    lo, step = w, 8 * w
+    while lo < words.size:
+        hi = min(lo + step, words.size)
+        if (words[lo:hi] != words[lo - w:hi - w]).any():
+            return False
+        lo, step = hi, min(8 * step, _BLOCK)
+    return True
+
+
+def _stored(array: np.ndarray) -> np.ndarray:
+    """A read-only view of array as a spectrum keeps it: a column whose
+    entries all carry the same bits is kept as one entry, broadcast to the
+    column's length (0 stride), so it holds 8 or 16 bytes in all."""
+    if array.ndim == 1 and array.size > 1 and _constant(array):
+        entry = array[:1].copy()  # not a view, which would keep the column
+        entry.flags.writeable = False  # and no view of it can undo that
+        return np.broadcast_to(entry, array.shape)
+    array.flags.writeable = False  # and its view cannot undo that
+    return array.view()
+
+
 def _spectrum(lams, multiplicity, traces, **meta) -> BoundarySpectrum:
     """A BoundarySpectrum of arrays made for it, kept without a copy."""
     return BoundarySpectrum(_Made(lams), _Made(multiplicity), _Made(traces), **meta)
@@ -184,8 +217,7 @@ class BoundarySpectrum:
                             ("traces", np.complex128)):
             value = getattr(self, name)
             array = value.array if made else np.array(value, dtype=dtype)
-            array.flags.writeable = False  # and its view cannot undo that
-            object.__setattr__(self, name, array.view())
+            object.__setattr__(self, name, _stored(array))
         lams, mult, traces = self.lams, self.multiplicity, self.traces
         if lams.ndim != 1 or lams.shape != mult.shape or lams.shape != traces.shape:
             raise InvalidSpectrumError("lams, multiplicity and traces must be "
@@ -331,8 +363,9 @@ def circle_spectrum(twist: float, rotation_angle: float, n_max: int) -> Boundary
         raise InvalidSpectrumError(
             f"twist must lie strictly inside (0, 1), got {twist!r}; the endpoints "
             "produce a zero eigenvalue")
-    if not _only((n_max,), int) or n_max < 1:
+    if not _only((n_max,), Integral) or n_max < 1:
         raise DomainError(f"n_max must be a positive integer, got {n_max!r}")
+    n_max = int(n_max)  # so that truncated_at is a Python float
     rotation_angle = float(rotation_angle)
     if not math.isfinite(rotation_angle):
         raise DomainError(

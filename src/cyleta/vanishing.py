@@ -31,8 +31,10 @@ here to verify that:
 At each t both touch only the live prefix rank_below(r) of the collar
 radius r, past which every term is an exact 0, and read sum_j |a_j| from
 the spectrum's floor analysis. vanishing_term_detailed sums it a block
-at a time; verify_vanishing's rows, one per kept mode, are bounded by it:
-a few hundred modes on the default t-sequence.
+at a time; verify_vanishing keeps one d per kept mode of it, which can be
+every mode at a small a' and t, and takes them by quadrature on chunks of
+_CHUNK modes, so that each modes x nodes temporary holds at most one
+block of values.
 
 The dominator f(t, |lam|) packages the explicit bounds that justify
 exchanging the limit with the spectral sum: |d(t, lam)| is dominated by
@@ -54,7 +56,7 @@ from ._json import JsonFields
 from .contribution import (_UNDERFLOW, _check_a_prime, _collar_factor,
                            _collar_piece, _collar_radius)
 from .errors import DomainError
-from .spectral import BoundarySpectrum, _blocks
+from .spectral import _BLOCK, BoundarySpectrum, _blocks
 
 __all__ = [
     "VanishingTermConfig",
@@ -74,6 +76,10 @@ _NEGLIGIBLE = 1e-30
 # The two Gauss-Legendre orders of the quadrature route; their difference
 # estimates each integral's error.
 _ORDERS = (48, 96)
+
+# Modes per quadrature chunk of verify_vanishing: a chunk's modes x nodes
+# arrays at the finer order hold at most _BLOCK values.
+_CHUNK = _BLOCK // _ORDERS[-1]
 
 _EPS = sys.float_info.epsilon
 _TINY = sys.float_info.min
@@ -160,8 +166,15 @@ def vanishing_term_detailed(spectrum: BoundarySpectrum, a_prime: float,
     the value is the last partial. Every partial at t obeys
     |p| <= sqrt(pi) sum_j |a_j| e^{-a'^2/t}, since erfcx <= 1 on the
     nonnegative axis; that bound at the last t is the error estimate.
+    An a' below 1e-150 is refused with DomainError, as dominator refuses
+    it: a'^2 would leave the normal double range.
     """
     a_prime = _check_a_prime(a_prime)
+    if a_prime < _SMALLEST_COLLAR:
+        raise DomainError(
+            f"a_prime must be at least {_SMALLEST_COLLAR!r}, got {a_prime!r}: "
+            "below it a'^2 leaves the normal double range, and with it the "
+            "last t of the sequence, a'^2/746")
     # first k with a'^2 2^k > _UNDERFLOW, one more level for the second zero
     last = max(2, math.ceil(math.log2(_UNDERFLOW / (a_prime * a_prime))) + 1)
 
@@ -390,8 +403,8 @@ def verify_vanishing(spectrum: BoundarySpectrum,
                      cfg: VanishingTermConfig) -> VanishingReport:
     """Regularized sums sum_j lam_j a_j d(t, lam_j) along cfg.t_sequence.
 
-    Every d is computed by the quadrature route of per_mode_difference, one
-    modes x nodes array per t, so the report is an independent check on
+    Every d is computed by the quadrature route of per_mode_difference, on
+    chunks of _CHUNK modes, so the report is an independent check on
     the closed-form evaluation in vanishing_term_detailed. Modes whose
     envelope sqrt(pi) e^{-lam^2 t - a'^2/t} >= |lam d(t, lam)| is negligible
     against the spectrum scale, or zero, are skipped; the envelope, not the
@@ -413,7 +426,9 @@ def verify_vanishing(spectrum: BoundarySpectrum,
         damp = _collar_factor(lams[:n], a_prime, t)
         kept = _SQRT_PI * damp * np.abs(traces[:n]) > _NEGLIGIBLE * scale
         lam, trace = lams[:n][kept], traces[:n][kept]
-        d, _ = _differences(lam, a_prime, t)
+        d = np.empty(lam.size)
+        for lo in range(0, lam.size, _CHUNK):
+            d[lo:lo + _CHUNK], _ = _differences(lam[lo:lo + _CHUNK], a_prime, t)
         rows.append((t, complex((lam * trace * d).sum())))
 
     failures: list[CertificateFailure] = []

@@ -257,6 +257,14 @@ def test_circle_rejects_bad_n_max(n_max):
         circle_spectrum(0.25, 0.0, n_max)
 
 
+def test_circle_accepts_a_numpy_integer_n_max():
+    # as from_records accepts numpy integer multiplicities
+    got, want = circle_spectrum(0.25, 0.7, np.int64(100)), circle_spectrum(0.25, 0.7, 100)
+    assert type(got.truncated_at) is float and got.truncated_at == want.truncated_at
+    for name in ("lams", "multiplicity", "traces"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
 @pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])
 def test_circle_rejects_a_non_finite_rotation_angle(angle):
     # Refused by name before any trace is formed, as n_max is.

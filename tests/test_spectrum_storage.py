@@ -4,6 +4,7 @@ record-by-record construction of the same modes."""
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from cyleta import (
     eta_invariant,
     from_records,
     load_spectrum,
+    spectrum_from_json_dict,
 )
 
 ROUND_TRIPS = settings(derandomize=True, deadline=None, database=None,
@@ -27,6 +29,8 @@ ROUND_TRIPS = settings(derandomize=True, deadline=None, database=None,
 
 ROWS = [(0.4, 1, 1.0, 0.0), (-0.9, 2, 0.7, 1.1), (1.6, 3, -1.2, 0.3),
         (-2.5, 1, 0.5, -0.4)]
+
+MB = 2.0 ** 20
 
 
 def _arrays_of(spectrum):
@@ -134,28 +138,135 @@ def test_attributes_cannot_be_assigned():
 
 
 def test_later_changes_to_the_input_arrays_do_not_reach_the_spectrum():
-    source = circle_spectrum(0.25, 0.7, 200)
-    lams, mult, traces = (np.array(a) for a in _arrays_of(source))
-    spectrum = BoundarySpectrum(
-        lams, mult, traces, weyl_c1=source.weyl_c1, weyl_c2=source.weyl_c2,
-        trace_bound_c3=source.trace_bound_c3,
-        trace_bound_c4=source.trace_bound_c4,
-        truncated_at=source.truncated_at)
-    before = eta_invariant(spectrum)
-    lams *= 2.0
-    mult += 1
-    traces[:] = 0.0
-    for got, want in zip(_arrays_of(spectrum), _arrays_of(source)):
-        assert np.array_equal(got, want)
-    after = eta_invariant(spectrum)
-    assert (after.value, after.est_error, after.truncation_error) == \
-        (before.value, before.est_error, before.truncation_error)
+    # The multiplicities, and at angle 0 the traces, are kept as one entry.
+    for angle in (0.0, 0.7):
+        source = circle_spectrum(0.25, angle, 200)
+        lams, mult, traces = (np.array(a) for a in _arrays_of(source))
+        spectrum = BoundarySpectrum(
+            lams, mult, traces, weyl_c1=source.weyl_c1, weyl_c2=source.weyl_c2,
+            trace_bound_c3=source.trace_bound_c3,
+            trace_bound_c4=source.trace_bound_c4,
+            truncated_at=source.truncated_at)
+        assert spectrum.multiplicity.strides == (0,)
+        assert (spectrum.traces.strides == (0,)) == (angle == 0.0)
+        before = eta_invariant(spectrum)
+        lams *= 2.0
+        mult += 1
+        traces[:] = 0.0
+        for got, want in zip(_arrays_of(spectrum), _arrays_of(source)):
+            assert np.array_equal(got, want)
+        after = eta_invariant(spectrum)
+        assert (after.value, after.est_error, after.truncation_error) == \
+            (before.value, before.est_error, before.truncation_error)
 
 
 def test_equality_and_hash_are_those_of_the_object():
     a, b = circle_spectrum(0.25, 0.0, 5), circle_spectrum(0.25, 0.0, 5)
     assert a == a and a != b
     assert len({a, b}) == 2
+
+
+# ---------------------------------------------------------------------------
+# a column whose entries all carry the same bits is kept as one entry
+
+PATHS = ("arrays", "records", "record-form JSON", "format-2 JSON", "direct_sum")
+
+
+def _meta(spectrum):
+    return {name: getattr(spectrum, name) for name in (
+        "weyl_c1", "weyl_c2", "trace_bound_c3", "trace_bound_c4", "truncated_at")}
+
+
+def _held_once(array):
+    return array.strides == (0,)
+
+
+def _identity_circle():
+    """Copies of the columns of a 2001-mode identity circle, whose lambdas
+    vary, whose multiplicities are all 1 and whose traces are all 1+0j, and
+    the circle itself."""
+    source = circle_spectrum(0.25, 0.0, 1000)
+    return [np.array(a) for a in _arrays_of(source)], source
+
+
+def _built(path, lams, mult, traces, source):
+    """The spectrum of these columns, built along one constructor path."""
+    if path == "arrays":
+        return BoundarySpectrum(lams, mult, traces, **_meta(source))
+    rows = list(zip(lams.tolist(), mult.tolist(), traces.real.tolist(),
+                    traces.imag.tolist()))
+    if path == "records":
+        return from_records(rows)
+    if path == "record-form JSON":
+        return spectrum_from_json_dict({"data": [
+            {"lambda": lam, "multiplicity": m, "trace": [re, im]}
+            for lam, m, re, im in rows]})
+    if path == "format-2 JSON":
+        names = ("lambda", "multiplicity", "trace_re", "trace_im")
+        return spectrum_from_json_dict(
+            {"format": 2, "data": dict(zip(names, map(list, zip(*rows))))})
+    return direct_sum(from_records(rows[::2]), from_records(rows[1::2]))
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_every_constructor_keeps_a_constant_column_once(path):
+    (lams, mult, traces), source = _identity_circle()
+    spectrum = _built(path, lams, mult, traces, source)
+    assert list(map(_held_once, _arrays_of(spectrum))) == [False, True, True]
+    assert _rows(spectrum) == _rows(source)
+    for got, want in zip(_arrays_of(spectrum), _arrays_of(source)):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert not got.flags.writeable
+    mult[-1] = 2  # one multiplicity differs, the last one scanned
+    varying = _built(path, lams, mult, traces, source)
+    assert list(map(_held_once, _arrays_of(varying))) == [False, False, True]
+    assert varying.multiplicity.tolist() == [1] * 2000 + [2]
+
+
+@pytest.mark.parametrize("angle, per_mode", [(0.0, 8), (0.7, 24)])
+def test_a_circle_holds_only_its_varying_columns(angle, per_mode):
+    # 8 bytes a mode for lambda and 16 for a trace that varies; the
+    # multiplicities, and at angle 0 the traces, are one entry each.
+    tracemalloc.start()
+    try:
+        spectrum = circle_spectrum(0.3, angle, 100000)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert per_mode * len(spectrum) <= held <= per_mode * len(spectrum) + 0.05 * MB
+
+
+def test_a_spectrum_with_no_constant_column_holds_32_bytes_a_mode():
+    source = circle_spectrum(0.3, 0.7, 100000)
+    lams, traces = np.array(source.lams), np.array(source.traces)
+    mult = 1 + np.arange(len(source)) % 2
+    tracemalloc.start()
+    try:
+        spectrum = BoundarySpectrum(lams, mult, traces, **_meta(source))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not any(map(_held_once, _arrays_of(spectrum)))
+    assert 32 * len(spectrum) <= held <= 32 * len(spectrum) + 0.05 * MB
+
+
+def test_signed_zeros_are_told_apart_and_survive_a_round_trip(tmp_path):
+    # 1+0j == 1-0j, but the two print differently: a trace column that
+    # mixes them is kept whole, and one of 1-0j alone is kept once.
+    (lams, mult, traces), source = _identity_circle()
+    mixed = traces.copy()
+    mixed[1500] = complex(1.0, -0.0)
+    assert mixed[1500] == mixed[0]
+    negative = np.full(traces.shape, complex(1.0, -0.0))
+    for column, once in ((mixed, False), (negative, True)):
+        spectrum = BoundarySpectrum(lams, mult, column, **_meta(source))
+        assert _held_once(spectrum.traces) == once
+        path = tmp_path / "spectrum.json"
+        dump_spectrum(spectrum, path)
+        back = load_spectrum(path)
+        assert _held_once(back.traces) == once
+        assert back.traces.tobytes() == column.tobytes()
+        assert np.array_equal(np.signbit(back.traces.imag), np.signbit(column.imag))
 
 
 # ---------------------------------------------------------------------------

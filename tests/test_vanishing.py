@@ -117,6 +117,20 @@ def test_vanishing_term_rejects_bad_a_prime():
         vanishing_term_detailed(_single(), 0.0)
 
 
+@pytest.mark.parametrize("a_prime", [1e-160, 1e-200, 1e-320])
+def test_vanishing_term_refuses_a_collar_below_the_smallest(a_prime):
+    # a'^2 leaves the normal double range: these raised OverflowError at
+    # 1e-160 and ZeroDivisionError at 1e-200 and 1e-320.
+    with pytest.raises(DomainError, match="at least 1e-150"):
+        vanishing_term_detailed(circle_spectrum(0.25, 0.0, 200), a_prime)
+
+
+def test_vanishing_term_holds_at_the_smallest_collar():
+    res = vanishing_term_detailed(circle_spectrum(0.25, 0.0, 200), 1e-150)
+    assert res.value == 0j
+    assert len(res.partials) == 1009
+
+
 @PROPERTY
 @given(spectrum=finite_spectra(), a_prime=st.floats(0.02, 50.0))
 def test_partials_are_bounded_and_end_in_exact_zeros(spectrum, a_prime):
@@ -177,6 +191,35 @@ def test_the_verifiers_hold_only_the_live_prefix():
             assert peak - held <= 1.5 * 2.0 ** 20
     finally:
         tracemalloc.stop()
+
+
+def test_verify_vanishing_takes_its_quadrature_in_chunks():
+    # At a' = 0.001 and t = 1e-6 the live prefix holds 54589 modes. Taken
+    # in one modes x nodes array, its quadrature peaked 62.5 MiB above the
+    # spectrum.
+    spectrum = circle_spectrum(0.3, 0.7, 100000)
+    spectrum.floor_analysis
+    cfg = VanishingTermConfig(a_prime=0.001, t_sequence=(1e-6,))
+    tracemalloc.start()
+    try:
+        held, _ = tracemalloc.get_traced_memory()
+        report = verify_vanishing(spectrum, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - held <= 3.0 * 2.0 ** 20
+    assert spectrum.rank_below(_collar_radius(0.001, 1e-6)) > 100 * _BLOCK // 96
+    assert abs(report.rows[0][1]) > 0.0
+
+
+def test_the_quadrature_chunks_keep_every_row_bit_for_bit(monkeypatch):
+    # The kept prefixes span up to 59 chunks; each d is one row of the
+    # rule, and the sum over the kept prefix is taken at once, as it was.
+    spectrum = circle_spectrum(0.3, 0.7, 5000)
+    cfg = VanishingTermConfig(a_prime=0.01, t_sequence=(0.5, 1e-3, 1e-5))
+    chunked = verify_vanishing(spectrum, cfg)
+    monkeypatch.setattr("cyleta.vanishing._CHUNK", len(spectrum))
+    assert repr(verify_vanishing(spectrum, cfg)) == repr(chunked)
 
 
 def test_the_collar_passes_hold_one_block():

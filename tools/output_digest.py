@@ -32,6 +32,12 @@ a' = 0.003 and 0.05 and vanishing_term_detailed at a' = 0.003 on one
 block of modes: pairs -lam, lam with seeded |lam| below 10000 and seeded
 complex traces of modulus below 1, which differ within a pair by at most
 1e-7 relative, so that its heat trace cancels and the floor is resolved.
+The "constant_columns" line hashes eta, the contribution at a' = 0.5, the
+Dirichlet variant at a' = 0.05 and 1, aps_index and the
+spectrum_to_json_dict text of three spectra built by BoundarySpectrum
+from the arrays of the 40001-mode identity circle at twist 0.3: as they
+are, every multiplicity 1 and every trace 1+0j; with the trace past the
+first block of 16384 modes made 1-0j; and with the last multiplicity 2.
 """
 
 from __future__ import annotations
@@ -46,11 +52,12 @@ import random
 import tempfile
 from itertools import product
 
-from cyleta import (CyletaError, VanishingTermConfig, aps_index,
-                    circle_spectrum, contribution,
+from cyleta import (BoundarySpectrum, CyletaError, VanishingTermConfig,
+                    aps_index, circle_spectrum, contribution,
                     dirichlet_variant_contribution, dump_spectrum,
                     eta_invariant, from_records, relative_index_check,
-                    spectrum_from_json_dict, vanishing_term_detailed,
+                    spectrum_from_json_dict, spectrum_to_json_dict,
+                    vanishing_term_detailed,
                     verify_not_feel_boundary, verify_vanishing)
 from cyleta.cli import main as cli_main
 
@@ -97,6 +104,19 @@ def _long_records():
         skew = 1.0 + 1e-7 * (2.0 * rng.random() - 1.0)
         rows += [(-lam, 1, re * skew, im * skew), (lam, 1, re, im)]
     return from_records(rows)
+
+
+def _constant_columns() -> list:
+    """The three spectra of the "constant_columns" line."""
+    circle = circle_spectrum(0.3, 0.0, 20000)
+    meta = {name: getattr(circle, name) for name in (
+        "weyl_c1", "weyl_c2", "trace_bound_c3", "trace_bound_c4", "truncated_at")}
+    signed, last = circle.traces.copy(), circle.multiplicity.copy()
+    signed[20000] = complex(1.0, -0.0)
+    last[-1] = 2
+    return [BoundarySpectrum(circle.lams, mult, traces, **meta) for mult, traces
+            in ((circle.multiplicity, circle.traces), (circle.multiplicity, signed),
+                (last, circle.traces))]
 
 
 def _cli_requests() -> dict:
@@ -251,6 +271,12 @@ def digests() -> dict:
         repr(eta_invariant(long)),
         *(repr(dirichlet_variant_contribution(long, a)) for a in (0.003, 0.05)),
         repr(vanishing_term_detailed(long, 0.003))]
+    cases["constant_columns"] = [
+        case for s in _constant_columns() for case in (
+            repr(eta_invariant(s)), repr(contribution(s, 0.5)),
+            *(repr(dirichlet_variant_contribution(s, a)) for a in (0.05, 1.0)),
+            repr(aps_index(s, AS_TERMS[1])),
+            json.dumps(spectrum_to_json_dict(s), sort_keys=True))]
     return {**cases, **_cli_documents(), "inputs": _input_cases()}
 
 
