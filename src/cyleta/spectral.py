@@ -46,7 +46,11 @@ Conventions baked into the container:
   temporary is longer than a block: once numpy frees a full-length
   temporary, glibc keeps its pages for the rest of the process (README,
   "Mode arrays"). A collar pass sums the blocks of rank_below(r), r a
-  radius past which its factor is an exact 0.
+  radius past which its factor is an exact 0,
+* dump_spectrum writes the text of json.dumps(spectrum_to_json_dict(s),
+  sort_keys=True) a column at a time, and formats the one entry of a
+  column whose entries all carry the same bits once, so the text does
+  not change.
 """
 
 from __future__ import annotations
@@ -119,11 +123,12 @@ class _Made(NamedTuple):
 
 
 def _constant(array: np.ndarray) -> bool:
-    """Whether every entry of a one-dimensional, contiguous array carries
-    the bits of its first. The scan compares chunks that grow from 8
-    entries to a block and stops at the first chunk with an entry that
-    differs, so a varying column costs next to nothing. Each entry is
-    compared with the one before it, word by word (a complex is two)."""
+    """Whether every entry of a one-dimensional array, a column or the real
+    or imaginary part of a complex one, carries the bits of its first.
+    The scan compares chunks that grow from 8 entries to a block and stops
+    at the first chunk with an entry that differs, so a varying column
+    costs next to nothing. Each entry is compared with the one before it,
+    word by word (a complex is two)."""
     words = array.view(np.uint64)
     w = words.size // array.size
     lo, step = w, 8 * w
@@ -498,9 +503,11 @@ def from_records(records: Iterable[tuple]) -> BoundarySpectrum:
 
 
 def direct_sum(a: BoundarySpectrum, b: BoundarySpectrum) -> BoundarySpectrum:
-    """Merge two spectra; eigenvalues within 1e-12 of their neighbour in
-    signed order coalesce into the smallest of them, adding multiplicities
-    and traces.
+    """Merge two spectra; an eigenvalue of the sign of its neighbour in
+    signed order, and within 1e-12 times the larger magnitude of the two,
+    coalesces with it into the smallest of them, adding multiplicities and
+    traces. Eigenvalues of opposite sign never coalesce, and inputs scaled
+    by one power of two coalesce alike.
 
     The merged list is re-ranked, so the growth metadata is refitted to the
     merged data rather than inherited. The result is only complete below the
@@ -509,7 +516,10 @@ def direct_sum(a: BoundarySpectrum, b: BoundarySpectrum) -> BoundarySpectrum:
     lams = np.concatenate([a.lams, b.lams])
     order = np.argsort(lams, kind="stable")
     lams = lams[order]
-    starts = np.flatnonzero(np.diff(lams, prepend=-np.inf) > _COALESCE_TOL)
+    before, after = lams[:-1], lams[1:]
+    apart = ((before < 0.0) != (after < 0.0)) | (
+        after - before > _COALESCE_TOL * np.maximum(-before, after))
+    starts = np.flatnonzero(np.concatenate(([True], apart)))
     mult, traces = (np.add.reduceat(np.concatenate(pair)[order], starts)
                     for pair in ((a.multiplicity, b.multiplicity),
                                  (a.traces, b.traces)))
@@ -648,14 +658,23 @@ def spectrum_from_json_dict(doc: dict) -> BoundarySpectrum:
                      trace_bound_c3=c3, trace_bound_c4=c4, truncated_at=cutoff)
 
 
-def spectrum_to_json_dict(spectrum: BoundarySpectrum) -> dict:
-    columns = (spectrum.lams, spectrum.multiplicity, spectrum.traces.real,
-               spectrum.traces.imag)
-    return {"format": 2,
-            "data": {name: col.tolist() for name, col in zip(_COLUMNS, columns)},
-            "weyl": {"c1": spectrum.weyl_c1, "c2": spectrum.weyl_c2,
+def _columns(spectrum: BoundarySpectrum) -> dict:
+    """The four format-2 columns of a spectrum as arrays, by name."""
+    return dict(zip(_COLUMNS, (spectrum.lams, spectrum.multiplicity,
+                               spectrum.traces.real, spectrum.traces.imag)))
+
+
+def _metadata(spectrum: BoundarySpectrum) -> dict:
+    """The format-2 keys after "format" and "data"."""
+    return {"weyl": {"c1": spectrum.weyl_c1, "c2": spectrum.weyl_c2,
                      "c3": spectrum.trace_bound_c3, "c4": spectrum.trace_bound_c4},
             "truncated_at": spectrum.truncated_at}
+
+
+def spectrum_to_json_dict(spectrum: BoundarySpectrum) -> dict:
+    return {"format": 2,
+            "data": {name: col.tolist() for name, col in _columns(spectrum).items()},
+            **_metadata(spectrum)}
 
 
 def load_spectrum(path: Union[str, Path]) -> BoundarySpectrum:
@@ -667,6 +686,20 @@ def load_spectrum(path: Union[str, Path]) -> BoundarySpectrum:
     return spectrum_from_json_dict(doc)
 
 
+def _column_text(col: np.ndarray) -> str:
+    """json.dumps(col.tolist()); a column whose entries all carry the same
+    bits has its one entry formatted once and repeated."""
+    if _constant(col):
+        entry = json.dumps(col[:1].tolist())[1:-1]
+        return "[" + (entry + ", ") * (col.size - 1) + entry + "]"
+    return json.dumps(col.tolist())
+
+
 def dump_spectrum(spectrum: BoundarySpectrum, path: Union[str, Path]) -> None:
-    """Write a spectrum to a JSON file in format 2."""
-    Path(path).write_text(json.dumps(spectrum_to_json_dict(spectrum), sort_keys=True) + "\n")
+    """Write a spectrum to a JSON file in format 2: the bytes of
+    json.dumps(spectrum_to_json_dict(spectrum), sort_keys=True) + "\\n",
+    written a column at a time. "data" is the first key in sorted order."""
+    data = ", ".join(f"{json.dumps(name)}: {_column_text(col)}"
+                     for name, col in sorted(_columns(spectrum).items()))
+    rest = json.dumps({"format": 2, **_metadata(spectrum)}, sort_keys=True)
+    Path(path).write_text('{"data": {' + data + "}, " + rest[1:] + "\n")

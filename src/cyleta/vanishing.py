@@ -29,10 +29,10 @@ here to verify that:
   It uses numpy alone and none of the closed form it checks.
 
 At each t both touch only the live prefix rank_below(r) of the collar
-radius r, past which every term is an exact 0, and read sum_j |a_j| from
-the spectrum's floor analysis. vanishing_term_detailed sums it a block
-at a time; verify_vanishing keeps one d per kept mode of it, which can be
-every mode at a small a' and t, and takes them by quadrature on chunks of
+radius r, past which every term is an exact 0, read sum_j |a_j| from
+the spectrum's floor analysis, and sum the prefix a block at a time.
+verify_vanishing selects the kept modes of a block, which can be all of
+them at a small a' and t, and takes their d by quadrature on chunks of
 _CHUNK modes, so that each modes x nodes temporary holds at most one
 block of values.
 
@@ -404,7 +404,8 @@ def verify_vanishing(spectrum: BoundarySpectrum,
     """Regularized sums sum_j lam_j a_j d(t, lam_j) along cfg.t_sequence.
 
     Every d is computed by the quadrature route of per_mode_difference, on
-    chunks of _CHUNK modes, so the report is an independent check on
+    chunks of _CHUNK modes of one block, and a row adds the blocks' sums
+    in order, so the report is an independent check on
     the closed-form evaluation in vanishing_term_detailed. Modes whose
     envelope sqrt(pi) e^{-lam^2 t - a'^2/t} >= |lam d(t, lam)| is negligible
     against the spectrum scale, or zero, are skipped; the envelope, not the
@@ -422,14 +423,17 @@ def verify_vanishing(spectrum: BoundarySpectrum,
 
     rows: list[tuple[float, complex]] = []
     for t in cfg.t_sequence:
-        n = spectrum.rank_below(_collar_radius(a_prime, t))
-        damp = _collar_factor(lams[:n], a_prime, t)
-        kept = _SQRT_PI * damp * np.abs(traces[:n]) > _NEGLIGIBLE * scale
-        lam, trace = lams[:n][kept], traces[:n][kept]
-        d = np.empty(lam.size)
-        for lo in range(0, lam.size, _CHUNK):
-            d[lo:lo + _CHUNK], _ = _differences(lam[lo:lo + _CHUNK], a_prime, t)
-        rows.append((t, complex((lam * trace * d).sum())))
+        sums = []
+        for b in _blocks(spectrum.rank_below(_collar_radius(a_prime, t))):
+            kept = _SQRT_PI * _collar_factor(lams[b], a_prime, t) \
+                * np.abs(traces[b]) > _NEGLIGIBLE * scale
+            lam, trace = lams[b][kept], traces[b][kept]
+            d = np.empty(lam.size)
+            for lo in range(0, lam.size, _CHUNK):
+                d[lo:lo + _CHUNK], _ = _differences(lam[lo:lo + _CHUNK], a_prime, t)
+            sums.append(complex((lam * trace * d).sum()))
+        # one block's sum is the row itself, bits and sign of zero included
+        rows.append((t, sum(sums[1:], sums[0]) if sums else 0j))
 
     failures: list[CertificateFailure] = []
     sample_rank = min(cfg.cutoff_rank, len(lams))

@@ -10,6 +10,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyleta import (BoundarySpectrum, InvalidSpectrumError, InvalidTraceError,
                     circle_spectrum,
@@ -95,6 +96,114 @@ def test_a_40001_mode_circle_fits_in_one_megabyte(tmp_path):
     path = tmp_path / "circle.json"
     dump_spectrum(circle_spectrum(0.25, 0.0, 20000), path)
     assert path.stat().st_size <= 1_000_000
+
+
+def _assert_written_as_its_document(spectrum, path):
+    dump_spectrum(spectrum, path)
+    assert path.read_text() == json.dumps(spectrum_to_json_dict(spectrum),
+                                          sort_keys=True) + "\n"
+
+
+# Each trace part column draws its entries from one of these: the signed
+# zeros, a few exact values, or any part of modulus at most 1.
+PARTS = (st.sampled_from([0.0, -0.0]), st.sampled_from([1.0, -1.0, 0.5]),
+         st.floats(-1.0, 1.0))
+
+
+@st.composite
+def written_spectra(draw):
+    """1 to 40 modes, each column drawn whole or as one repeated entry, and
+    built along one of the constructor paths: from_records rows, a
+    caller's arrays, record-form and format-2 JSON, a direct sum, or a
+    circle. A row whose trace lies outside the unit disc takes a
+    multiplicity of at least 2."""
+    how = draw(st.sampled_from(["records", "arrays", "record-form JSON",
+                                "format-2 JSON", "direct_sum", "circle"]))
+    if how == "circle":
+        return circle_spectrum(draw(st.floats(0.01, 0.99)),
+                               draw(st.sampled_from((0.0, 0.7, math.pi))),
+                               draw(st.integers(1, 60)))
+    n = draw(st.integers(1, 40))
+
+    def column(*pools):
+        entries = draw(st.sampled_from(pools))
+        if draw(st.booleans()):
+            return [draw(entries)] * n
+        return draw(st.lists(entries, min_size=n, max_size=n))
+
+    lams = column(st.floats(0.01, 1e6) | st.floats(-1e6, -0.01))
+    # up to 40 coalesced multiplicities of at most 2**57 each fit in an int64
+    top = 2**57 if how == "direct_sum" else 2**62
+    mult = column(st.sampled_from([1, top]), st.integers(1, top))
+    rows = [(lam, m if abs(complex(re, im)) <= 1.0 else max(m, 2), re, im)
+            for lam, m, re, im in zip(lams, mult, column(*PARTS), column(*PARTS))]
+    if how == "records":
+        return from_records(rows)
+    if how == "arrays":
+        fitted = from_records(rows)
+        return BoundarySpectrum(*(np.array(a) for a in _arrays_of(fitted)),
+                                **{name: getattr(fitted, name) for name in METADATA})
+    if how == "record-form JSON":
+        return spectrum_from_json_dict({"data": [
+            {"lambda": lam, "multiplicity": m, "trace": [re, im]}
+            for lam, m, re, im in rows]})
+    if how == "format-2 JSON":
+        names = ("lambda", "multiplicity", "trace_re", "trace_im")
+        return spectrum_from_json_dict(
+            {"format": 2, "data": dict(zip(names, map(list, zip(*rows))))})
+    if n == 1:
+        return from_records(rows)
+    return direct_sum(from_records(rows[::2]), from_records(rows[1::2]))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(written_spectra())
+def test_dump_writes_the_text_of_the_spectrum_document(tmp_path_factory, spectrum):
+    _assert_written_as_its_document(
+        spectrum, tmp_path_factory.mktemp("written") / "spectrum.json")
+
+
+WRITTEN = {
+    "one mode": lambda: from_records([(-0.5, 3, 1.0, -0.0)]),
+    "constant -0.0": lambda: from_records(
+        [(k + 0.5, 1, -0.0, -0.0) for k in range(50)]),
+    "0.0 and -0.0": lambda: from_records(
+        [(k + 0.5, 1, 0.25, -0.0 if k % 3 else 0.0) for k in range(50)]),
+    "1+0j and 1-0j": lambda: from_records(
+        [(k + 0.5, 1, 1.0, -0.0 if k == 40 else 0.0) for k in range(50)]),
+    "multiplicity 2**62": lambda: from_records(
+        [(k + 0.5, 2**62, 1.0, 0.0) for k in range(50)]),
+    "multiplicities up to 2**62": lambda: from_records(
+        [(k + 0.5, 2**k, 1.0, 0.0) for k in range(63)]),
+    "identity circle": lambda: circle_spectrum(0.25, 0.0, 20000),
+    "real traces": lambda: from_records(
+        [(k + 0.5, 1, math.cos(k), 0.0) for k in range(-50, 50)]),
+    **SPECTRA,
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITTEN))
+def test_dump_writes_the_document_text_of_each_case(tmp_path, name):
+    _assert_written_as_its_document(WRITTEN[name](), tmp_path / "spectrum.json")
+
+
+def test_a_constant_column_is_formatted_once(tmp_path, monkeypatch):
+    # The lambdas vary; the multiplicities, and the real and the imaginary
+    # parts of the traces, are one entry each.
+    lengths = []
+    dumps = json.dumps
+
+    def counted(obj, *args, **kwargs):
+        if isinstance(obj, list):
+            lengths.append(len(obj))
+        return dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", counted)
+    spectrum = circle_spectrum(0.25, 0.0, 20000)
+    dump_spectrum(spectrum, tmp_path / "circle.json")
+    monkeypatch.undo()
+    assert sorted(lengths) == [1, 1, 1, len(spectrum)]
+    _assert_written_as_its_document(spectrum, tmp_path / "circle.json")
 
 
 # ---------------------------------------------------------------------------

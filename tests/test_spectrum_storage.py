@@ -286,17 +286,85 @@ def test_circle_matches_record_by_record_construction(twist, angle, n_max):
         abs(d[0]) / math.sqrt(j) for j, d in enumerate(records, start=1))
 
 
-def test_direct_sum_matches_record_by_record_merge():
-    a = circle_spectrum(0.25, 0.3, 20)
-    b = from_records(ROWS + [(1.25, 1, 0.0, 1.0), (-2.75, 2, 1.0, 1.0)])
+def _merged_record_by_record(a, b):
+    """The rows of the direct sum, merged one record at a time: a record
+    joins the group before it when its neighbour in signed order has its
+    sign and lies within 1e-12 of the larger magnitude of the two."""
     merged: list[tuple] = []
+    neighbour = None
     for d in sorted(_rows(a) + _rows(b), key=lambda d: d[0]):
-        if merged and abs(merged[-1][0] - d[0]) <= 1e-12:
+        if neighbour is not None and (neighbour < 0) == (d[0] < 0) \
+                and d[0] - neighbour <= 1e-12 * max(abs(neighbour), abs(d[0])):
             prev = merged[-1]
             merged[-1] = (prev[0], prev[1] + d[1], prev[2] + d[2])
         else:
             merged.append(d)
-    merged.sort(key=lambda d: (abs(d[0]), 0 if d[0] < 0 else 1))
-    got = direct_sum(a, b)
-    assert _rows(got) == merged
-    assert len(got) == len(a) + len(b) - 2
+        neighbour = d[0]
+    return sorted(merged, key=lambda d: (abs(d[0]), 0 if d[0] < 0 else 1))
+
+
+def _near(lam, ulps):
+    """lam moved by ulps units of 2**-52 relative."""
+    return lam * (1.0 + ulps * 2.0**-52)
+
+
+MERGES = {
+    "circle and records": (circle_spectrum(0.25, 0.3, 20), from_records(
+        ROWS + [(1.25, 1, 0.0, 1.0), (-2.75, 2, 1.0, 1.0)]), 2),
+    "across zero": (from_records([(1e-13, 1, 1.0, 0.0), (-3e-13, 1, 1.0, 0.0)]),
+                    from_records([(2e-13, 1, 1.0, 0.0)]), 0),
+    "a chain at 1e6": (
+        from_records([(1e6, 1, 1.0, 0.0), (_near(1e6, 8000), 1, 0.0, 1.0),
+                      (-1e6, 2, 1.0, 0.0)]),
+        from_records([(_near(1e6, 4000), 1, 1.0, 0.0), (_near(1e6, 20000), 1, 1.0, 0.0),
+                      (_near(-1e6, 3000), 1, 0.5, 0.5)]), 3),
+}
+
+
+def test_direct_sum_matches_record_by_record_merge():
+    for name, (a, b, coalesced) in MERGES.items():
+        got = direct_sum(a, b)
+        assert _rows(got) == _merged_record_by_record(a, b), name
+        assert len(got) == len(a) + len(b) - coalesced, name
+
+
+def test_direct_sum_keeps_small_eigenvalues_of_either_sign_apart():
+    # Under a 1e-12 absolute gap in signed order the three coalesced into
+    # one mode at -3e-13 of multiplicity 3, whose eta is -3.
+    a = from_records([(1e-13, 1, 1.0, 0.0), (-3e-13, 1, 1.0, 0.0)])
+    b = from_records([(2e-13, 1, 1.0, 0.0)])
+    merged = direct_sum(a, b)
+    assert merged.lams.tolist() == [1e-13, 2e-13, -3e-13]
+    assert merged.multiplicity.tolist() == [1, 1, 1]
+    total = eta_invariant(a).value + eta_invariant(b).value
+    assert eta_invariant(merged).value == total == 1.0
+
+
+@st.composite
+def clustered_pairs(draw):
+    """Two spectra whose eigenvalues sit in clusters a few 1e-12 wide around
+    a few centres of either sign, so that some neighbours coalesce and
+    some do not, and a power of two to scale both by."""
+    def records():
+        return [(draw(st.sampled_from((-7.5, -0.3, 0.3, 1.0, 1e3))) * (
+            1.0 + draw(st.integers(-20000, 20000)) * 2.0**-52), draw(st.integers(1, 3)),
+            draw(st.floats(-0.7, 0.7)), draw(st.floats(-0.7, 0.7)))
+            for _ in range(draw(st.integers(1, 12)))]
+    return records(), records(), draw(st.integers(-300, 300))
+
+
+@ROUND_TRIPS
+@given(clustered_pairs())
+def test_direct_sum_coalesces_alike_at_every_power_of_two(case):
+    a, b, k = case
+    merged = direct_sum(from_records(a), from_records(b))
+    scaled = direct_sum(*(from_records([(lam * 2.0**k, *rest) for lam, *rest in rows])
+                          for rows in (a, b)))
+    assert scaled.lams.tolist() == [lam * 2.0**k for lam in merged.lams.tolist()]
+    assert scaled.multiplicity.tolist() == merged.multiplicity.tolist()
+    assert scaled.traces.tobytes() == merged.traces.tobytes()
+    # numpy may add a long group's traces in another order than one by one
+    want = _merged_record_by_record(from_records(a), from_records(b))
+    assert [d[:2] for d in _rows(merged)] == [d[:2] for d in want]
+    assert [d[2] for d in _rows(merged)] == pytest.approx([d[2] for d in want],
+                                                          rel=1e-14, abs=1e-14)

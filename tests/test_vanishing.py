@@ -194,22 +194,42 @@ def test_the_verifiers_hold_only_the_live_prefix():
 
 
 def test_verify_vanishing_takes_its_quadrature_in_chunks():
-    # At a' = 0.001 and t = 1e-6 the live prefix holds 54589 modes. Taken
-    # in one modes x nodes array, its quadrature peaked 62.5 MiB above the
-    # spectrum.
+    # At a' = 0.001 and t = 1e-6 the live prefix holds 54589 modes, of
+    # which 15026 are kept; at a' = 1e-4 and t = 1e-7, 172731 and 47893,
+    # three blocks' worth. Taken in one modes x nodes array, the first
+    # quadrature peaked 62.5 MiB above the spectrum; with the kept modes
+    # selected over the whole live prefix, the two peaked 1.75 and 3.95 MiB.
+    # A block at a time, each peaks at 1.30-1.34 MiB, a chunk's quadrature
+    # and one block's selection: within six blocks of complex, 1.5 MiB.
     spectrum = circle_spectrum(0.3, 0.7, 100000)
     spectrum.floor_analysis
-    cfg = VanishingTermConfig(a_prime=0.001, t_sequence=(1e-6,))
-    tracemalloc.start()
-    try:
-        held, _ = tracemalloc.get_traced_memory()
-        report = verify_vanishing(spectrum, cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak - held <= 3.0 * 2.0 ** 20
-    assert spectrum.rank_below(_collar_radius(0.001, 1e-6)) > 100 * _BLOCK // 96
-    assert abs(report.rows[0][1]) > 0.0
+    for a_prime, t in ((0.001, 1e-6), (1e-4, 1e-7)):
+        cfg = VanishingTermConfig(a_prime=a_prime, t_sequence=(t,))
+        tracemalloc.start()
+        try:
+            held, _ = tracemalloc.get_traced_memory()
+            report = verify_vanishing(spectrum, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - held <= 6 * 16 * _BLOCK
+        assert spectrum.rank_below(_collar_radius(a_prime, t)) > 100 * _BLOCK // 96
+        assert abs(report.rows[0][1]) > 0.0
+
+
+def test_the_blocks_of_a_row_are_summed_in_order():
+    # Past one block a row adds the blocks' sums, which may differ from
+    # one sum over the kept prefix in the last bits; the gap stays far
+    # below the CLI's 1e-6 tolerance on V.
+    spectrum = circle_spectrum(0.25, 0.7, 100000)
+    cfg = VanishingTermConfig(a_prime=1e-4, t_sequence=(1e-7,))
+    blocked = verify_vanishing(spectrum, cfg)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("cyleta.spectral._BLOCK", len(spectrum))
+        patch.setattr("cyleta.vanishing._CHUNK", _BLOCK // 96)
+        whole = verify_vanishing(spectrum, cfg)
+    for (t, got), (_, want) in zip(blocked.rows, whole.rows):
+        assert abs(got - want) <= 1e-13 * abs(want)
 
 
 def test_the_quadrature_chunks_keep_every_row_bit_for_bit(monkeypatch):

@@ -38,6 +38,10 @@ spectrum_to_json_dict text of three spectra built by BoundarySpectrum
 from the arrays of the 40001-mode identity circle at twist 0.3: as they
 are, every multiplicity 1 and every trace 1+0j; with the trace past the
 first block of 16384 modes made 1-0j; and with the last multiplicity 2.
+The "spectrum_files" line hashes the text that dump_spectrum writes for
+those three spectra and for two built from the 4001-mode circle at twist
+0.25 and angle 0.7 with its traces made real: as they are, every
+imaginary part 0.0, and with every third imaginary part made -0.0.
 """
 
 from __future__ import annotations
@@ -106,17 +110,39 @@ def _long_records():
     return from_records(rows)
 
 
+def _meta(spectrum) -> dict:
+    return {name: getattr(spectrum, name) for name in (
+        "weyl_c1", "weyl_c2", "trace_bound_c3", "trace_bound_c4", "truncated_at")}
+
+
 def _constant_columns() -> list:
     """The three spectra of the "constant_columns" line."""
     circle = circle_spectrum(0.3, 0.0, 20000)
-    meta = {name: getattr(circle, name) for name in (
-        "weyl_c1", "weyl_c2", "trace_bound_c3", "trace_bound_c4", "truncated_at")}
+    meta = _meta(circle)
     signed, last = circle.traces.copy(), circle.multiplicity.copy()
     signed[20000] = complex(1.0, -0.0)
     last[-1] = 2
     return [BoundarySpectrum(circle.lams, mult, traces, **meta) for mult, traces
             in ((circle.multiplicity, circle.traces), (circle.multiplicity, signed),
                 (last, circle.traces))]
+
+
+def _real_traces() -> list:
+    """The two real-trace spectra of the "spectrum_files" line."""
+    circle = circle_spectrum(0.25, 0.7, 2000)
+    real = circle.traces.real.astype(complex)
+    mixed = real.copy()
+    mixed.imag[::3] = -0.0
+    return [BoundarySpectrum(circle.lams, circle.multiplicity, traces,
+                             **_meta(circle)) for traces in (real, mixed)]
+
+
+def _written(spectrum) -> str:
+    """The text that dump_spectrum writes for a spectrum."""
+    with _in_scratch():
+        dump_spectrum(spectrum, "spectrum.json")
+        with open("spectrum.json") as fh:
+            return fh.read()
 
 
 def _cli_requests() -> dict:
@@ -271,12 +297,14 @@ def digests() -> dict:
         repr(eta_invariant(long)),
         *(repr(dirichlet_variant_contribution(long, a)) for a in (0.003, 0.05)),
         repr(vanishing_term_detailed(long, 0.003))]
+    constant = _constant_columns()
     cases["constant_columns"] = [
-        case for s in _constant_columns() for case in (
+        case for s in constant for case in (
             repr(eta_invariant(s)), repr(contribution(s, 0.5)),
             *(repr(dirichlet_variant_contribution(s, a)) for a in (0.05, 1.0)),
             repr(aps_index(s, AS_TERMS[1])),
             json.dumps(spectrum_to_json_dict(s), sort_keys=True))]
+    cases["spectrum_files"] = [_written(s) for s in constant + _real_traces()]
     return {**cases, **_cli_documents(), "inputs": _input_cases()}
 
 
