@@ -228,7 +228,7 @@ def test_the_blocks_of_a_row_are_summed_in_order():
         patch.setattr("cyleta.spectral._BLOCK", len(spectrum))
         patch.setattr("cyleta.vanishing._CHUNK", _BLOCK // 96)
         whole = verify_vanishing(spectrum, cfg)
-    for (t, got), (_, want) in zip(blocked.rows, whole.rows):
+    for (_, got), (_, want) in zip(blocked.rows, whole.rows):
         assert abs(got - want) <= 1e-13 * abs(want)
 
 
