@@ -6,16 +6,17 @@ weights, and computes from it, one closed-form heat-time integral per
 mode, the delocalised eta invariant, the contribution from infinity that
 enters index formulas, its Dirichlet variant and the index. Each quantity
 has one public function, which returns it with its error budget.
-Verification entry points check the half-line heat-kernel identities on
-compiled-in grids, the vanishing integral with its dominated-convergence
-certificate, and the agreement of the two index assembly routes. Helpers
-that a caller need not name (the kernels, the vanishing dominator, the
+The index too is one function, aps_index: as_term - f1 eta/2, the
+interior term plus the contribution. Verification entry points check the
+half-line heat-kernel identities on compiled-in grids and the vanishing
+integral with its dominated-convergence certificate. Helpers that a
+caller need not name (the kernels, the vanishing dominator, the
 certificate-failure and truncation-bound records) stay in their modules
 and are not exported here.
 """
 
 from ._version import __version__
-from .assembly import IndexReport, aps_index, assemble_index, relative_index_check
+from .assembly import IndexReport, aps_index, relative_index_check
 from .contribution import (ContributionReport, Estimate, contribution,
                            dirichlet_variant_contribution)
 from .errors import (CyletaError, DomainError, InvalidSpectrumError,
@@ -62,7 +63,6 @@ __all__ = [
     "contribution",
     "dirichlet_variant_contribution",
     "IndexReport",
-    "assemble_index",
     "aps_index",
     "relative_index_check",
 ]

@@ -1,20 +1,15 @@
 """Index bookkeeping on top of the contribution and eta modules.
 
-The index of an operator that is invertible outside a compact set splits as
-ind = (interior characteristic-form integral) + (contribution from
-infinity). The interior term needs geometric data this model does not
-carry, so it enters as a caller-supplied number, which every route
-refuses unless it is finite; everything boundary-spectral is computed
-here. Two assembly routes exist:
-
-* assemble_index adds the caller's interior term to a computed
-  ContributionReport;
-* aps_index uses ind = as_term - eta/2 directly.
-
-They give the same value, since the contribution is -f1 eta/2; the
-acceptance tests check both against quadrature oracles that share no code
-with eta. relative_index_check returns the relative index defect of two spectra as
-an Estimate, with the two contributions' budgets summed.
+The index of an operator that is invertible outside a compact set is the
+interior characteristic-form integral plus the contribution from
+infinity, which is -f1 eta/2 at every collar. The interior term needs
+geometric data this model does not carry, so it enters as a
+caller-supplied number, refused unless it is finite. aps_index is the one
+index function, as_term - f1 eta/2 (the form of Atiyah, Patodi and
+Singer); the acceptance tests check it against quadrature oracles that
+share no code with eta. relative_index_check returns the relative index
+defect of two spectra as an Estimate, with the two contributions'
+budgets summed.
 
 Indices are reported as complex numbers and never rounded: for a
 non-identity group element the equivariant index character is genuinely
@@ -29,14 +24,13 @@ import math
 from dataclasses import dataclass
 
 from ._json import JsonFields
-from .contribution import ContributionReport, Estimate, contribution
+from .contribution import Estimate, _check_f1, contribution
 from .errors import DomainError
 from .eta import eta_invariant
 from .spectral import BoundarySpectrum, _blocks, _kept
 
 __all__ = [
     "IndexReport",
-    "assemble_index",
     "aps_index",
     "relative_index_check",
 ]
@@ -46,9 +40,9 @@ __all__ = [
 class IndexReport(JsonFields):
     """Assembled index value with its two constituents.
 
-    index_value == as_term + contribution holds exactly by construction.
-    est_error bounds the numerical error of index_value: the
-    contribution's est_error, or half of eta's on the aps route.
+    index_value == as_term + contribution holds exactly by construction;
+    contribution is -eta_half, and eta_half is f1 eta/2. est_error bounds
+    the numerical error of index_value: |f1| times half of eta's.
     integrality_residual is None unless the computation was flagged as
     using the identity group element, in which case it is the distance of
     index_value to the nearest Gaussian integer.
@@ -69,28 +63,6 @@ def _check_as_term(as_term: complex) -> complex:
     return as_term
 
 
-def _gaussian_integer_distance(z: complex) -> float:
-    return math.hypot(z.real - round(z.real), z.imag - round(z.imag))
-
-
-def assemble_index(as_term: complex, report: ContributionReport,
-                   g_is_identity: bool = False) -> IndexReport:
-    """ind = as_term + A_g(a') from an already-computed contribution."""
-    if not isinstance(report, ContributionReport):
-        raise DomainError("report must be a ContributionReport")
-    as_term = _check_as_term(as_term)
-    index_value = as_term + report.direct_value
-    residual = _gaussian_integer_distance(index_value) if g_is_identity \
-        else None
-    return IndexReport(
-        as_term=as_term,
-        contribution=report.direct_value,
-        index_value=index_value,
-        eta_half=0.5 * report.eta_reference,
-        est_error=report.est_error,
-        integrality_residual=residual)
-
-
 def _is_identity(spectrum: BoundarySpectrum) -> bool:
     """Whether every stored trace equals its multiplicity."""
     traces, mult = spectrum.traces, spectrum.multiplicity
@@ -98,29 +70,29 @@ def _is_identity(spectrum: BoundarySpectrum) -> bool:
 
 
 def aps_index(spectrum: BoundarySpectrum, as_term: complex,
-              g_is_identity: bool | None = None) -> IndexReport:
-    """ind = as_term - eta/2, skipping the collar integral entirely.
+              g_is_identity: bool | None = None,
+              f1_at_aprime: float = 1.0) -> IndexReport:
+    """ind = as_term - f1 eta/2, with no collar. index_value is as_term plus
+    contribution(spectrum, a', f1_at_aprime).direct_value at every a', bit
+    for bit wherever as_term has no -0.0 part; est_error is |f1| times
+    half of eta's, half the contribution's.
 
     With g_is_identity=None the identity case is auto-detected from the
     spectrum: every stored trace equal to its multiplicity. Both eta and
     that flag are kept with the spectrum, so a repeated call is O(1).
     """
-    as_term = _check_as_term(as_term)
+    as_term, f1 = _check_as_term(as_term), _check_f1(f1_at_aprime)
     eta_res = eta_invariant(spectrum)
-    eta_half = 0.5 * eta_res.value
-    contribution_value = -eta_half
-    index_value = as_term + contribution_value
+    eta_half = 0.5 * (f1 * eta_res.value)
+    index_value = as_term - eta_half
     if g_is_identity is None:
         g_is_identity = _kept(spectrum, "identity", _is_identity)
-    residual = _gaussian_integer_distance(index_value) if g_is_identity \
-        else None
+    nearest = complex(round(index_value.real), round(index_value.imag))
     return IndexReport(
-        as_term=as_term,
-        contribution=contribution_value,
-        index_value=index_value,
-        eta_half=eta_half,
-        est_error=0.5 * eta_res.est_error,
-        integrality_residual=residual)
+        as_term=as_term, contribution=-eta_half, index_value=index_value,
+        eta_half=eta_half, est_error=0.5 * abs(f1) * eta_res.est_error,
+        integrality_residual=abs(index_value - nearest) if g_is_identity
+        else None)
 
 
 def relative_index_check(spec1: BoundarySpectrum, as1: complex,

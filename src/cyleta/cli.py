@@ -23,7 +23,7 @@ import sys
 import tempfile
 
 from ._version import __version__
-from .assembly import aps_index, assemble_index, relative_index_check
+from .assembly import aps_index, relative_index_check
 from .contribution import contribution, dirichlet_variant_contribution
 from .errors import CyletaError
 from .eta import eta_invariant
@@ -112,19 +112,16 @@ def build_parser() -> _Parser:
                        help="rank at which the summability certificate "
                             "samples the dominated series")
 
-    p_idx = sub.add_parser("index",
-                           help="assembled index: as_term plus the "
-                                "contribution (with --a-prime) or as_term "
-                                "minus eta/2 (without)")
+    index_text = ("index as_term - f1 eta/2: the interior term plus the "
+                  "contribution from infinity, which no collar changes")
+    p_idx = sub.add_parser("index", help=index_text, description=index_text)
     _add_spectrum_flags(p_idx)
     _add_output_flag(p_idx)
     p_idx.add_argument("--as-term", default="0,0", metavar="RE,IM",
                        help="interior characteristic-form integral")
-    p_idx.add_argument("--a-prime", action="append", type=float,
-                       default=None, help="collar coordinate (repeatable); "
-                                          "omit for the eta/2 route")
     p_idx.add_argument("--f1", type=float, default=1.0,
-                       help="warp factor f1(a') (default 1); needs --a-prime")
+                       help="warp factor f1(a') that scales the "
+                            "contribution (default 1)")
     p_idx.add_argument("--g-identity", action="store_true",
                        help="flag the group element as the identity so the "
                             "integrality residual is reported")
@@ -262,20 +259,9 @@ def _run_verify_vanishing(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _run_index(args: argparse.Namespace) -> tuple[dict, int]:
-    if not args.a_prime and args.f1 != 1.0:
-        raise _InputError("--f1 needs --a-prime: the route without it, "
-                          "as_term - eta/2, has no warp factor")
-    spectrum = _spectrum_from_args(args)
-    as_term = _parse_complex(args.as_term)
-    if args.a_prime:
-        reports = [{"a_prime": ap, **assemble_index(
-            as_term, contribution(spectrum, ap, args.f1),
-            g_is_identity=args.g_identity).to_json_dict()}
-            for ap in args.a_prime]
-        return {"route": "contribution", "reports": reports}, 0
-    report = aps_index(spectrum, as_term,
-                       g_is_identity=args.g_identity or None)
-    return {"route": "aps", "reports": [report.to_json_dict()]}, 0
+    report = aps_index(_spectrum_from_args(args), _parse_complex(args.as_term),
+                       args.g_identity or None, args.f1)
+    return {"reports": [report.to_json_dict()]}, 0
 
 
 def _run_relative(args: argparse.Namespace) -> tuple[dict, int]:

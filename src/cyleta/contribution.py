@@ -89,6 +89,13 @@ def _check_a_prime(a_prime: float) -> float:
     return a_prime
 
 
+def _check_f1(f1_at_aprime: float) -> float:
+    f1 = float(f1_at_aprime)
+    if not math.isfinite(f1):
+        raise DomainError(f"f1_at_aprime must be finite, got {f1_at_aprime!r}")
+    return f1
+
+
 @dataclass(frozen=True)
 class Estimate(JsonFields):
     """A value with est_error, the bound on its numerical error. complex(e)
@@ -159,10 +166,7 @@ def contribution(spectrum: BoundarySpectrum, a_prime: float,
     times eta's.
     """
     a_prime = _check_a_prime(a_prime)
-    f1 = float(f1_at_aprime)
-    if not math.isfinite(f1):
-        raise DomainError(f"f1_at_aprime must be finite, got {f1_at_aprime!r}")
-
+    f1 = _check_f1(f1_at_aprime)
     eta_res = eta_invariant(spectrum)
     eta_reference = f1 * eta_res.value
     value = -0.5 * eta_reference

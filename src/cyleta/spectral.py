@@ -90,6 +90,7 @@ __all__ = [
 _SLACK = 1e-12
 
 _COALESCE_TOL = 1e-12
+_INT64_MAX = 2**63 - 1
 
 # Candidate growth exponents when fitting metadata to raw records: 1/dim for
 # boundary dimensions 1 through 4.
@@ -511,7 +512,8 @@ def direct_sum(a: BoundarySpectrum, b: BoundarySpectrum) -> BoundarySpectrum:
 
     The merged list is re-ranked, so the growth metadata is refitted to the
     merged data rather than inherited. The result is only complete below the
-    smaller of the two cutoffs.
+    smaller of the two cutoffs. A coalesced multiplicity past the int64
+    range is refused by name.
     """
     lams = np.concatenate([a.lams, b.lams])
     order = np.argsort(lams, kind="stable")
@@ -520,11 +522,27 @@ def direct_sum(a: BoundarySpectrum, b: BoundarySpectrum) -> BoundarySpectrum:
     apart = ((before < 0.0) != (after < 0.0)) | (
         after - before > _COALESCE_TOL * np.maximum(-before, after))
     starts = np.flatnonzero(np.concatenate(([True], apart)))
-    mult, traces = (np.add.reduceat(np.concatenate(pair)[order], starts)
-                    for pair in ((a.multiplicity, b.multiplicity),
-                                 (a.traces, b.traces)))
+    mult = _coalesced(np.concatenate((a.multiplicity, b.multiplicity))[order],
+                      starts, lams[starts])
+    traces = np.add.reduceat(np.concatenate((a.traces, b.traces))[order], starts)
     return _fitted(lams[starts], mult, traces,
                    min(a.truncated_at, b.truncated_at))
+
+
+def _coalesced(mult: np.ndarray, starts: np.ndarray,
+               lams: np.ndarray) -> np.ndarray:
+    """np.add.reduceat(mult, starts) of positive int64 multiplicities, with
+    a sum past int64 refused by name at its eigenvalue in lams. Where some
+    sum could wrap, the sums are first made exactly, in Python ints."""
+    if int(mult.max()) > _INT64_MAX // mult.size:
+        exact = np.add.reduceat(mult.astype(object), starts)
+        over = exact > _INT64_MAX
+        if over.any():
+            i = int(over.argmax())
+            raise InvalidSpectrumError(
+                f"eigenvalue {float(lams[i])!r}: coalesced multiplicity "
+                f"{exact[i]} exceeds the int64 range")
+    return np.add.reduceat(mult, starts)
 
 
 def _monomial_tail(coeff: float, p: float, q: float, beta: float,

@@ -19,7 +19,6 @@ import pytest
 from cyleta import (
     VanishingTermConfig,
     aps_index,
-    assemble_index,
     circle_spectrum,
     contribution,
     dirichlet_variant_contribution,
@@ -242,10 +241,12 @@ def test_criterion_07_relative_cancellation(circle_quarter):
 
 
 def test_criterion_08_route_equality():
-    # Both assembly routes against as_term plus an oracle contribution:
-    # the per-mode double quadrature on the small spectra, whose floors
-    # are refused, and -eta/2 by quadrature from the floor on the circles.
-    # The last case leaves the collar factor live (a'^2/s_f = 0.4).
+    # The one index route, as_term - f1 eta/2, against as_term plus f1
+    # times an oracle contribution: the per-mode double quadrature on the
+    # small spectra, whose floors are refused, and -eta/2 by quadrature
+    # from the floor on the circles. Its index_value must also be as_term
+    # plus the contribution at the case's collar, bit for bit. The last
+    # case leaves the collar factor live (a'^2/s_f = 0.4).
     finite = [
         from_records([(2.0, 1, 1.0, 0.0)]),
         from_records([(-1.25, 1, 1.0, 0.0)]),
@@ -264,16 +265,18 @@ def test_criterion_08_route_equality():
     ok = True
     for spec, a_prime, (want, oracle_err) in cases:
         assert oracle_err <= 1e-8
-        via_contribution = assemble_index(as_term, contribution(spec, a_prime))
-        via_eta = aps_index(spec, as_term)
-        for route in (via_contribution, via_eta):
-            dev = abs(route.index_value - (as_term + want))
+        for f1 in (1.0, 2.0):
+            idx = aps_index(spec, as_term, f1_at_aprime=f1)
+            summed = as_term + contribution(spec, a_prime, f1).direct_value
+            dev = abs(idx.index_value - (as_term + f1 * want))
             worst_dev = max(worst_dev, dev)
-            ok = ok and dev <= route.est_error + oracle_err + 1e-12
+            ok = ok and repr(idx.index_value) == repr(summed)
+            ok = ok and dev <= idx.est_error + f1 * oracle_err + 1e-12
     ok = ok and worst_dev <= 1e-6
     _verdict(8, "route-equality", ok,
-             f"worst gap of either route to the oracle {worst_dev:.3e} "
-             f"<= 1e-6 and within est_error on {len(cases)} cases")
+             f"worst gap of the index to the oracle {worst_dev:.3e} "
+             f"<= 1e-6 and within est_error, and as_term plus the "
+             f"contribution bit for bit, on {len(cases)} cases at f1 = 1, 2")
     assert ok
 
 

@@ -81,7 +81,8 @@ def test_index_eta_route(capsys):
     status, doc = _run(capsys, "index", "--twist", "0.25", "--n-max", "200",
                        "--as-term", "0.25")
     assert status == 0
-    assert doc["result"]["route"] == "aps"
+    assert set(doc["result"]) == {"reports"}
+    assert len(doc["result"]["reports"]) == 1
     entry = doc["result"]["reports"][0]
     assert entry["index_value"] == pytest.approx([0.0, 0.0], abs=1e-8)
     # identity group element auto-detected, so the residual is reported
@@ -90,14 +91,23 @@ def test_index_eta_route(capsys):
 
 
 def test_index_contribution_route(capsys):
-    status, doc = _run(capsys, "index", "--twist", "0.25", "--n-max", "200",
-                       "--as-term", "0.25,0", "--a-prime", "0.5",
-                       "--g-identity")
-    assert status == 0
-    assert doc["result"]["route"] == "contribution"
-    entry = doc["result"]["reports"][0]
-    assert entry["a_prime"] == 0.5
-    assert entry["index_value"] == pytest.approx([0.0, 0.0], abs=1e-8)
+    # index --f1 F is as_term plus the value of contribution --f1 F, bit
+    # for bit, with half its est_error: 0.5 - eta at F = 2.
+    circle = ("--twist", "0.25", "--rotation-angle", "0.7", "--n-max", "200")
+    status, doc = _run(capsys, "index", *circle, "--as-term", "0.5",
+                       "--f1", "2", "--g-identity")
+    assert status == 0 and doc["request"]["f1"] == 2.0
+    assert "a_prime_list" not in doc["request"]
+    [entry] = doc["result"]["reports"]
+    _, con = _run(capsys, "contribution", *circle, "--f1", "2",
+                  "--a-prime", "0.5")
+    value = con["result"]["reports"][0]["direct_value"]
+    assert entry["index_value"] == [0.5 + value[0], 0.0 + value[1]]
+    assert entry["est_error"] == 0.5 * con["result"]["reports"][0]["est_error"]
+    _, eta = _run(capsys, "eta", *circle)
+    assert entry["index_value"] == [0.5 - eta["result"]["value"][0],
+                                    0.0 - eta["result"]["value"][1]]
+    assert entry["est_error"] == eta["result"]["est_error"]
     assert isinstance(entry["integrality_residual"], float)
 
 
@@ -218,18 +228,19 @@ def test_input_errors_exit_one(capsys, argv):
     assert doc["errors"]
 
 
-def test_f1_without_a_prime_is_refused_by_name(capsys):
-    # The eta/2 route has no warp factor, so an --f1 other than the
-    # default would be echoed and ignored; the default itself is accepted.
+def test_index_takes_f1_and_refuses_a_prime(capsys):
+    # The index is as_term - f1 eta/2 with no collar, so --f1 stands alone
+    # and --a-prime, which never changed the value, is an unknown flag.
     index = ("index", "--twist", "0.25", "--n-max", "20", "--as-term", "0.5")
     status, doc = _run(capsys, *index, "--f1", "2")
+    assert status == 0 and doc["errors"] == []
+    assert doc["request"]["f1"] == 2.0
+    status, doc = _run(capsys, *index, "--a-prime", "0.5")
     assert status == 1 and doc["result"] is None
-    assert len(doc["errors"]) == 1 and "--f1" in doc["errors"][0]
-    status, doc = _run(capsys, *index, "--f1", "1")
-    assert status == 0 and doc["result"]["route"] == "aps"
-    assert doc["request"]["f1"] == 1.0
-    status, doc = _run(capsys, *index, "--f1", "2", "--a-prime", "1")
-    assert status == 0 and doc["result"]["route"] == "contribution"
+    assert len(doc["errors"]) == 1 and "--a-prime" in doc["errors"][0]
+    status, doc = _run(capsys, *index, "--f1", "nan")
+    assert status == 1 and doc["result"] is None
+    assert doc["errors"][0].startswith("DomainError: f1_at_aprime must be finite")
 
 
 @pytest.mark.parametrize("flags", [
@@ -255,7 +266,7 @@ def test_quadrature_flags_are_refused(capsys, flags):
     ("index", "--twist", "0.25", "--n-max", "10", "--as-term", "nan"),
     ("index", "--twist", "0.25", "--n-max", "10", "--as-term", "inf,0"),
     ("index", "--twist", "0.25", "--n-max", "10", "--as-term", "0,nan",
-     "--a-prime", "0.5"),
+     "--f1", "2"),
     ("eta", "--twist", "0.25", "--n-max", "5", "--rotation-angle", "inf"),
     ("contribution", "--twist", "0.25", "--n-max", "5", "--rotation-angle",
      "nan", "--a-prime", "0.5"),
@@ -323,7 +334,7 @@ for argv in (
         ["contribution", *circle, "--a-prime", "0.3", "--a-prime", "0.8"],
         ["dirichlet-variant", "--spectrum", first, "--a-prime", "0.5"],
         ["index", *circle, "--as-term", "0.25"],
-        ["index", *circle, "--as-term", "0.25,0", "--a-prime", "0.5",
+        ["index", *circle, "--as-term", "0.25,0", "--f1", "2",
          "--g-identity"],
         ["relative", "--spectrum", first, "--spectrum", second,
          "--a-prime", "0.5", "--as-term", "1", "--as-term", "0,1"],
@@ -375,12 +386,12 @@ PUBLIC = {
     "eta_invariant", "VanishingTermConfig", "VanishingReport",
     "vanishing_term_detailed", "verify_vanishing", "Estimate",
     "ContributionReport", "contribution", "dirichlet_variant_contribution",
-    "IndexReport", "assemble_index", "aps_index", "relative_index_check",
+    "IndexReport", "aps_index", "relative_index_check",
 }
 
 
-def test_the_package_exports_34_names_and_each_resolves():
-    assert len(cyleta.__all__) == len(set(cyleta.__all__)) == 34
+def test_the_package_exports_33_names_and_each_resolves():
+    assert len(cyleta.__all__) == len(set(cyleta.__all__)) == 33
     assert set(cyleta.__all__) == PUBLIC
     namespace = {}
     exec("from cyleta import *", namespace)

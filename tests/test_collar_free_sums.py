@@ -111,7 +111,7 @@ def test_cli_aps_index_sums_eta_once(made, capsys):
     status = main(["index", "--twist", "0.25", "--n-max", "2000",
                    "--as-term", "0.5,0"])
     assert status == 0
-    assert json.loads(capsys.readouterr().out)["result"]["route"] == "aps"
+    assert json.loads(capsys.readouterr().out)["result"].keys() == {"reports"}
     assert len(made["eta"]) == 1
     assert len(made["identity"]) == 1
 

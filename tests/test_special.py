@@ -89,6 +89,10 @@ def test_erfc_underflows_without_nan():
         assert erfcx(np.array([np.inf, -26.7, -1e300, -np.inf])).tolist() \
             == [0.0, math.inf, math.inf, math.inf]
     assert np.isnan(erfc(np.nan)) and np.isnan(erfcx(np.nan))
+    # Left of -5.9 erfc(v) = 2 - erfc(-v) lies within half an ulp of 2
+    # (erfc(5.9) = 7.2e-17), and the kernel gives exactly 2.0 there: the
+    # mpmath comparison alone would pass a 1-ulp miss.
+    assert (erfc(np.linspace(-28.0, -5.9, 200_001)) == 2.0).all()
 
 
 def test_shapes_and_scalars():

@@ -294,6 +294,22 @@ def test_direct_sum_coalesces_equal_eigenvalues():
     assert both.traces[0] == 2.0 + 0j
 
 
+def test_direct_sum_refuses_a_multiplicity_past_int64_by_name():
+    # Two modes of 2**62 sum to 2**63, one past int64; five sum to
+    # 2**64 + 2**62, which wraps back to a positive int64.
+    big = from_records([(1.0, 2**62, 1.0, 0.0)])
+    for count, total in ((2, 2**63), (5, 5 * 2**62)):
+        rest = from_records([(1.0, 2**62, 1.0, 0.0)] * (count - 1))
+        with pytest.raises(InvalidSpectrumError) as refused:
+            direct_sum(big, rest)
+        assert str(refused.value) == (f"eigenvalue 1.0: coalesced multiplicity "
+                                      f"{total} exceeds the int64 range")
+    edge = direct_sum(big, from_records([(1.0, 2**62 - 1, 0.5, 0.0),
+                                         (-1.0, 2**62, 0.0, 0.0)]))
+    assert edge.lams.tolist() == [-1.0, 1.0]
+    assert edge.multiplicity.tolist() == [2**62, 2**63 - 1]
+
+
 def test_direct_sum_merges_distinct_modes():
     a = circle_spectrum(0.25, 0.0, 1)
     b = _single(3.0, 1.0)

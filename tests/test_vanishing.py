@@ -16,7 +16,6 @@ from cyleta import (
     DomainError,
     VanishingTermConfig,
     aps_index,
-    assemble_index,
     circle_spectrum,
     contribution,
     dirichlet_variant_contribution,
@@ -278,15 +277,15 @@ def test_runtime_never_evaluates_the_vanishing_term(monkeypatch, capsys,
     report = contribution(spectrum, 0.5)
     assert report.vanishing_residual == 0j
     assert report.decomposed_value == -0.5 * report.eta_reference
-    assemble_index(0.25, report)
     aps_index(spectrum, 0.25)
+    aps_index(spectrum, 0.25, f1_at_aprime=2.0)
     relative_index_check(spectrum, 0.0, spectrum, 0.0, 0.5)
 
     path = tmp_path / "spec.json"
     dump_spectrum(spectrum, path)
     source = ("--twist", "0.25", "--rotation-angle", "0.7", "--n-max", "200")
     for argv in (("contribution", *source, "--a-prime", "0.5"),
-                 ("index", *source, "--as-term", "0", "--a-prime", "0.5"),
+                 ("index", *source, "--as-term", "0", "--f1", "2"),
                  ("index", *source, "--as-term", "0"),
                  ("relative", "--spectrum", str(path), "--spectrum",
                   str(path), "--a-prime", "0.5")):

@@ -170,10 +170,11 @@ def _cli_requests() -> dict:
                              ["verify-vanishing", *small, "--a-prime", "0.5",
                               "--a-prime", "1"]],
         "index": [["index", *circle, "--as-term", "0.5,0"],
-                  ["index", *circle, "--as-term", "0.5,0.25", *collars],
+                  ["index", *circle, "--as-term", "0.5,0.25", "--f1", "-0.7"],
                   ["index", "--twist", "0.5", "--n-max", "300", "--g-identity"],
                   ["index", "--spectrum", "two.json", "--as-term", "1,-1",
-                   "--a-prime", "0.5", "--g-identity"]],
+                   "--f1", "2", "--g-identity"],
+                  ["index", *circle, "--a-prime", "0.5"]],
         "relative": [["relative", *files, "--a-prime", "0.5"],
                      ["relative", *files, "--a-prime", "0.05", "--as-term",
                       "1,0", "--as-term", "0.25,-1"],
