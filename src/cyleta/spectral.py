@@ -50,7 +50,13 @@ Conventions baked into the container:
 * dump_spectrum writes the text of json.dumps(spectrum_to_json_dict(s),
   sort_keys=True) a column at a time, and formats the one entry of a
   column whose entries all carry the same bits once, so the text does
-  not change.
+  not change. load_spectrum reads a text laid out that way a column at a
+  time too: a column whose text is _column_text of its first entry,
+  repeated, is that one entry, typed and broadcast, and any other column
+  is parsed on its own. Any other text, and any column or metadata that
+  json.loads or the column typing refuses, is parsed whole, as before.
+  Both routes end in the same record checks and metadata code, so they
+  give one spectrum, or one error.
 """
 
 from __future__ import annotations
@@ -461,7 +467,12 @@ def _modes(cols, row: str, entry: str, names=_COLUMNS) -> tuple[np.ndarray, ...]
             "within the double range" if type(v) is int else "a number"
         raise InvalidSpectrumError(f"{entry.format(i, names[k])}: "
                                    f"must be {want}, got {v!r}")
-    lams, mult, re, im = arrays
+    return _checked(*arrays, row)
+
+
+def _checked(lams, mult, re, im, row: str) -> tuple[np.ndarray, ...]:
+    """The (lams, multiplicity, traces) arrays of four typed columns of one
+    length, of which the first invalid mode is named row.format(i)."""
     traces = np.empty(lams.size, dtype=np.complex128)
     traces.real, traces.imag = re, im  # bit for bit complex(re, im)
     _check_records(lams, mult, traces, row.format)
@@ -658,6 +669,12 @@ def spectrum_from_json_dict(doc: dict) -> BoundarySpectrum:
         lams, mult, traces = _modes(_column_lists(doc["data"]), "data[{}]", "data.{1}[{0}]")
     else:
         raise InvalidSpectrumError(f'"format" must be 2 or absent, got {doc["format"]!r}')
+    return _with_metadata(doc, lams, mult, traces)
+
+
+def _with_metadata(doc: dict, lams, mult, traces) -> BoundarySpectrum:
+    """The spectrum of checked arrays and the "truncated_at" and "weyl" keys
+    of doc, each fitted to the data where it is absent."""
     cutoff, weyl = doc.get("truncated_at"), doc.get("weyl")
     try:  # by the type rule of the lambda column
         meta = _array([np.abs(lams).max() if cutoff is None else cutoff,
@@ -696,12 +713,77 @@ def spectrum_to_json_dict(spectrum: BoundarySpectrum) -> dict:
 
 
 def load_spectrum(path: Union[str, Path]) -> BoundarySpectrum:
-    """Read a spectrum from a JSON file of either form."""
+    """Read a spectrum from a JSON file of either form. A text laid out as
+    dump_spectrum writes it is read a column at a time (_dumped); any other
+    text is parsed whole by spectrum_from_json_dict. Both give one result,
+    or one error."""
     try:
-        doc = json.loads(Path(path).read_text())
+        text = Path(path).read_text()
+        dumped = _dumped(text)
+        doc = json.loads(text) if dumped is None else None
     except ValueError as exc:  # JSONDecodeError, or an int past int()'s digit limit
         raise InvalidSpectrumError(f"{path}: not valid JSON ({exc})") from None
-    return spectrum_from_json_dict(doc)
+    if dumped is None:
+        return spectrum_from_json_dict(doc)
+    *cols, meta = dumped
+    return _with_metadata(meta, *_checked(*cols, "data[{}]"))
+
+
+# The text of dump_spectrum around the four columns, which it writes in
+# sorted order: lambda, multiplicity, trace_im, trace_re.
+_DUMPED = ('{"data": {"lambda": [', '], "multiplicity": [', '], "trace_im": [',
+           '], "trace_re": [', ']}, ')
+
+
+def _dumped(text: str) -> tuple | None:
+    """The four typed columns, in the order of _COLUMNS, and the metadata
+    object of a format-2 text laid out as dump_spectrum writes it; None
+    where json.loads and spectrum_from_json_dict could read it otherwise or
+    would refuse it: another layout, a column that holds a '"', a column or
+    metadata that json.loads refuses, an entry that _array refuses,
+    columns of unequal or no length, a second "data" key, or a "format"
+    other than the int 2."""
+    if not text.startswith(_DUMPED[0]):
+        return None
+    start, cols = len(_DUMPED[0]), []
+    for head in _DUMPED[1:]:
+        end = text.find(head, start)
+        if end < 0:
+            return None
+        cols.append(text[start - 1:end + 1])  # with its brackets
+        start = end + len(head)
+    if any('"' in col for col in cols):
+        return None
+    try:
+        lams, mult, im, re = (_dumped_column(col, k)
+                              for col, k in zip(cols, (0, 1, 3, 2)))
+        meta = json.loads("{" + text[start:])
+    except (ValueError, RecursionError):
+        return None
+    cols = (lams, mult, re, im)
+    if any(col is None for col in cols) or len({col.size for col in cols}) > 1 \
+            or not lams.size or "data" in meta \
+            or not (type(meta.get("format")) is int and meta["format"] == 2):
+        return None
+    return *cols, meta
+
+
+def _dumped_column(text: str, k: int) -> np.ndarray | None:
+    """Column k of _COLUMNS from its text, brackets included: where the
+    text is _column_text of its first entry repeated, that one entry typed
+    by _array and broadcast to the column's length, else the whole text
+    parsed and typed; None where _array refuses it. json.loads raises
+    where it refuses the text."""
+    cut = text.find(", ")
+    entry = text[1:cut] if cut > 0 else text[1:-1]
+    first = _array(json.loads(f"[{entry}]"), k)
+    # n entries and n - 1 separators ", " in brackets: n (len(entry) + 2)
+    size, rest = divmod(len(text), len(entry) + 2)
+    if first is not None and first.size == 1 and not rest:
+        whole = np.broadcast_to(first, (size,))
+        if _column_text(whole) == text:
+            return whole
+    return _array(json.loads(text), k)
 
 
 def _column_text(col: np.ndarray) -> str:

@@ -35,6 +35,10 @@ Contents:
   spectral sums over every heat time from a given lower limit, with no
   erfc-type antiderivative anywhere; the second can integrate the collar
   part of the bracket alone.
+* ``eta_sum_40_digits`` and ``gap_40_digits``: eta's finite sum
+  sum_j a_j sgn(lam_j) erfc(|lam_j| sqrt(s)), from a floor s or from 0,
+  evaluated by mpmath at 40 digits, and the gap of a double to it, so
+  that eta's est_error is tested at double precision with no slack.
 * ``spectral_tails``, ``dirichlet_tails``, ``collar_piece`` and
   ``dirichlet_piece``: the per-mode closed forms of the same collar
   integrals from a heat time T, and the two pieces that depend on the
@@ -59,6 +63,7 @@ from __future__ import annotations
 import math
 import warnings
 
+import mpmath
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.linalg import eigh_tridiagonal, solve_banded
@@ -339,6 +344,28 @@ def eta_by_quadrature(lams, traces, s_lo: float = 0.0
 
     lo, hi, points = _u_range(lams, s_lo)
     return _quad_complex(integrand, lo, hi, points)
+
+
+def eta_sum_40_digits(lams, traces, s_lo: float = 0.0):
+    """sum_j a_j sgn(lam_j) erfc(|lam_j| sqrt(s_lo)) at 40 significant
+    digits, as an mpmath mpc: the finite sum that eta's closed form rounds
+    to a double, from a floor s_lo > 0, or the signed trace sum
+    sum_j a_j sgn(lam_j) at s_lo = 0. Every input is read as the double it
+    is; gap_40_digits measures a double against the result."""
+    with mpmath.workdps(40):
+        root = mpmath.sqrt(mpmath.mpf(float(s_lo)))
+        total = mpmath.mpc(0)
+        for lam, a in zip(np.asarray(lams, dtype=float).tolist(),
+                          np.asarray(traces, dtype=complex).tolist()):
+            weight = mpmath.erfc(abs(mpmath.mpf(lam)) * root) if s_lo else 1
+            total += mpmath.mpc(a) * (weight if lam > 0 else -weight)
+        return total
+
+
+def gap_40_digits(value: complex, exact) -> float:
+    """|value - exact| at 40 digits, rounded to a double once."""
+    with mpmath.workdps(40):
+        return float(abs(mpmath.mpc(value) - exact))
 
 
 def collar_integral_by_quadrature(lams, traces, a_prime: float,

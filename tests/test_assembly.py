@@ -75,31 +75,37 @@ def test_aps_index_explicit_flag_wins():
     _single(),
     MIXED,
     circle_spectrum(0.25, 0.0, 300),
-], ids=["single", "mixed", "circle"])
+    circle_spectrum(0.25, 0.0, 200),
+], ids=["single", "mixed", "circle", "circle-200"])
 def test_both_assembly_routes_agree(spec):
     # as_term - f1 eta/2 is as_term plus the contribution at any collar,
-    # bit for bit, with half the contribution's est_error.
-    as_term = 0.25 + 0.1j
-    for f1 in (1.0, 2.0, -0.5, 1.3):
+    # bit for bit, the sign of a zero part included, with half the
+    # contribution's est_error. On a circle of identity traces eta is
+    # real, and -f1 eta/2 has a zero imaginary part, which 0.5-0j keeps.
+    for f1, as_term in product((1.0, 2.0, -0.5, 1.3),
+                               (0.25 + 0.1j, complex(0.5, -0.0))):
         idx = aps_index(spec, as_term, f1_at_aprime=f1)
         for a_prime in (0.05, 0.5, 3.0):
             report = contribution(spec, a_prime, f1)
+            assert repr(idx.contribution) == repr(report.direct_value)
             assert repr(idx.index_value) == repr(as_term + report.direct_value)
             assert idx.est_error == 0.5 * report.est_error
         assert idx.eta_half == 0.5 * report.eta_reference
 
 
 def test_the_index_is_as_term_plus_the_contribution_on_circles():
-    # The circles of tools/output_digest.py, at its interior terms and
-    # collars, for two warp factors other than 1.
+    # The circles of tools/output_digest.py, at its interior terms, 0.5-0j
+    # and collars, for the warp factor 1 and two others.
     for twist, angle, n_max in product((0.1, 0.25, 0.5, 0.83), (0.0, 0.7, 2.3),
                                        (5, 40, 300, 2000)):
         spec = circle_spectrum(twist, angle, n_max)
-        for f1, as_term in product((2.0, -0.5), (0j, 0.5 + 0.25j)):
-            value = aps_index(spec, as_term, f1_at_aprime=f1).index_value
+        for f1, as_term in product((1.0, 2.0, -0.5),
+                                   (0j, 0.5 + 0.25j, complex(0.5, -0.0))):
+            idx = aps_index(spec, as_term, f1_at_aprime=f1)
             for a_prime in (0.003, 0.05, 1.0, 40.0):
-                want = as_term + contribution(spec, a_prime, f1).direct_value
-                assert repr(value) == repr(want)
+                value = contribution(spec, a_prime, f1).direct_value
+                assert repr(idx.contribution) == repr(value)
+                assert repr(idx.index_value) == repr(as_term + value)
 
 
 def test_f1_scales_the_eta_half_and_its_budget():

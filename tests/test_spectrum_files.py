@@ -1,7 +1,8 @@
 """The two spectrum file forms: format 2 (four flat columns), which
 dump_spectrum writes, and the older record form, which load_spectrum still
 reads. A record-form document and its format-2 re-dump load to the same
-spectrum bit for bit, and a malformed column names the column and the first
+spectrum bit for bit, a file that dump_spectrum wrote loads as its text
+parsed whole does, and a malformed column names the column and the first
 bad index."""
 
 import json
@@ -16,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from cyleta import (BoundarySpectrum, InvalidSpectrumError, InvalidTraceError,
                     circle_spectrum,
                     direct_sum, dump_spectrum, eta_invariant, from_records,
-                    load_spectrum, spectrum_from_json_dict,
+                    load_spectrum, spectral, spectrum_from_json_dict,
                     spectrum_to_json_dict)
 from cyleta.cli import main
 
@@ -271,6 +272,130 @@ def test_negative_zero_imaginary_parts_keep_their_sign(tmp_path):
     back = load_spectrum(path)
     assert np.array_equal(np.signbit(back.traces.imag), signs)
     _assert_same(back, spectrum)
+
+
+# ---------------------------------------------------------------------------
+# load_spectrum reads a text laid out as dump_spectrum writes it a column at
+# a time, and any other text whole: both routes give one result or one error
+
+
+def _read_whole(path):
+    """The spectrum, or the error, of the text of path parsed whole: the
+    one route of load_spectrum for a text that dump_spectrum did not lay
+    out."""
+    text = path.read_text()
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise InvalidSpectrumError(f"{path}: not valid JSON ({exc})") from None
+    return spectrum_from_json_dict(doc)
+
+
+def _assert_same_strides(got, want):
+    _assert_same(got, want)
+    for a, b in zip(_arrays_of(got), _arrays_of(want)):
+        assert a.strides == b.strides
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(written_spectra())
+def test_a_dumped_file_reads_as_its_text_parsed_whole(tmp_path_factory, spectrum):
+    if spectrum is None:  # a direct sum refused as past int64, as it must be
+        return
+    path = tmp_path_factory.mktemp("reload") / "spectrum.json"
+    dump_spectrum(spectrum, path)
+    assert spectral._dumped(path.read_text()) is not None
+    _assert_same_strides(load_spectrum(path), _read_whole(path))
+
+
+def _near_dump(edit):
+    """The text dump_spectrum writes for circle_spectrum(0.25, 0.0, 3), whose
+    multiplicity and trace columns are constant, with edit applied."""
+    def text(tmp_path):
+        dump_spectrum(circle_spectrum(0.25, 0.0, 3), tmp_path / "written.json")
+        return edit((tmp_path / "written.json").read_text())
+    return text
+
+
+def _in_data(name, old, new):
+    """An edit of the column name alone."""
+    def edit(text):
+        head = text.index(f'"{name}": [')
+        tail = text.index("]", head)
+        return text[:head] + text[head:tail].replace(old, new) + text[tail:]
+    return edit
+
+
+NEAR_DUMP = {
+    "as written": lambda text: text,
+    "no space after a comma": _in_data("trace_re", ", ", ","),
+    "a space before a comma": _in_data("multiplicity", ", ", " , "),
+    "indented": lambda text: json.dumps(json.loads(text), indent=1),
+    "format first": lambda text: "{" + text[text.index('"format"'):
+                                            text.index('"truncated_at"')]
+    + text[1:text.index(', "format"')] + ", " + text[text.index('"truncated'):],
+    "1.00 repeated": _in_data("trace_re", "1.0", "1.00"),
+    "an int repeated": _in_data("trace_re", "1.0", "1"),
+    "NaN repeated": _in_data("trace_im", "0.0", "NaN"),
+    "Infinity once": lambda text: text.replace("-0.75", "Infinity", 1),
+    "-Infinity repeated": _in_data("trace_re", "1.0", "-Infinity"),
+    "a nested list": lambda text: text.replace("1.25", "[1.25]", 1),
+    "a string entry": lambda text: text.replace("1.25", '"1.25"', 1),
+    "a string as every entry": _in_data("trace_im", "0.0", '"0.0"'),
+    "true repeated": _in_data("multiplicity", "1", "true"),
+    "a float multiplicity repeated": _in_data("multiplicity", "1", "1.0"),
+    "a zero multiplicity repeated": _in_data("multiplicity", "1", "0"),
+    "a short constant column": _in_data("trace_im", "0.0, ", ""),
+    "a short column": _in_data("lambda", "-0.75, ", ""),
+    "an empty column": lambda text: re.sub(r'"trace_im": \[[^]]*\]',
+                                           '"trace_im": []', text),
+    "a later data key": lambda text: text.replace(
+        '"format"', '"data": {"lambda": [2.0], "multiplicity": [1], '
+                    '"trace_re": [1.0], "trace_im": [0.0]}, "format"'),
+    "a later empty data key": lambda text: text.replace('"format"',
+                                                        '"data": [], "format"'),
+    "format 2.0": lambda text: text.replace('"format": 2', '"format": 2.0'),
+    "format true": lambda text: text.replace('"format": 2', '"format": true'),
+    "no format": lambda text: text.replace('"format": 2, ', ""),
+    "a later format": lambda text: text.replace("}\n", ', "format": 3}\n'),
+    "a huge multiplicity": _in_data("multiplicity", "1", str(2**63)),
+    "an int past the double range": lambda text: text.replace(
+        "1.25", str(10**400), 1),
+    "an int past the digit limit": lambda text: text.replace(
+        "1.25", "1" * 5000, 1),
+    "a zero eigenvalue": lambda text: text.replace("1.25", "0.0", 1),
+    "an eigenvalue twice": lambda text: text.replace("-0.75", "-1.75", 1),
+    "no weyl": lambda text: text[:text.index(', "weyl"')] + "}\n",
+    "weyl missing c4": lambda text: text.replace(', "c4": 0.0', ""),
+    "a trailing comma": lambda text: text.replace("}}\n", "},}\n"),
+    "trailing data": lambda text: text + "{}",
+    "a truncated file": lambda text: text[:len(text) // 2],
+    "an empty file": lambda text: "",
+}
+
+
+@pytest.mark.parametrize("name", NEAR_DUMP)
+def test_a_near_dump_text_reads_as_it_parses_whole(tmp_path, name):
+    path = tmp_path / "spectrum.json"
+    path.write_text(_near_dump(NEAR_DUMP[name])(tmp_path))
+    try:
+        want = _read_whole(path)
+    except InvalidSpectrumError as exc:
+        with pytest.raises(type(exc)) as err:
+            load_spectrum(path)
+        assert str(err.value) == str(exc)
+    else:
+        _assert_same_strides(load_spectrum(path), want)
+
+
+def test_the_identity_circle_reads_its_constant_columns_from_one_entry(tmp_path):
+    spectrum = circle_spectrum(0.25, 0.0, 20000)
+    path = tmp_path / "circle.json"
+    dump_spectrum(spectrum, path)
+    *cols, meta = spectral._dumped(path.read_text())
+    assert [col.strides for col in cols] == [(8,), (0,), (0,), (0,)]
+    assert meta == {"format": 2, **spectral._metadata(spectrum)}
+    _assert_same_strides(load_spectrum(path), spectrum)
 
 
 def test_cli_reads_both_forms_to_one_result(capsys, tmp_path):

@@ -41,7 +41,14 @@ first block of 16384 modes made 1-0j; and with the last multiplicity 2.
 The "spectrum_files" line hashes the text that dump_spectrum writes for
 those three spectra and for two built from the 4001-mode circle at twist
 0.25 and angle 0.7 with its traces made real: as they are, every
-imaginary part 0.0, and with every third imaginary part made -0.0.
+imaginary part 0.0, and with every third imaginary part made -0.0. The
+"spectrum_reload" line hashes what load_spectrum reads back from each of
+those five files (the bytes, dtype and strides of its arrays, its
+metadata and its eta), and the refusal that load_spectrum raises on the
+text dump_spectrum writes for the 8-mode spectrum of the "inputs" line
+with one defect each (RELOAD_DEFECTS): a str lambda at row 3, true as
+every multiplicity, a constant column one entry short, "format": 2.0 and
+a second "data" key.
 """
 
 from __future__ import annotations
@@ -59,7 +66,8 @@ from itertools import product
 from cyleta import (BoundarySpectrum, CyletaError, VanishingTermConfig,
                     aps_index, circle_spectrum, contribution,
                     dirichlet_variant_contribution, dump_spectrum,
-                    eta_invariant, from_records, relative_index_check,
+                    eta_invariant, from_records, load_spectrum,
+                    relative_index_check,
                     spectrum_from_json_dict, spectrum_to_json_dict,
                     vanishing_term_detailed,
                     verify_not_feel_boundary, verify_vanishing)
@@ -74,6 +82,13 @@ F1 = (1.0, 1.3, -0.7)
 AS_TERMS = (0j, 0.5 + 0.25j)
 # (column, value) put at row 3; None cuts row 3 short in the form's own way
 DEFECTS = ((0, "4.0"), (1, True), (2, 10**400), (0, 0.0), None)
+# (old, new): one edit of the text dump_spectrum writes for the 8-mode
+# spectrum of _malformed, each a defect that load_spectrum refuses
+RELOAD_DEFECTS = ((", 4.0, ", ', "4.0", '),
+                  ("[1, 1, 1, 1, 1, 1, 1, 1]", "[" + ", ".join(["true"] * 8) + "]"),
+                  ('"trace_im": [0.0, ', '"trace_im": ['),
+                  ('"format": 2', '"format": 2.0'),
+                  ('"format": 2', '"data": [], "format": 2'))
 # (lam, y, times) of verify_not_feel_boundary; the last is refused
 DECAY = (*product((-2.5, -0.5, 0.5, 3.0), (0.3, 1.0, 2.0),
                   ((1.0, 0.5, 0.1, 0.05, 0.01), (10.0, 1.0, 0.1, 0.001))),
@@ -143,6 +158,33 @@ def _written(spectrum) -> str:
         dump_spectrum(spectrum, "spectrum.json")
         with open("spectrum.json") as fh:
             return fh.read()
+
+
+def _reloaded(spectrum) -> str:
+    """What load_spectrum reads back from the file dump_spectrum writes."""
+    with _in_scratch():
+        dump_spectrum(spectrum, "spectrum.json")
+        back = load_spectrum("spectrum.json")
+    arrays = [f"{a.dtype} {a.strides} {hashlib.sha256(a.tobytes()).hexdigest()}"
+              for a in (back.lams, back.multiplicity, back.traces)]
+    return "\n".join([*arrays, repr(_meta(back)), repr(eta_invariant(back))])
+
+
+def _reload_refusals() -> list:
+    """The error load_spectrum raises on each RELOAD_DEFECTS text, or
+    "accepted"."""
+    text = _written(from_records([(float(k + 1), 1, 1.0, 0.0) for k in range(8)]))
+    cases = []
+    for old, new in RELOAD_DEFECTS:
+        with _in_scratch():
+            with open("spectrum.json", "w") as fh:
+                fh.write(text.replace(old, new, 1))
+            try:
+                load_spectrum("spectrum.json")
+                cases.append("accepted")
+            except CyletaError as exc:
+                cases.append(f"{type(exc).__name__}: {exc}")
+    return cases
 
 
 def _cli_requests() -> dict:
@@ -305,7 +347,9 @@ def digests() -> dict:
             *(repr(dirichlet_variant_contribution(s, a)) for a in (0.05, 1.0)),
             repr(aps_index(s, AS_TERMS[1])),
             json.dumps(spectrum_to_json_dict(s), sort_keys=True))]
-    cases["spectrum_files"] = [_written(s) for s in constant + _real_traces()]
+    files = constant + _real_traces()
+    cases["spectrum_files"] = [_written(s) for s in files]
+    cases["spectrum_reload"] = [_reloaded(s) for s in files] + _reload_refusals()
     return {**cases, **_cli_documents(), "inputs": _input_cases()}
 
 
