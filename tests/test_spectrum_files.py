@@ -340,6 +340,8 @@ NEAR_DUMP = {
     "Infinity once": lambda text: text.replace("-0.75", "Infinity", 1),
     "-Infinity repeated": _in_data("trace_re", "1.0", "-Infinity"),
     "a nested list": lambda text: text.replace("1.25", "[1.25]", 1),
+    "a list nested past the recursion limit": lambda text: text.replace(
+        "1.25", "[" * 100_000 + "]" * 100_000, 1),
     "a string entry": lambda text: text.replace("1.25", '"1.25"', 1),
     "a string as every entry": _in_data("trace_im", "0.0", '"0.0"'),
     "true repeated": _in_data("multiplicity", "1", "true"),
@@ -380,7 +382,7 @@ def test_a_near_dump_text_reads_as_it_parses_whole(tmp_path, name):
     path.write_text(_near_dump(NEAR_DUMP[name])(tmp_path))
     try:
         want = _read_whole(path)
-    except InvalidSpectrumError as exc:
+    except (InvalidSpectrumError, RecursionError) as exc:
         with pytest.raises(type(exc)) as err:
             load_spectrum(path)
         assert str(err.value) == str(exc)
