@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from ._json import JsonFields
-from .contribution import Estimate, _check_f1, _minus_eta_half, contribution
+from .contribution import Estimate, _check_f1, contribution
 from .errors import DomainError
 from .eta import eta_invariant
 from .spectral import BoundarySpectrum, _blocks, _kept
@@ -73,10 +73,10 @@ def aps_index(spectrum: BoundarySpectrum, as_term: complex,
               g_is_identity: bool | None = None,
               f1_at_aprime: float = 1.0) -> IndexReport:
     """ind = as_term - f1 eta/2, with no collar. contribution is
-    contribution(spectrum, a', f1_at_aprime).direct_value at every a', from
-    one expression, so index_value is as_term plus it bit for bit, the sign
-    of a zero part included; est_error is |f1| times half of eta's, half
-    the contribution's.
+    contribution(spectrum, a', f1_at_aprime).direct_value at every a', by
+    the same expression -0.5 * (f1 * eta), so index_value is as_term plus
+    it bit for bit, the sign of a zero part included; est_error is |f1|
+    times half of eta's, half the contribution's.
 
     With g_is_identity=None the identity case is auto-detected from the
     spectrum: every stored trace equal to its multiplicity. Both eta and
@@ -84,15 +84,15 @@ def aps_index(spectrum: BoundarySpectrum, as_term: complex,
     """
     as_term, f1 = _check_as_term(as_term), _check_f1(f1_at_aprime)
     eta_res = eta_invariant(spectrum)
-    eta_half = 0.5 * (f1 * eta_res.value)
-    value = _minus_eta_half(f1, eta_res.value)
+    w = f1 * eta_res.value
+    value = -0.5 * w
     index_value = as_term + value
     if g_is_identity is None:
         g_is_identity = _kept(spectrum, "identity", _is_identity)
     nearest = complex(round(index_value.real), round(index_value.imag))
     return IndexReport(
         as_term=as_term, contribution=value, index_value=index_value,
-        eta_half=eta_half, est_error=0.5 * abs(f1) * eta_res.est_error,
+        eta_half=0.5 * w, est_error=0.5 * abs(f1) * eta_res.est_error,
         integrality_residual=abs(index_value - nearest) if g_is_identity
         else None)
 

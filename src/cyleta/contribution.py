@@ -96,12 +96,6 @@ def _check_f1(f1_at_aprime: float) -> float:
     return f1
 
 
-def _minus_eta_half(f1: float, eta_value: complex) -> complex:
-    """-f1 eta/2, the contribution at every collar: the one expression of
-    contribution()'s direct_value and aps_index's contribution."""
-    return -0.5 * (f1 * eta_value)
-
-
 @dataclass(frozen=True)
 class Estimate(JsonFields):
     """A value with est_error, the bound on its numerical error. complex(e)
@@ -174,12 +168,12 @@ def contribution(spectrum: BoundarySpectrum, a_prime: float,
     a_prime = _check_a_prime(a_prime)
     f1 = _check_f1(f1_at_aprime)
     eta_res = eta_invariant(spectrum)
-    value = _minus_eta_half(f1, eta_res.value)
+    w = f1 * eta_res.value
+    value = -0.5 * w
     return ContributionReport(
         a_prime=a_prime, f1_at_aprime=f1,
         direct_value=value, decomposed_value=value, vanishing_residual=0j,
-        eta_reference=f1 * eta_res.value,
-        est_error=abs(f1) * eta_res.est_error)
+        eta_reference=w, est_error=abs(f1) * eta_res.est_error)
 
 
 def dirichlet_variant_contribution(spectrum: BoundarySpectrum,

@@ -13,8 +13,11 @@ everything the omitted modes could contribute. Constructors build whole
 arrays; no per-mode record object exists. Rows, record-form data and
 format-2 columns are only reshaped into the columns lambda, multiplicity,
 trace_re and trace_im, which one function types: real numbers within the
-double range, an int64 multiplicity, no bools. A bad shape is named first,
-then the lowest row with a bad entry, then the first invalid mode.
+double range, an int64 multiplicity, no bools. One function, _with_metadata,
+then builds them all: it sorts the modes, fits or takes the metadata, and the
+container checks each mode once, by rank. A bad shape is named first, then
+the lowest row with a bad entry, then the lowest invalid row (the rows are
+checked in their own order only when building refuses), then the rest.
 
 Conventions baked into the container:
 
@@ -55,8 +58,8 @@ Conventions baked into the container:
   repeated, is that one entry, typed and broadcast, and any other column
   is parsed on its own. Any other text, and any column or metadata that
   json.loads or the column typing refuses, is parsed whole, as before.
-  Both routes end in the same record checks and metadata code, so they
-  give one spectrum, or one error.
+  Both routes end in _with_metadata, so they give one spectrum, or one
+  error; a broadcast column stays one entry, its own permutation.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ import numpy as np
 
 from ._json import JsonFields
 from ._special import gammaincc
-from .errors import DomainError, InvalidSpectrumError, InvalidTraceError
+from .errors import CyletaError, DomainError, InvalidSpectrumError, InvalidTraceError
 
 __all__ = [
     "BoundarySpectrum",
@@ -149,9 +152,10 @@ def _constant(array: np.ndarray) -> bool:
 
 def _stored(array: np.ndarray) -> np.ndarray:
     """A read-only view of array as a spectrum keeps it: a column whose
-    entries all carry the same bits is kept as one entry, broadcast to the
-    column's length (0 stride), so it holds 8 or 16 bytes in all."""
-    if array.ndim == 1 and array.size > 1 and _constant(array):
+    entries all carry the same bits, one already broadcast (0 stride)
+    included, is kept as one entry, broadcast to the column's length, so
+    it holds 8 or 16 bytes in all."""
+    if array.ndim == 1 and array.size > 1 and (array.strides == (0,) or _constant(array)):
         entry = array[:1].copy()  # not a view, which would keep the column
         entry.flags.writeable = False  # and no view of it can undo that
         return np.broadcast_to(entry, array.shape)
@@ -350,12 +354,6 @@ class TruncationBound:
     bound: float
 
 
-def _sorted(lams, multiplicity, traces) -> tuple[np.ndarray, ...]:
-    """The arrays in stored order; the sort is stable."""
-    order = np.lexsort((lams > 0.0, np.abs(lams)))
-    return lams[order], multiplicity[order], traces[order]
-
-
 def circle_spectrum(twist: float, rotation_angle: float, n_max: int) -> BoundarySpectrum:
     """Twisted circle model: eigenvalues n + twist for |n| <= n_max.
 
@@ -417,19 +415,23 @@ def _weyl_c1(lams: np.ndarray, c2: float) -> float:
     return c1
 
 
-def _fitted(lams, multiplicity, traces, truncated_at) -> BoundarySpectrum:
-    """Sort the modes and fit growth metadata to them: the largest c1 over
-    the candidate exponents c2, plus a flat trace bound."""
-    lams, multiplicity, traces = _sorted(lams, multiplicity, traces)
-    best_c1, best_c2 = -math.inf, _C2_CANDIDATES[0]
-    for c2 in _C2_CANDIDATES:  # descending, so ties keep the larger exponent
-        c1 = _weyl_c1(lams, c2)
-        if c1 > best_c1:
-            best_c1, best_c2 = c1, c2
-    c3 = max(1e-12, *(float(np.abs(traces[b]).max()) for b in _blocks(traces.size)))
-    return _spectrum(lams, multiplicity, traces, weyl_c1=best_c1,
-                     weyl_c2=best_c2, trace_bound_c3=c3,
-                     trace_bound_c4=0.0, truncated_at=truncated_at)
+def _built(lams, multiplicity, traces, cutoff: float, growth) -> BoundarySpectrum:
+    """The spectrum of the modes in stored order, by a stable sort, with the
+    growth metadata (c1, c2, c3, c4) given, or fitted where growth is empty:
+    the largest c1 over the candidate exponents c2, ties going to the larger
+    exponent, plus a flat trace bound. A column kept as one entry is its own
+    permutation, so it is not gathered; a one-mode column is."""
+    order = np.lexsort((lams > 0.0, np.abs(lams)))
+    lams, multiplicity, traces = (
+        col if col.strides == (0,) and col.size > 1 else col[order]
+        for col in (lams, multiplicity, traces))
+    if not growth:
+        c1, c2 = max((_weyl_c1(lams, c2), c2) for c2 in _C2_CANDIDATES)
+        growth = c1, c2, max(1e-12, *(float(np.abs(traces[b]).max())
+                                      for b in _blocks(traces.size))), 0.0
+    c1, c2, c3, c4 = growth
+    return _spectrum(lams, multiplicity, traces, weyl_c1=c1, weyl_c2=c2,
+                     trace_bound_c3=c3, trace_bound_c4=c4, truncated_at=cutoff)
 
 
 def _only(values, kinds) -> bool:
@@ -449,14 +451,10 @@ def _array(values, k: int) -> np.ndarray | None:
         return None
 
 
-def _modes(cols, row: str, entry: str, names=_COLUMNS) -> tuple[np.ndarray, ...]:
-    """The (lams, multiplicity, traces) arrays of the four columns cols, in
-    the order of _COLUMNS; every spectrum input is read here.
-
+def _modes(cols, entry: str, names=_COLUMNS) -> list[np.ndarray]:
+    """The four columns cols, in the order of _COLUMNS, typed by _array.
     The first entry that _array refuses, at the lowest row i and then the
-    first column k, is named entry.format(i, names[k]); else the first
-    invalid mode is named row.format(i).
-    """
+    first column k, is named entry.format(i, names[k])."""
     arrays = [_array(col, k) for k, col in enumerate(cols)]
     refused = [(next(i for i, v in enumerate(col) if _array((v,), k) is None), k)
                for k, col in enumerate(cols) if arrays[k] is None]
@@ -467,16 +465,7 @@ def _modes(cols, row: str, entry: str, names=_COLUMNS) -> tuple[np.ndarray, ...]
             "within the double range" if type(v) is int else "a number"
         raise InvalidSpectrumError(f"{entry.format(i, names[k])}: "
                                    f"must be {want}, got {v!r}")
-    return _checked(*arrays, row)
-
-
-def _checked(lams, mult, re, im, row: str) -> tuple[np.ndarray, ...]:
-    """The (lams, multiplicity, traces) arrays of four typed columns of one
-    length, of which the first invalid mode is named row.format(i)."""
-    traces = np.empty(lams.size, dtype=np.complex128)
-    traces.real, traces.imag = re, im  # bit for bit complex(re, im)
-    _check_records(lams, mult, traces, row.format)
-    return lams, mult, traces
+    return arrays
 
 
 def _shaped(items: list, fields, row: str):
@@ -509,9 +498,8 @@ def from_records(records: Iterable[tuple]) -> BoundarySpectrum:
     rows = [tuple(row) if isinstance(row, Iterator) else row for row in records]
     if not rows:
         raise InvalidSpectrumError("records must be non-empty")
-    lams, mult, traces = _modes(_shaped(rows, _row_fields, "record {}"),
-                                "record {}", "record {} {}")
-    return _fitted(lams, mult, traces, float(np.abs(lams).max()))
+    return _with_metadata({}, _modes(_shaped(rows, _row_fields, "record {}"),
+                                     "record {} {}"), "record {}")
 
 
 def direct_sum(a: BoundarySpectrum, b: BoundarySpectrum) -> BoundarySpectrum:
@@ -536,8 +524,8 @@ def direct_sum(a: BoundarySpectrum, b: BoundarySpectrum) -> BoundarySpectrum:
     mult = _coalesced(np.concatenate((a.multiplicity, b.multiplicity))[order],
                       starts, lams[starts])
     traces = np.add.reduceat(np.concatenate((a.traces, b.traces))[order], starts)
-    return _fitted(lams[starts], mult, traces,
-                   min(a.truncated_at, b.truncated_at))
+    return _built(lams[starts], mult, traces,
+                  min(a.truncated_at, b.truncated_at), ())
 
 
 def _coalesced(mult: np.ndarray, starts: np.ndarray,
@@ -662,19 +650,29 @@ def spectrum_from_json_dict(doc: dict) -> BoundarySpectrum:
         raw = doc["data"]
         if not isinstance(raw, list) or not raw:
             raise InvalidSpectrumError('"data" must be a non-empty array')
-        lams, mult, traces = _modes(_shaped(raw, _record_fields, "data[{}]"), "data[{}]",
-                                    "data[{}].{}", ("lambda", "multiplicity",
-                                                    "trace[0]", "trace[1]"))
+        cols = _modes(_shaped(raw, _record_fields, "data[{}]"), "data[{}].{}",
+                      ("lambda", "multiplicity", "trace[0]", "trace[1]"))
     elif doc["format"] == 2 and type(doc["format"]) is int:
-        lams, mult, traces = _modes(_column_lists(doc["data"]), "data[{}]", "data.{1}[{0}]")
+        cols = _modes(_column_lists(doc["data"]), "data.{1}[{0}]")
     else:
         raise InvalidSpectrumError(f'"format" must be 2 or absent, got {doc["format"]!r}')
-    return _with_metadata(doc, lams, mult, traces)
+    return _with_metadata(doc, cols, "data[{}]")
 
 
-def _with_metadata(doc: dict, lams, mult, traces) -> BoundarySpectrum:
-    """The spectrum of checked arrays and the "truncated_at" and "weyl" keys
-    of doc, each fitted to the data where it is absent."""
+def _with_metadata(doc: dict, cols, row: str) -> BoundarySpectrum:
+    """The spectrum of four typed columns of one length, in the order of
+    _COLUMNS, and the "truncated_at" and "weyl" keys of doc, each fitted to
+    the data where it is absent; every row-shaped input is built here.
+
+    The container checks each mode once, by rank. Only where building
+    refuses are the rows checked, in their own order, so that the lowest
+    invalid row, named row.format(i), goes ahead of any other error.
+    """
+    lams, mult, re, im = cols
+    n = 1 if re.strides == im.strides == (0,) else re.size  # one entry each
+    traces = np.empty(n, dtype=np.complex128)
+    traces.real, traces.imag = re[:n], im[:n]  # bit for bit complex(re, im)
+    traces = np.broadcast_to(traces, re.shape)
     cutoff, weyl = doc.get("truncated_at"), doc.get("weyl")
     try:  # by the type rule of the lambda column
         meta = _array([np.abs(lams).max() if cutoff is None else cutoff,
@@ -682,15 +680,16 @@ def _with_metadata(doc: dict, lams, mult, traces) -> BoundarySpectrum:
                                            ("c1", "c2", "c3", "c4")))], 0)
     except (KeyError, TypeError):
         meta = None
-    if meta is None:
-        raise InvalidSpectrumError('"truncated_at" must be a number and "weyl" an '
-                                   'object with numeric c1, c2, c3, c4')
-    cutoff, *growth = meta.tolist()
-    if not growth:
-        return _fitted(lams, mult, traces, cutoff)
-    c1, c2, c3, c4 = growth
-    return _spectrum(*_sorted(lams, mult, traces), weyl_c1=c1, weyl_c2=c2,
-                     trace_bound_c3=c3, trace_bound_c4=c4, truncated_at=cutoff)
+    try:
+        if meta is None:
+            raise InvalidSpectrumError('"truncated_at" must be a number and "weyl" '
+                                       'an object with numeric c1, c2, c3, c4')
+        cutoff, *growth = meta.tolist()
+        return _built(lams, mult, traces, cutoff, growth)
+    except CyletaError as exc:
+        refused = exc
+    _check_records(lams, mult, traces, row.format)
+    raise refused
 
 
 def _columns(spectrum: BoundarySpectrum) -> dict:
@@ -726,7 +725,7 @@ def load_spectrum(path: Union[str, Path]) -> BoundarySpectrum:
     if dumped is None:
         return spectrum_from_json_dict(doc)
     *cols, meta = dumped
-    return _with_metadata(meta, *_checked(*cols, "data[{}]"))
+    return _with_metadata(meta, cols, "data[{}]")
 
 
 # The text of dump_spectrum around the four columns, which it writes in

@@ -3,7 +3,8 @@ dump_spectrum writes, and the older record form, which load_spectrum still
 reads. A record-form document and its format-2 re-dump load to the same
 spectrum bit for bit, a file that dump_spectrum wrote loads as its text
 parsed whole does, and a malformed column names the column and the first
-bad index."""
+bad index. Every input is built by one route, which checks each mode once
+and still names the lowest bad row ahead of a metadata fault."""
 
 import json
 import math
@@ -764,3 +765,116 @@ def test_cli_refuses_a_file_cutoff_with_no_floor(capsys, tmp_path, form):
         assert errors == [f"spectrum file {path}: truncation cutoff must be "
                           f"positive, with a floor 40/cutoff**2 above 0, got "
                           f"{cutoff!r}"]
+
+
+# ---------------------------------------------------------------------------
+# every input is built by one route, which checks each mode once, by rank;
+# only a refused build checks the rows, so the lowest invalid row goes first
+
+GROWTH = {"c1": 1.0, "c2": 1.0, "c3": 1.0, "c4": 0.0}
+# case: (row edits {(row, column): value}, metadata, reversed rows, error)
+PRECEDENCE = {
+    "rank order differs from row order": (
+        {(2, 2): 3.0, (5, 0): 0.0}, {}, False,
+        (InvalidTraceError, "{2}: |trace| = 3 exceeds multiplicity 1; no "
+                            "unitary restriction produces that")),
+    "zero eigenvalue and a string weyl.c1": (
+        {(3, 0): 0.0}, {"weyl": {**GROWTH, "c1": "1.0"}}, False,
+        (InvalidSpectrumError, "{3}: zero eigenvalue: the data must describe "
+                               "an invertible operator")),
+    "zero eigenvalue and a string truncated_at": (
+        {(3, 0): 0.0}, {"truncated_at": "9.0"}, False,
+        (InvalidSpectrumError, "{3}: zero eigenvalue: the data must describe "
+                               "an invertible operator")),
+    "c1 = -1": (
+        {}, {"weyl": {**GROWTH, "c1": -1.0}}, False,
+        (InvalidSpectrumError, "growth constants c1, c2 must be positive")),
+    "unsorted rows and a violated growth bound": (
+        {}, {"weyl": {**GROWTH, "c1": 2.0}}, True,
+        (InvalidSpectrumError, "growth bound violated at rank 1: "
+                               "|1.0| < 2.0 * 1**1.0")),
+}
+LOADS = ("rows", "records", "columns", "records file", "columns file",
+         "dumped file")
+
+
+def _precedence_input(form, case, tmp_path):
+    """The 8 rows of the case, edited, with its metadata, read as form: a
+    file is the plain json.dumps text of the document, or for "dumped file"
+    the text laid out as dump_spectrum writes it."""
+    edits, meta, backwards, _ = PRECEDENCE[case]
+    rows = [[float(k + 1), 1, 1.0, 0.0] for k in range(8)]
+    for (i, column), value in edits.items():
+        rows[i][column] = value
+    rows = rows[::-1] if backwards else rows
+    if form == "rows":
+        return lambda: from_records(map(tuple, rows))
+    if form.startswith("records"):
+        doc = {"data": [{"lambda": lam, "multiplicity": mult, "trace": [re, im]}
+                        for lam, mult, re, im in rows], **meta}
+    else:
+        names = ("lambda", "multiplicity", "trace_re", "trace_im")
+        doc = {"format": 2, "data": dict(zip(names, map(list, zip(*rows)))),
+               **meta}
+    if not form.endswith("file"):
+        return lambda: spectrum_from_json_dict(doc)
+    text = json.dumps(doc, sort_keys=form == "dumped file") + "\n"
+    assert (spectral._dumped(text) is None) == (form != "dumped file")
+    path = tmp_path / "spectrum.json"
+    path.write_text(text)
+    return lambda: load_spectrum(path)
+
+
+# from_records takes no metadata, so it reads only the cases of bad rows
+@pytest.mark.parametrize("case, form", [
+    (case, form) for case, (edits, *_) in PRECEDENCE.items() for form in LOADS
+    if edits or form != "rows"])
+def test_each_input_names_the_first_defect_by_one_precedence(tmp_path, case, form):
+    error, message = PRECEDENCE[case][3]
+    read = _precedence_input(form, case, tmp_path)
+    row = "record {}" if form == "rows" else "data[{}]"
+    with pytest.raises(error) as err:
+        read()
+    assert type(err.value) is error
+    assert str(err.value) == message.format(*(row.format(i) for i in range(8)))
+
+
+def _counting(monkeypatch):
+    """Patch spectral._check_records to count its calls and spectral._stored
+    to record the strides of what it is given."""
+    calls, strides = [], []
+    check, stored = spectral._check_records, spectral._stored
+    monkeypatch.setattr(spectral, "_check_records",
+                        lambda *args: (calls.append(args), check(*args))[1])
+    monkeypatch.setattr(spectral, "_stored",
+                        lambda array: (strides.append(array.strides),
+                                       stored(array))[1])
+    return calls, strides
+
+
+def test_a_dumped_identity_circle_is_checked_once_and_not_gathered(
+        tmp_path, monkeypatch):
+    spectrum = circle_spectrum(0.25, 0.0, 20000)
+    path = tmp_path / "circle.json"
+    dump_spectrum(spectrum, path)
+    calls, strides = _counting(monkeypatch)
+    back = load_spectrum(path)
+    assert len(calls) == 1
+    assert strides == [(8,), (0,), (0,)]
+    monkeypatch.undo()
+    _assert_same_strides(back, spectrum)
+
+
+def test_every_other_input_is_checked_once(tmp_path, monkeypatch):
+    spectrum = circle_spectrum(0.25, 0.7, 40)
+    path = tmp_path / "records.json"
+    path.write_text(json.dumps(_record_doc(spectrum)))
+    rows = list(zip(spectrum.lams.tolist(), spectrum.multiplicity.tolist(),
+                    spectrum.traces.real.tolist(), spectrum.traces.imag.tolist()))
+    calls, _ = _counting(monkeypatch)
+    for read in (lambda: load_spectrum(path),
+                 lambda: spectrum_from_json_dict(spectrum_to_json_dict(spectrum)),
+                 lambda: from_records(rows)):
+        calls.clear()
+        read()
+        assert len(calls) == 1

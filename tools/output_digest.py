@@ -18,7 +18,9 @@ files, once with a request that fails. The "inputs" line hashes the
 message of each malformed input: a str lambda, a bool multiplicity, 10**400
 in a trace part, a zero eigenvalue, and a short row, a missing key or a
 short column, each at row 3 of an 8-mode spectrum, read as from_records
-rows, record-form data and format-2 columns; and the document that
+rows, record-form data and format-2 columns; the same spectrum with two
+defects each (MULTI_DEFECTS), read those three ways and from the format-2
+text laid out as dump_spectrum writes it; and the document that
 `cyleta eta` writes on one malformed file. The "verify_not_feel_boundary"
 line hashes its rows at four eigenvalues, three distances and two time
 lists, and the error it raises on times that increase. The
@@ -80,8 +82,16 @@ COLLARS = (0.003, 0.01, 0.05, 0.2, 0.5, 1.0, 3.0, 10.0, 40.0)
 VANISHING_COLLARS = (0.05, 0.5, 3.0)
 F1 = (1.0, 1.3, -0.7)
 AS_TERMS = (0j, 0.5 + 0.25j)
-# (column, value) put at row 3; None cuts row 3 short in the form's own way
-DEFECTS = ((0, "4.0"), (1, True), (2, 10**400), (0, 0.0), None)
+# {(row, column): value} edits; None cuts row 3 short in the form's own way
+DEFECTS = ({(3, 0): "4.0"}, {(3, 1): True}, {(3, 2): 10**400}, {(3, 0): 0.0},
+           None)
+# (edits, metadata) with two defects: two bad rows whose rank order differs
+# from their row order, and a zero eigenvalue with a string weyl.c1 or a
+# string truncated_at
+MULTI_DEFECTS = (({(2, 2): 3.0, (5, 0): 0.0}, {}),
+                 ({(3, 0): 0.0}, {"weyl": {"c1": "1.0", "c2": 1.0, "c3": 1.0,
+                                           "c4": 0.0}}),
+                 ({(3, 0): 0.0}, {"truncated_at": "9.0"}))
 # (old, new): one edit of the text dump_spectrum writes for the 8-mode
 # spectrum of _malformed, each a defect that load_spectrum refuses
 RELOAD_DEFECTS = ((", 4.0, ", ', "4.0", '),
@@ -250,35 +260,44 @@ def _cli_documents() -> dict:
     return documents
 
 
-def _malformed(form: str, defect) -> object:
-    """An 8-mode spectrum with the defect at row 3, as from_records rows,
-    a record-form document or a format-2 document."""
+def _malformed(form: str, defect, meta: dict) -> object:
+    """An 8-mode spectrum with the defect's edits, as from_records rows, or
+    a record-form or format-2 document with the metadata meta."""
     rows = [[float(k + 1), 1, 1.0, 0.0] for k in range(8)]
-    if defect is not None:
-        column, value = defect
-        rows[3][column] = value
+    for (i, column), value in (defect or {}).items():
+        rows[i][column] = value
     if form == "rows":
         if defect is None:
             rows[3] = rows[3][:3]
         return [tuple(row) for row in rows]
     if form == "records":
         doc = {"data": [{"lambda": lam, "multiplicity": mult, "trace": [re, im]}
-                        for lam, mult, re, im in rows]}
+                        for lam, mult, re, im in rows], **meta}
         if defect is None:
             del doc["data"][3]["trace"]
         return doc
     names = ("lambda", "multiplicity", "trace_re", "trace_im")
-    doc = {"format": 2, "data": dict(zip(names, map(list, zip(*rows))))}
+    doc = {"format": 2, "data": dict(zip(names, map(list, zip(*rows)))), **meta}
     if defect is None:
         del doc["data"]["trace_im"][3:]
     return doc
 
 
-def _refusal(form: str, defect) -> str:
-    """The error that reading the malformed input raises, or "accepted"."""
-    value = _malformed(form, defect)
+def _refusal(form: str, defect, meta: dict) -> str:
+    """The error that reading the malformed input raises, or "accepted";
+    the "dumped" form loads the format-2 document's text with sorted keys,
+    the layout of dump_spectrum."""
+    value = _malformed(form, defect, meta)
     try:
-        from_records(value) if form == "rows" else spectrum_from_json_dict(value)
+        if form == "rows":
+            from_records(value)
+        elif form == "dumped":
+            with _in_scratch():
+                with open("spectrum.json", "w") as fh:
+                    fh.write(json.dumps(value, sort_keys=True) + "\n")
+                load_spectrum("spectrum.json")
+        else:
+            spectrum_from_json_dict(value)
     except CyletaError as exc:
         return f"{type(exc).__name__}: {exc}"
     return "accepted"
@@ -293,11 +312,13 @@ def _decay(lam: float, y: float, times: tuple) -> str:
 
 
 def _input_cases() -> list:
-    cases = [_refusal(form, defect) for form in ("rows", "records", "columns")
+    cases = [_refusal(form, defect, {}) for form in ("rows", "records", "columns")
              for defect in DEFECTS]
+    cases += [_refusal(form, defect, meta) for defect, meta in MULTI_DEFECTS
+              for form in ("rows", "records", "columns", "dumped")]
     with _in_scratch():
         with open("malformed.json", "w") as fh:
-            json.dump(_malformed("records", DEFECTS[0]), fh)
+            json.dump(_malformed("records", DEFECTS[0], {}), fh)
         cases.append(_run_cli(["eta", "--spectrum", "malformed.json"]))
     return cases
 
